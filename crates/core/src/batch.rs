@@ -32,11 +32,13 @@
 //! assert_eq!(report.programs[1].diagnostics[0].code, "E-EXPLICIT-FLOW");
 //! ```
 
+use crate::engine::{CheckEngine, Submission};
 use crate::policy::PolicyPack;
 use crate::synth::synth_program;
 use p4bid_ast::span::span_line_col;
 use p4bid_typeck::{
-    CheckOptions, CheckerSession, Diagnostic, FlowNode, SessionStats, SharedSessionCore,
+    CheckOptions, CheckerSession, DiagCode, Diagnostic, FlowNode, SessionHarvest, SessionStats,
+    SharedSessionCore, DEFAULT_PREFIX_CACHE_CAP,
 };
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -220,9 +222,9 @@ impl BatchStats {
         for p in programs {
             for d in &p.diagnostics {
                 match d.code.as_str() {
-                    "E-INTERNAL" => self.panics += 1,
-                    "E-TIMEOUT" => self.timeouts += 1,
-                    "E-OVERSIZED" => self.oversized += 1,
+                    c if c == DiagCode::InternalError.ident() => self.panics += 1,
+                    c if c == DiagCode::Timeout.ident() => self.timeouts += 1,
+                    c if c == DiagCode::Oversized.ident() => self.oversized += 1,
                     _ => {}
                 }
             }
@@ -575,21 +577,7 @@ pub fn check_batch_with_core(
     core: &SharedSessionCore,
     jobs: usize,
 ) -> BatchReport {
-    run_batch(inputs, jobs, || core.session())
-}
-
-/// [`check_batch_with_core`] that also harvests every worker session's
-/// overlay tables and newly built per-lattice prelude states, for callers
-/// that periodically [`SharedSessionCore::refreeze`] the core (serve's
-/// `--refresh-every` hook). Harvests are returned in worker order; the
-/// report is byte-identical to [`check_batch_with_core`]'s.
-#[must_use]
-pub fn check_batch_harvesting(
-    inputs: &[BatchInput],
-    core: &SharedSessionCore,
-    jobs: usize,
-) -> (BatchReport, Vec<p4bid_typeck::SessionHarvest>) {
-    run_batch_inner(inputs, jobs, &|| core.session(), true)
+    run_batch(inputs, jobs, &|| core.session(), false).0
 }
 
 /// [`check_batch`] on the pre-shared-core path: every worker builds its
@@ -598,15 +586,13 @@ pub fn check_batch_harvesting(
 /// to the historical per-worker-session output.
 #[must_use]
 pub fn check_batch_cold(inputs: &[BatchInput], opts: &CheckOptions, jobs: usize) -> BatchReport {
-    run_batch(inputs, jobs, || CheckerSession::new(opts.clone()))
+    run_batch(inputs, jobs, &|| CheckerSession::new(opts.clone()), false).0
 }
 
-/// Checks a batch under a policy pack: each input's effective options are
-/// resolved from its *name*, inputs are grouped by distinct resolved
-/// option sets (in first-appearance order, so grouping is deterministic),
-/// and each group runs over its own shared core. Verdicts are re-merged by
-/// global input index, keeping the byte-identical-report contract intact —
-/// a pack that resolves every name to the base options produces exactly
+/// Checks a batch under a policy pack: each input's options are resolved
+/// from its *name* and the crate's check engine runs every
+/// distinct option set over its own shared core, re-merging by input index
+/// — a pack that resolves every name to the base options produces exactly
 /// [`check_batch`]'s output.
 #[must_use]
 pub fn check_batch_with_policy(
@@ -618,53 +604,29 @@ pub fn check_batch_with_policy(
     if pack.is_empty() {
         return check_batch(inputs, base, jobs);
     }
-    let mut groups: Vec<(u64, CheckOptions, Vec<usize>)> = Vec::new();
-    for (i, inp) in inputs.iter().enumerate() {
-        let opts = pack.resolve(&inp.name, base);
-        let fp = crate::serve::options_fingerprint(&opts);
-        match groups.iter_mut().find(|(g, _, _)| *g == fp) {
-            Some((_, _, ixs)) => ixs.push(i),
-            None => groups.push((fp, opts, vec![i])),
-        }
-    }
-    let mut programs: Vec<ProgramReport> = Vec::with_capacity(inputs.len());
-    let mut stats = BatchStats::default();
-    let mut report_jobs = 1;
-    for (_, opts, ixs) in &groups {
-        let subset: Vec<BatchInput> = ixs.iter().map(|&i| inputs[i].clone()).collect();
-        let sub = check_batch(&subset, opts, jobs);
-        report_jobs = report_jobs.max(sub.jobs);
-        stats.merge(&sub.stats);
-        for mut p in sub.programs {
-            p.index = ixs[p.index];
-            programs.push(p);
-        }
-    }
-    programs.sort_by_key(|p| p.index);
-    BatchReport { programs, jobs: report_jobs, stats }
+    let mut engine = CheckEngine::empty(DEFAULT_PREFIX_CACHE_CAP);
+    let subs: Vec<Submission<'_>> = inputs
+        .iter()
+        .map(|inp| Submission {
+            name: &inp.name,
+            source: &inp.source,
+            cell: engine.cell(&pack.resolve(&inp.name, base)),
+        })
+        .collect();
+    engine.check(&subs, jobs).0
 }
 
 /// The shared driver: fans `inputs` over `jobs` workers, each owning one
-/// session produced by `make_session`.
-fn run_batch(
-    inputs: &[BatchInput],
-    jobs: usize,
-    make_session: impl Fn() -> CheckerSession + Sync,
-) -> BatchReport {
-    run_batch_inner(inputs, jobs, &make_session, false).0
-}
-
-/// [`run_batch`] with optional end-of-batch session harvesting: when
-/// `harvest` is set, every worker consumes its session into a
-/// [`p4bid_typeck::SessionHarvest`] after draining its queue (sessions a
-/// panic tore down mid-batch were already replaced, so their fresh
-/// substitute is harvested instead — an empty but valid overlay).
-fn run_batch_inner(
+/// session produced by `make_session`. When `harvest` is set, every worker
+/// consumes its session into a [`SessionHarvest`] after draining its queue
+/// (sessions a panic tore down mid-batch were already replaced, so their
+/// fresh substitute is harvested instead — an empty but valid overlay).
+pub(crate) fn run_batch(
     inputs: &[BatchInput],
     jobs: usize,
     make_session: &(impl Fn() -> CheckerSession + Sync),
     harvest: bool,
-) -> (BatchReport, Vec<p4bid_typeck::SessionHarvest>) {
+) -> (BatchReport, Vec<SessionHarvest>) {
     let jobs = match jobs {
         0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         n => n,
@@ -672,7 +634,7 @@ fn run_batch_inner(
     let jobs = jobs.min(inputs.len()).max(1);
 
     let mut stats = BatchStats::default();
-    let mut harvests: Vec<p4bid_typeck::SessionHarvest> = Vec::new();
+    let mut harvests: Vec<SessionHarvest> = Vec::new();
     let mut programs = if jobs == 1 {
         let mut session = make_session();
         let out: Vec<ProgramReport> = inputs
@@ -754,7 +716,7 @@ pub(crate) fn internal_error_report(index: usize, input: &BatchInput) -> Program
         name: input.name.clone(),
         accepted: false,
         diagnostics: vec![BatchDiagnostic {
-            code: "E-INTERNAL".to_string(),
+            code: DiagCode::InternalError.ident().to_string(),
             line: 0,
             col: 0,
             message: "internal error: the checker panicked on this program".to_string(),

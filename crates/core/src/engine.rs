@@ -1,0 +1,384 @@
+//! The check engine under `batch --policy`, `serve`/`watch` and `topo`.
+//!
+//! Every driver runs the same pipeline: pick each program's options, check
+//! it against a [`SharedSessionCore`] for those options, answer repeats from
+//! a verdict cache, and merge the verdicts by input index. This module owns
+//! that pipeline once; the drivers only decide which options each program
+//! checks under.
+//!
+//! * **Cells.** One cell per distinct [`options_fingerprint`], in
+//!   first-appearance order: a shared core built on first use with the
+//!   engine's prefix-cache cap, plus the worker harvests it has gathered
+//!   since its last [`refreeze`](CheckEngine::refreeze).
+//! * **Verdict cache.** A bounded LRU keyed by `(content hash, options
+//!   fingerprint)`. A hit is re-verified against the stored body, a body
+//!   repeated within one call is checked once, and transient verdicts
+//!   ([`DiagCode::is_transient`]) are never stored.
+//! * **Merge.** Checked programs fan out per cell over the work-stealing
+//!   pool and come back by input index, so a report is byte-identical to
+//!   a plain [`check_batch_with_core`](crate::batch::check_batch_with_core)
+//!   run of the same inputs.
+
+use crate::batch::{
+    run_batch, BatchDiagnostic, BatchInput, BatchReport, BatchStats, ProgramReport,
+};
+use p4bid_typeck::{CheckOptions, DiagCode, Mode, SessionHarvest, SharedSessionCore};
+use std::collections::HashMap;
+
+/// Index of one cell of a [`CheckEngine`].
+pub(crate) type CellId = usize;
+
+/// The cell [`CheckEngine::new`] seeds with the caller's base core.
+pub(crate) const BASE_CELL: CellId = 0;
+
+/// One program handed to [`CheckEngine::check`]: its name and source, and
+/// the cell (resolved options) it checks under.
+#[derive(Debug)]
+pub(crate) struct Submission<'a> {
+    pub name: &'a str,
+    pub source: &'a str,
+    pub cell: CellId,
+}
+
+/// One options set's long-lived core.
+#[derive(Debug)]
+struct Cell {
+    fp: u64,
+    core: SharedSessionCore,
+    /// Worker-session harvests since the last refreeze (only gathered
+    /// while harvesting is on).
+    harvests: Vec<SessionHarvest>,
+}
+
+/// The fingerprint → core cells, the verdict cache, and the merge.
+#[derive(Debug)]
+pub(crate) struct CheckEngine {
+    cells: Vec<Cell>,
+    prefix_cap: usize,
+    harvest: bool,
+    cache: VerdictCache,
+}
+
+impl CheckEngine {
+    /// An engine whose [`BASE_CELL`] is `base`; later cells copy its
+    /// prefix-cache cap.
+    pub(crate) fn new(base: SharedSessionCore) -> Self {
+        let mut engine = Self::empty(base.prefix_cache_cap());
+        engine.cells.push(Cell {
+            fp: options_fingerprint(base.options()),
+            core: base,
+            harvests: Vec::new(),
+        });
+        engine
+    }
+
+    /// An engine with no cells yet; each is built on first use with a
+    /// `prefix_cap`-entry prefix cache. The verdict cache starts disabled.
+    pub(crate) fn empty(prefix_cap: usize) -> Self {
+        CheckEngine { cells: Vec::new(), prefix_cap, harvest: false, cache: VerdictCache::new(0) }
+    }
+
+    /// Bounds the verdict cache at `cap` entries, evicting the least
+    /// recently used past it; `0` disables it.
+    pub(crate) fn set_cache_cap(&mut self, cap: usize) {
+        self.cache.set_cap(cap);
+    }
+
+    /// Whether every check harvests its worker sessions for the next
+    /// [`refreeze`](CheckEngine::refreeze).
+    pub(crate) fn set_harvest(&mut self, on: bool) {
+        self.harvest = on;
+    }
+
+    pub(crate) fn cache(&self) -> &VerdictCache {
+        &self.cache
+    }
+
+    /// The options of the [`BASE_CELL`].
+    pub(crate) fn base_options(&self) -> &CheckOptions {
+        self.cells[BASE_CELL].core.options()
+    }
+
+    /// The cell checking under `opts`, built on first appearance.
+    pub(crate) fn cell(&mut self, opts: &CheckOptions) -> CellId {
+        let fp = options_fingerprint(opts);
+        if let Some(id) = self.cells.iter().position(|c| c.fp == fp) {
+            return id;
+        }
+        let core = SharedSessionCore::with_prefix_cache_cap(opts.clone(), self.prefix_cap);
+        self.cells.push(Cell { fp, core, harvests: Vec::new() });
+        self.cells.len() - 1
+    }
+
+    /// Folds every cell's harvests into a fatter frozen root
+    /// ([`SharedSessionCore::refreeze`]). Verdicts are unaffected.
+    pub(crate) fn refreeze(&mut self) {
+        for cell in &mut self.cells {
+            cell.core = cell.core.refreeze(std::mem::take(&mut cell.harvests));
+        }
+    }
+
+    /// Checks `subs` and returns the report in submission order, plus how
+    /// many submissions were not answered from the cache.
+    ///
+    /// With the cache on, every body is hashed once and looked up under its
+    /// cell's fingerprint; the misses (one check per distinct body and
+    /// cell) run per cell, in first-appearance order, and their
+    /// non-transient verdicts are stored. The report's `jobs` is the widest
+    /// cell run (1 when nothing ran) and its stats sum the cell runs.
+    pub(crate) fn check(&mut self, subs: &[Submission<'_>], jobs: usize) -> (BatchReport, u64) {
+        // Per cell run: the cell and the inputs it checks.
+        let mut runs: Vec<(CellId, Vec<BatchInput>)> = Vec::new();
+        // Per submission: its cache key (cache on) and where its verdict
+        // comes from.
+        let mut slots: Vec<(Option<VerdictKey>, Answer)> = Vec::with_capacity(subs.len());
+        let mut pending: HashMap<VerdictKey, (usize, usize)> = HashMap::new();
+        let mut checked = 0;
+        for s in subs {
+            let key = self.cache.enabled().then(|| VerdictKey {
+                content: p4bid_ast::fnv::hash(s.source.as_bytes()),
+                opts: self.cells[s.cell].fp,
+            });
+            if let Some(key) = key {
+                if let Some(hit) = self.cache.lookup(key, s.source) {
+                    slots.push((Some(key), Answer::Hit(hit.accepted, hit.diagnostics.clone())));
+                    continue;
+                }
+            }
+            checked += 1;
+            // A repeat of a pending body shares its check; a colliding body
+            // (same key, other text) gets its own.
+            let dup = key
+                .and_then(|k| pending.get(&k).copied())
+                .filter(|&(r, p)| runs[r].1[p].source == s.source);
+            let at = dup.unwrap_or_else(|| {
+                let r = match runs.iter().position(|(c, _)| *c == s.cell) {
+                    Some(r) => r,
+                    None => {
+                        runs.push((s.cell, Vec::new()));
+                        runs.len() - 1
+                    }
+                };
+                runs[r].1.push(BatchInput::new(s.name, s.source));
+                (r, runs[r].1.len() - 1)
+            });
+            if let Some(k) = key {
+                pending.insert(k, at);
+            }
+            slots.push((key, Answer::Run(at.0, at.1)));
+        }
+        let mut stats = BatchStats::default();
+        let mut report_jobs = 1;
+        let mut results: Vec<Vec<ProgramReport>> = Vec::with_capacity(runs.len());
+        for (cell, inputs) in &runs {
+            let cell = &mut self.cells[*cell];
+            let core = &cell.core;
+            let (sub, harvests) = run_batch(inputs, jobs, &|| core.session(), self.harvest);
+            cell.harvests.extend(harvests);
+            report_jobs = report_jobs.max(sub.jobs);
+            stats.merge(&sub.stats);
+            results.push(sub.programs);
+        }
+        let programs = slots
+            .into_iter()
+            .zip(subs)
+            .enumerate()
+            .map(|(index, ((key, slot), s))| {
+                let (accepted, diagnostics) = match slot {
+                    Answer::Hit(accepted, diagnostics) => (accepted, diagnostics),
+                    Answer::Run(r, p) => {
+                        let p = &results[r][p];
+                        if let Some(key) = key.filter(|_| !is_transient(&p.diagnostics)) {
+                            self.cache.insert(
+                                key,
+                                CachedVerdict {
+                                    source: s.source.to_string(),
+                                    accepted: p.accepted,
+                                    diagnostics: p.diagnostics.clone(),
+                                },
+                            );
+                        }
+                        (p.accepted, p.diagnostics.clone())
+                    }
+                };
+                ProgramReport { index, name: s.name.to_string(), accepted, diagnostics }
+            })
+            .collect();
+        (BatchReport { programs, jobs: report_jobs, stats }, checked)
+    }
+}
+
+/// Where one submission's verdict comes from.
+enum Answer {
+    /// The verdict cache: `accepted` and the diagnostics.
+    Hit(bool, Vec<BatchDiagnostic>),
+    /// Position `.1` of cell run `.0`.
+    Run(usize, usize),
+}
+
+/// Whether a verdict is transient — a caught panic or an expired budget
+/// ([`DiagCode::is_transient`]) rather than a property of the program. A
+/// transient verdict is never cached: a retry of the same body may well
+/// succeed.
+pub(crate) fn is_transient(diagnostics: &[BatchDiagnostic]) -> bool {
+    const FAILURE_DOMAINS: [DiagCode; 3] =
+        [DiagCode::InternalError, DiagCode::Timeout, DiagCode::Oversized];
+    diagnostics
+        .iter()
+        .any(|d| FAILURE_DOMAINS.iter().any(|c| c.is_transient() && d.code == c.ident()))
+}
+
+/// An explicit field-wise fingerprint of a [`CheckOptions`] value: the
+/// cell identity, and half of every verdict-cache key.
+///
+/// Deliberately **not** a `Debug`-rendering hash: destructuring forces a
+/// compile error the moment `CheckOptions` grows a field, so a new option
+/// can never silently alias two distinct sets (which would replay wrong
+/// verdicts). Every field feeds the hash with a framing byte, and
+/// variable-length parts are length-prefixed so adjacent fields cannot
+/// splice into each other.
+pub(crate) fn options_fingerprint(opts: &CheckOptions) -> u64 {
+    // Exhaustive destructuring: adding a CheckOptions field breaks this
+    // line until the fingerprint learns about it. Do not use `..` here.
+    let CheckOptions {
+        mode,
+        lattice,
+        pc,
+        record_lineage,
+        allow_declassify,
+        max_source_bytes,
+        check_timeout_ms,
+        pc_floor,
+    } = opts;
+    let mut bytes = Vec::new();
+    bytes.push(match mode {
+        Mode::Base => 0u8,
+        Mode::Ifc => 1,
+        Mode::Permissive => 2,
+    });
+    match pc {
+        None => bytes.push(0),
+        Some(name) => {
+            bytes.push(1);
+            bytes.extend_from_slice(&(name.len() as u64).to_le_bytes());
+            bytes.extend_from_slice(name.as_bytes());
+        }
+    }
+    match lattice {
+        None => bytes.push(0),
+        Some(lat) => {
+            bytes.push(1);
+            let labels: Vec<_> = lat.labels().collect();
+            bytes.extend_from_slice(&(labels.len() as u64).to_le_bytes());
+            for &l in &labels {
+                let name = lat.name(l);
+                bytes.extend_from_slice(&(name.len() as u64).to_le_bytes());
+                bytes.extend_from_slice(name.as_bytes());
+            }
+            // The full order relation, one bit per pair.
+            for &a in &labels {
+                for &b in &labels {
+                    bytes.push(u8::from(lat.leq(a, b)));
+                }
+            }
+        }
+    }
+    bytes.push(u8::from(*record_lineage));
+    bytes.push(u8::from(*allow_declassify));
+    bytes.push(u8::from(*pc_floor));
+    // The resource guards change verdicts (E-OVERSIZED is content- and
+    // cap-determined), so they partition the cache like any other option.
+    bytes.extend_from_slice(&max_source_bytes.to_le_bytes());
+    bytes.extend_from_slice(&check_timeout_ms.to_le_bytes());
+    p4bid_ast::fnv::hash(&bytes)
+}
+
+/// Key of one verdict-cache entry: the FNV-1a hash of the program text
+/// plus the [`options_fingerprint`] of its cell. The 64-bit content hash is
+/// only a *locator*: every hit re-verifies the stored body byte-for-byte,
+/// so a collision costs one miss, never a replayed wrong verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct VerdictKey {
+    pub content: u64,
+    pub opts: u64,
+}
+
+/// One cached verdict: everything content-determined in a
+/// [`ProgramReport`], plus the body it was computed from. Index and name
+/// are re-attached per hit, so a hit renders byte-identically to a fresh
+/// check under the same name.
+#[derive(Debug, Clone)]
+pub(crate) struct CachedVerdict {
+    pub source: String,
+    pub accepted: bool,
+    pub diagnostics: Vec<BatchDiagnostic>,
+}
+
+/// A bounded verdict cache with least-recently-used eviction and hit/miss
+/// counters. `cap == 0` disables it.
+///
+/// Recency is a monotonic stamp per entry, refreshed on hit: O(1) on the
+/// hit path, with an O(n) minimum scan only on eviction. Insertion-order
+/// eviction would evict the *hottest* entry under churn.
+#[derive(Debug, Default)]
+pub(crate) struct VerdictCache {
+    map: HashMap<VerdictKey, (u64, CachedVerdict)>,
+    cap: usize,
+    /// Monotonic recency clock; bumped on every hit and insert.
+    clock: u64,
+    pub hits: u64,
+    pub misses: u64,
+}
+
+impl VerdictCache {
+    pub(crate) fn new(cap: usize) -> Self {
+        VerdictCache { cap, ..Default::default() }
+    }
+
+    fn enabled(&self) -> bool {
+        self.cap > 0
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// Looks up `key`, verifying the stored body equals `source`: a
+    /// colliding body is a miss (and will overwrite the slot on insert),
+    /// never a replayed verdict. Hits refresh the entry's recency.
+    pub(crate) fn lookup(&mut self, key: VerdictKey, source: &str) -> Option<&CachedVerdict> {
+        match self.map.get_mut(&key) {
+            Some((stamp, verdict)) if verdict.source == source => {
+                self.clock += 1;
+                *stamp = self.clock;
+                self.hits += 1;
+                Some(verdict)
+            }
+            _ => {
+                self.misses += 1;
+                None
+            }
+        }
+    }
+
+    pub(crate) fn insert(&mut self, key: VerdictKey, verdict: CachedVerdict) {
+        self.clock += 1;
+        self.map.insert(key, (self.clock, verdict));
+        self.evict_past_cap();
+    }
+
+    fn set_cap(&mut self, cap: usize) {
+        self.cap = cap;
+        self.evict_past_cap();
+    }
+
+    /// Evicts least-recently-used entries until the cap holds (stamps are
+    /// unique, so the victim — and thus the cache state — is
+    /// deterministic).
+    fn evict_past_cap(&mut self) {
+        while self.map.len() > self.cap {
+            let lru = self.map.iter().min_by_key(|(_, (stamp, _))| *stamp).map(|(k, _)| *k);
+            self.map.remove(&lru.expect("an over-cap cache is non-empty"));
+        }
+    }
+}

@@ -55,6 +55,7 @@
 
 pub mod batch;
 pub mod corpus;
+mod engine;
 pub mod faults;
 pub mod fuzz;
 pub mod packet;

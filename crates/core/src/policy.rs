@@ -69,7 +69,7 @@ impl PolicyRule {
     }
 
     /// Applies this rule's overrides on top of `base`.
-    fn apply(&self, base: &CheckOptions) -> CheckOptions {
+    pub(crate) fn apply(&self, base: &CheckOptions) -> CheckOptions {
         let mut opts = base.clone();
         if let Some(l) = &self.lattice {
             opts.lattice = Some(l.clone());

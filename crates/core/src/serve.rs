@@ -17,9 +17,9 @@
 //!   close) flushing the pending requests.
 //!
 //! Each flush — one scan tick with changes, one feed flush — forms an
-//! **epoch**: the pending inputs go through
-//! [`check_batch_with_core`] against
-//! the engine's one long-lived [`SharedSessionCore`], and the epoch's
+//! **epoch**: the pending inputs go through the crate's check engine
+//! against the engine's long-lived [`SharedSessionCore`] (one per option
+//! set a `--policy` resolves to), and the epoch's
 //! report is **byte-identical** to what `p4bid batch` would print for the
 //! same inputs in the same order (the serve determinism suite pins this
 //! down through the real binary). Epoch framing, timing, and statistics
@@ -69,13 +69,12 @@
 //! assert!(summary.any_rejected, "the second epoch caught the leak");
 //! ```
 
-use crate::batch::{
-    check_batch_with_core, program_json, BatchDiagnostic, BatchInput, BatchReport, BatchStats,
-    ProgramReport,
-};
+use crate::batch::{program_json, BatchInput, BatchReport, BatchStats};
+use crate::engine::{CheckEngine, Submission, BASE_CELL};
 use crate::policy::PolicyPack;
-use p4bid_typeck::{CheckOptions, Mode, SharedSessionCore};
-use std::collections::{BTreeMap, HashMap};
+use p4bid_ast::fnv;
+use p4bid_typeck::{CheckOptions, SharedSessionCore};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
 use std::path::{Path, PathBuf};
@@ -618,15 +617,15 @@ impl DirScanner {
             self.reads += 1;
             // Chaos hook: a `scan-eio` fault fails this read, keyed on the
             // file name so the decision is stable across ticks and runs.
-            let read =
-                if crate::faults::fires(crate::faults::Site::ScanRead, fnv1a(name.as_bytes())) {
-                    Err(crate::faults::injected_eio(&name))
-                } else {
-                    std::fs::read_to_string(&path)
-                };
+            let name_hash = fnv::hash(name.as_bytes());
+            let read = if crate::faults::fires(crate::faults::Site::ScanRead, name_hash) {
+                Err(crate::faults::injected_eio(&name))
+            } else {
+                std::fs::read_to_string(&path)
+            };
             match read {
                 Ok(source) => {
-                    let hash = fnv1a(source.as_bytes());
+                    let hash = fnv::hash(source.as_bytes());
                     let unchanged =
                         self.seen.get(&name).is_some_and(|fp| fp.readable && fp.hash == hash);
                     let chains = p4bid_syntax::item_chains(&source);
@@ -695,182 +694,6 @@ impl DirScanner {
             self.seen.remove(name);
         }
         Ok(delta)
-    }
-}
-
-/// 64-bit FNV-1a — the content fingerprint ([`p4bid_ast::fnv`], the one
-/// implementation every fingerprint in the workspace shares). Not
-/// cryptographic, which is fine: a collision only costs one skipped
-/// re-check of a file edited to a colliding body, and the `(mtime, size)`
-/// fast path already accepts the same class of miss.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    p4bid_ast::fnv::hash(bytes)
-}
-
-// ---------------------------------------------------------------------
-// The verdict cache.
-// ---------------------------------------------------------------------
-
-/// An explicit field-wise fingerprint of a [`CheckOptions`] value, used
-/// to key verdict-cache entries and to group per-policy batches.
-///
-/// Deliberately **not** a `Debug`-rendering hash: destructuring forces a
-/// compile error the moment `CheckOptions` grows a field, so a new option
-/// can never silently alias two distinct sets (which would replay wrong
-/// verdicts). Every field feeds the hash with a framing byte, and
-/// variable-length parts are length-prefixed so adjacent fields cannot
-/// splice into each other.
-#[must_use]
-pub fn options_fingerprint(opts: &CheckOptions) -> u64 {
-    // Exhaustive destructuring: adding a CheckOptions field breaks this
-    // line until the fingerprint learns about it. Do not use `..` here.
-    let CheckOptions {
-        mode,
-        lattice,
-        pc,
-        record_lineage,
-        allow_declassify,
-        max_source_bytes,
-        check_timeout_ms,
-        pc_floor,
-    } = opts;
-    let mut bytes = Vec::new();
-    bytes.push(match mode {
-        Mode::Base => 0u8,
-        Mode::Ifc => 1,
-        Mode::Permissive => 2,
-    });
-    match pc {
-        None => bytes.push(0),
-        Some(name) => {
-            bytes.push(1);
-            bytes.extend_from_slice(&(name.len() as u64).to_le_bytes());
-            bytes.extend_from_slice(name.as_bytes());
-        }
-    }
-    match lattice {
-        None => bytes.push(0),
-        Some(lat) => {
-            bytes.push(1);
-            let labels: Vec<_> = lat.labels().collect();
-            bytes.extend_from_slice(&(labels.len() as u64).to_le_bytes());
-            for &l in &labels {
-                let name = lat.name(l);
-                bytes.extend_from_slice(&(name.len() as u64).to_le_bytes());
-                bytes.extend_from_slice(name.as_bytes());
-            }
-            // The full order relation, one bit per pair.
-            for &a in &labels {
-                for &b in &labels {
-                    bytes.push(u8::from(lat.leq(a, b)));
-                }
-            }
-        }
-    }
-    bytes.push(u8::from(*record_lineage));
-    bytes.push(u8::from(*allow_declassify));
-    bytes.push(u8::from(*pc_floor));
-    // The resource guards change verdicts (E-OVERSIZED is content- and
-    // cap-determined), so they partition the cache like any other option.
-    bytes.extend_from_slice(&max_source_bytes.to_le_bytes());
-    bytes.extend_from_slice(&check_timeout_ms.to_le_bytes());
-    fnv1a(&bytes)
-}
-
-/// Key of one verdict-cache entry: the FNV-1a hash of the program text
-/// (the same fingerprint [`DirScanner`] keys change detection on) plus
-/// the [`options_fingerprint`] of the effective [`CheckOptions`] — two
-/// daemons checking under different modes/lattices/policies can never
-/// share a verdict. The 64-bit content hash is only a *locator*: every
-/// hit re-verifies the stored program body byte-for-byte, so a hash
-/// collision costs one cache miss, never a replayed wrong verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct VerdictKey {
-    content: u64,
-    opts: u64,
-}
-
-/// One cached verdict: everything content-determined in a
-/// [`ProgramReport`], plus the exact program body the verdict was
-/// computed from (checked on every hit — see [`VerdictKey`]). The index
-/// and name are request-specific and are re-attached on each hit, so a
-/// hit renders byte-identically to a fresh check of the same source
-/// under the same id.
-#[derive(Debug, Clone)]
-struct CachedVerdict {
-    source: String,
-    accepted: bool,
-    diagnostics: Vec<BatchDiagnostic>,
-}
-
-/// Whether a verdict is transient — produced by a worker panic or an
-/// expired wall-clock budget rather than by the program's content. A
-/// transient verdict must never enter the verdict cache: the next
-/// submission of the same body may well succeed, and a cached
-/// `E-INTERNAL` would replay the failure long after its cause (an
-/// injected fault, a scheduling hiccup) is gone.
-fn is_transient_verdict(diagnostics: &[BatchDiagnostic]) -> bool {
-    diagnostics.iter().any(|d| d.code == "E-INTERNAL" || d.code == "E-TIMEOUT")
-}
-
-/// A bounded verdict cache with least-recently-used eviction and
-/// hit/miss counters. `cap == 0` disables it entirely.
-///
-/// Recency is a monotonic stamp per entry, refreshed on hit: O(1) on the
-/// hot hit path, with an O(n) minimum scan only on the (rare, bounded-n)
-/// eviction path. Insertion-order eviction would evict the *hottest*
-/// entry under churn — exactly the entry worth keeping.
-#[derive(Debug, Default)]
-struct VerdictCache {
-    map: HashMap<VerdictKey, (u64, CachedVerdict)>,
-    cap: usize,
-    /// Monotonic recency clock; bumped on every hit and insert.
-    clock: u64,
-    hits: u64,
-    misses: u64,
-}
-
-impl VerdictCache {
-    fn new(cap: usize) -> Self {
-        VerdictCache { cap, ..Default::default() }
-    }
-
-    fn enabled(&self) -> bool {
-        self.cap > 0
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Looks up `key`, verifying the stored body equals `source`: a
-    /// colliding body is a miss (and will overwrite the slot on insert),
-    /// never a replayed verdict. Hits refresh the entry's recency.
-    fn lookup(&mut self, key: VerdictKey, source: &str) -> Option<CachedVerdict> {
-        match self.map.get_mut(&key) {
-            Some((stamp, verdict)) if verdict.source == source => {
-                self.clock += 1;
-                *stamp = self.clock;
-                self.hits += 1;
-                Some(verdict.clone())
-            }
-            _ => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    fn insert(&mut self, key: VerdictKey, verdict: CachedVerdict) {
-        self.clock += 1;
-        if self.map.insert(key, (self.clock, verdict)).is_none() && self.map.len() > self.cap {
-            // Evict the least-recently-used entry (stamps are unique, so
-            // the minimum — and thus the cache state — is deterministic).
-            if let Some(&lru) = self.map.iter().min_by_key(|(_, (stamp, _))| *stamp).map(|(k, _)| k)
-            {
-                self.map.remove(&lru);
-            }
-        }
     }
 }
 
@@ -969,42 +792,30 @@ impl EpochReport {
 }
 
 /// The long-lived checking engine behind `p4bid serve` / `p4bid watch`:
-/// one [`SharedSessionCore`] serving every epoch, cumulative statistics,
-/// and an optional periodic core refresh.
+/// the crate's check engine over the base core (plus one cell per
+/// option set a policy resolves to), cumulative statistics, and an
+/// optional periodic refreeze of every cell.
 ///
 /// The engine is ingest-agnostic — [`run_feed`], [`run_socket`], and
 /// [`run_watch`] all drive the same [`run_epoch`](ServeEngine::run_epoch).
 #[derive(Debug)]
 pub struct ServeEngine {
-    core: SharedSessionCore,
+    engine: CheckEngine,
     jobs: usize,
     epoch: u64,
     refresh_every: Option<u64>,
     refreshes: u64,
     stats: BatchStats,
-    cache: VerdictCache,
-    /// [`options_fingerprint`] of the core's base [`CheckOptions`], baked
-    /// into every verdict-cache key (stable across
-    /// [`SharedSessionCore::rebuild`], which preserves the options).
-    opts_fp: u64,
     /// Per-program policy pack ([`ServeEngine::with_policy`]); `None`
-    /// checks everything under the base options.
+    /// checks everything in the base cell.
     policy: Option<PolicyPack>,
-    /// Lazily-built cores for the non-base option sets a policy resolves
-    /// to, keyed by options fingerprint (small and stable: one entry per
-    /// distinct rule outcome, refreshed alongside the base core).
-    extra_cores: Vec<(u64, SharedSessionCore)>,
-    /// Worker-session harvests accumulated since the last refreeze —
-    /// collected per base-core epoch only while `--refresh-every` is on,
-    /// consumed by [`SharedSessionCore::refreeze`] when the refresh fires.
-    harvests: Vec<p4bid_typeck::SessionHarvest>,
     /// Front-door counters recorded by [`run_socket`], cumulative across
     /// socket runs over one engine.
     door: DoorCounters,
 }
 
 /// The front-door slice of [`ServeOps`] owned by the engine; the cache
-/// counters live in [`VerdictCache`].
+/// counters live in the check engine's verdict cache.
 #[derive(Debug, Default, Clone, Copy)]
 struct DoorCounters {
     connections: u64,
@@ -1025,32 +836,29 @@ impl ServeEngine {
     /// `serve_latency` bench) pay the freeze cost where they choose.
     #[must_use]
     pub fn with_core(core: SharedSessionCore, jobs: usize) -> Self {
-        let opts_fp = options_fingerprint(core.options());
         ServeEngine {
-            core,
+            engine: CheckEngine::new(core),
             jobs,
             epoch: 0,
             refresh_every: None,
             refreshes: 0,
             stats: BatchStats::default(),
-            cache: VerdictCache::default(),
-            opts_fp,
             policy: None,
-            extra_cores: Vec::new(),
-            harvests: Vec::new(),
             door: DoorCounters::default(),
         }
     }
 
-    /// Re-freezes the core every `n` epochs ([`SharedSessionCore::refreeze`]
-    /// over the harvested per-worker overlay tables), folding the names and
-    /// types workers interned since the last refresh into a fatter frozen
-    /// root — which is what lets worker sessions publish tier-pure prefix
-    /// snapshots for resubmitted programs. Verdicts are unaffected; `None`
-    /// disables refreshing (the default).
+    /// Re-freezes every core — the base one and each policy cell — every
+    /// `n` epochs ([`SharedSessionCore::refreeze`] over the harvested
+    /// per-worker overlay tables), folding the names and types workers
+    /// interned since the last refresh into a fatter frozen root — which is
+    /// what lets worker sessions publish tier-pure prefix snapshots for
+    /// resubmitted programs. Verdicts are unaffected; `None` disables
+    /// refreshing (the default).
     #[must_use]
     pub fn with_refresh_every(mut self, n: Option<u64>) -> Self {
         self.refresh_every = n.filter(|&n| n > 0);
+        self.engine.set_harvest(self.refresh_every.is_some());
         self
     }
 
@@ -1062,7 +870,7 @@ impl ServeEngine {
     /// and renders byte-identically to a fresh check.
     #[must_use]
     pub fn with_cache(mut self, cap: usize) -> Self {
-        self.cache = VerdictCache::new(cap);
+        self.engine.set_cache_cap(cap);
         self
     }
 
@@ -1107,9 +915,9 @@ impl ServeEngine {
             conn_errors: self.door.conn_errors,
             shed: self.door.shed,
             peak_pending: self.door.peak_pending,
-            cache_hits: self.cache.hits,
-            cache_misses: self.cache.misses,
-            cache_size: self.cache.len() as u64,
+            cache_hits: self.engine.cache().hits,
+            cache_misses: self.engine.cache().misses,
+            cache_size: self.engine.cache().len() as u64,
             refreezes: self.refreshes,
         }
     }
@@ -1123,8 +931,8 @@ impl ServeEngine {
         self.stats.drained += n;
     }
 
-    /// Checks one epoch's inputs against the long-lived core and returns
-    /// the epoch report. Refreshes the core first when a refresh is due;
+    /// Checks one epoch's inputs against the long-lived cores and returns
+    /// the epoch report. Refreezes every core first when a refresh is due;
     /// answers from the verdict cache when one is configured.
     #[must_use]
     pub fn run_epoch(&mut self, inputs: &[BatchInput]) -> EpochReport {
@@ -1135,191 +943,28 @@ impl ServeEngine {
                 // using are served tier-pure from now on (and tier-pure
                 // prefix snapshots start landing). Old frozen ids are
                 // preserved verbatim, so existing snapshots stay valid.
-                self.core = self.core.refreeze(std::mem::take(&mut self.harvests));
-                for (_, core) in &mut self.extra_cores {
-                    *core = core.rebuild();
-                }
+                self.engine.refreeze();
                 self.refreshes += 1;
             }
         }
-        let report = if self.cache.enabled() {
-            self.check_epoch_cached(inputs)
-        } else {
-            self.check_epoch_uncached(inputs)
-        };
+        // Only names a policy rule matches leave the base cell, so an
+        // engine without a policy fingerprints nothing per request.
+        let engine = &mut self.engine;
+        let subs: Vec<Submission<'_>> = inputs
+            .iter()
+            .map(|input| {
+                let cell = match self.policy.as_ref().and_then(|p| p.matching(&input.name)) {
+                    Some(rule) => engine.cell(&rule.apply(engine.base_options())),
+                    None => BASE_CELL,
+                };
+                Submission { name: &input.name, source: &input.source, cell }
+            })
+            .collect();
+        let (report, _) = engine.check(&subs, self.jobs);
         self.stats.merge(&report.stats);
         let epoch = self.epoch;
         self.epoch += 1;
         EpochReport { epoch, report }
-    }
-
-    /// The cached check path: answer every input whose `(content hash,
-    /// options fingerprint)` key is cached with the *same body*, check
-    /// only the misses (the first occurrence of each missing key — an
-    /// epoch resubmitting one body many times checks it once, while two
-    /// colliding bodies each get their own check), and reassemble by
-    /// input position. Verdicts depend only on source text and options,
-    /// so the assembled report is byte-identical to an uncached check of
-    /// the same inputs.
-    fn check_epoch_cached(&mut self, inputs: &[BatchInput]) -> BatchReport {
-        enum Slot {
-            Hit(CachedVerdict),
-            Miss(usize),
-        }
-        let mut to_check: Vec<BatchInput> = Vec::new();
-        let mut first_miss: HashMap<VerdictKey, usize> = HashMap::new();
-        let mut slots: Vec<(VerdictKey, Slot)> = Vec::with_capacity(inputs.len());
-        for input in inputs {
-            let key = VerdictKey {
-                content: fnv1a(input.source.as_bytes()),
-                opts: self.resolve_fp(&input.name),
-            };
-            let slot = match self.cache.lookup(key, &input.source) {
-                Some(verdict) => Slot::Hit(verdict),
-                None => {
-                    // Dedup within the epoch, but only against the same
-                    // body: a colliding key must not reuse another
-                    // program's pending slot.
-                    let pos = match first_miss.get(&key) {
-                        Some(&pos) if to_check[pos].source == input.source => pos,
-                        _ => {
-                            to_check.push(input.clone());
-                            let pos = to_check.len() - 1;
-                            first_miss.insert(key, pos);
-                            pos
-                        }
-                    };
-                    Slot::Miss(pos)
-                }
-            };
-            slots.push((key, slot));
-        }
-        let checked = if to_check.is_empty() {
-            // All hits: no sessions ran, so no stats and one (formal)
-            // worker for the epoch-framing line.
-            BatchReport { programs: Vec::new(), jobs: 1, stats: BatchStats::default() }
-        } else {
-            self.check_epoch_uncached(&to_check)
-        };
-        let programs = slots
-            .into_iter()
-            .enumerate()
-            .map(|(index, (key, slot))| {
-                let verdict = match slot {
-                    Slot::Hit(verdict) => verdict,
-                    Slot::Miss(pos) => {
-                        let p = &checked.programs[pos];
-                        let verdict = CachedVerdict {
-                            source: inputs[index].source.clone(),
-                            accepted: p.accepted,
-                            diagnostics: p.diagnostics.clone(),
-                        };
-                        if !is_transient_verdict(&verdict.diagnostics) {
-                            self.cache.insert(key, verdict.clone());
-                        }
-                        verdict
-                    }
-                };
-                ProgramReport {
-                    index,
-                    name: inputs[index].name.clone(),
-                    accepted: verdict.accepted,
-                    diagnostics: verdict.diagnostics,
-                }
-            })
-            .collect();
-        BatchReport { programs, jobs: checked.jobs, stats: checked.stats }
-    }
-
-    /// The uncached check path: with a policy loaded, partitions the
-    /// epoch by resolved options fingerprint (first-appearance order),
-    /// runs each partition against its long-lived core, and reassembles
-    /// by input position. With no policy — or when every input resolves
-    /// to the base options — this is exactly [`check_batch_with_core`].
-    fn check_epoch_uncached(&mut self, inputs: &[BatchInput]) -> BatchReport {
-        if self.policy.is_none() {
-            return self.check_base_core(inputs);
-        }
-        let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
-        for (i, input) in inputs.iter().enumerate() {
-            let fp = self.resolve_fp(&input.name);
-            match groups.iter_mut().find(|(g, _)| *g == fp) {
-                Some((_, ixs)) => ixs.push(i),
-                None => groups.push((fp, vec![i])),
-            }
-        }
-        if groups.len() <= 1 && groups.first().is_none_or(|(fp, _)| *fp == self.opts_fp) {
-            return self.check_base_core(inputs);
-        }
-        let mut programs: Vec<ProgramReport> = Vec::with_capacity(inputs.len());
-        let mut stats = BatchStats::default();
-        let mut report_jobs = 1;
-        for (fp, ixs) in &groups {
-            let subset: Vec<BatchInput> = ixs.iter().map(|&i| inputs[i].clone()).collect();
-            let sub = if *fp == self.opts_fp {
-                self.check_base_core(&subset)
-            } else {
-                let core = self.core_for(*fp, &inputs[ixs[0]].name);
-                check_batch_with_core(&subset, &core, self.jobs)
-            };
-            report_jobs = report_jobs.max(sub.jobs);
-            stats.merge(&sub.stats);
-            for mut p in sub.programs {
-                p.index = ixs[p.index];
-                programs.push(p);
-            }
-        }
-        programs.sort_by_key(|p| p.index);
-        BatchReport { programs, jobs: report_jobs, stats }
-    }
-
-    /// One batch against the base core. With `--refresh-every` armed the
-    /// worker sessions are harvested — their overlay tables and
-    /// newly built per-lattice prelude states accumulate until the next
-    /// refreeze folds them into the frozen root. The report is
-    /// byte-identical either way.
-    fn check_base_core(&mut self, inputs: &[BatchInput]) -> BatchReport {
-        if self.refresh_every.is_some() {
-            let (report, harvests) =
-                crate::batch::check_batch_harvesting(inputs, &self.core, self.jobs);
-            self.harvests.extend(harvests);
-            report
-        } else {
-            check_batch_with_core(inputs, &self.core, self.jobs)
-        }
-    }
-
-    /// Options fingerprint for one program name under the engine's
-    /// policy; the base fingerprint when no pack is loaded or no rule
-    /// matches.
-    fn resolve_fp(&self, name: &str) -> u64 {
-        match &self.policy {
-            Some(pack) if pack.matching(name).is_some() => {
-                options_fingerprint(&pack.resolve(name, self.core.options()))
-            }
-            _ => self.opts_fp,
-        }
-    }
-
-    /// The long-lived core serving one options fingerprint, built on
-    /// first use from the options the policy resolves for `name` (the
-    /// fingerprint covers every option field, so any name in the
-    /// partition resolves the same options).
-    fn core_for(&mut self, fp: u64, name: &str) -> SharedSessionCore {
-        if fp == self.opts_fp {
-            return self.core.clone();
-        }
-        if let Some((_, core)) = self.extra_cores.iter().find(|(g, _)| *g == fp) {
-            return core.clone();
-        }
-        let opts = self
-            .policy
-            .as_ref()
-            .expect("a non-base fingerprint comes from a policy rule")
-            .resolve(name, self.core.options());
-        let core = SharedSessionCore::new(opts);
-        self.extra_cores.push((fp, core.clone()));
-        core
     }
 }
 
@@ -2107,7 +1752,11 @@ pub fn run_socket(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::check_batch;
+    use crate::batch::{check_batch, BatchDiagnostic};
+    use crate::engine::{
+        is_transient, options_fingerprint, CachedVerdict, VerdictCache, VerdictKey,
+    };
+    use p4bid_typeck::DEFAULT_PREFIX_CACHE_CAP;
     use std::io::Cursor;
 
     const OK: &str = "control C(inout bit<8> x) { apply { x = x + 8w1; } }";
@@ -2572,7 +2221,10 @@ mod tests {
         let inputs = [BatchInput::new("leak", LEAK)];
         assert!(!ifc.run_epoch(&inputs).report.programs[0].accepted);
         assert!(permissive.run_epoch(&inputs).report.programs[0].accepted);
-        assert_ne!(ifc.opts_fp, permissive.opts_fp);
+        assert_ne!(
+            options_fingerprint(&CheckOptions::ifc()),
+            options_fingerprint(&CheckOptions::permissive())
+        );
     }
 
     #[test]
@@ -2600,10 +2252,10 @@ mod tests {
             col: 0,
             lineage: Vec::new(),
         };
-        assert!(!is_transient_verdict(&[diag("E-OVERSIZED")]));
-        assert!(!is_transient_verdict(&[diag("E-EXPLICIT-FLOW")]));
-        assert!(is_transient_verdict(&[diag("E-EXPLICIT-FLOW"), diag("E-INTERNAL")]));
-        assert!(is_transient_verdict(&[diag("E-TIMEOUT")]));
+        assert!(!is_transient(&[diag("E-OVERSIZED")]));
+        assert!(!is_transient(&[diag("E-EXPLICIT-FLOW")]));
+        assert!(is_transient(&[diag("E-EXPLICIT-FLOW"), diag("E-INTERNAL")]));
+        assert!(is_transient(&[diag("E-TIMEOUT")]));
 
         // End to end: an oversized reject is served from the cache on
         // the second epoch — no new check, byte-identical output.
@@ -2678,7 +2330,7 @@ mod tests {
     }
 
     #[test]
-    fn refreshes_rebuild_policy_cores_too() {
+    fn refreshes_refreeze_policy_cores_too() {
         let mut engine = ServeEngine::new(CheckOptions::ifc(), 1)
             .with_policy(Some(declass_pack()))
             .with_refresh_every(Some(1));
@@ -2687,6 +2339,50 @@ mod tests {
         let second = engine.run_epoch(&inputs);
         assert_eq!(engine.refreshes(), 1);
         assert_eq!(first.to_ndjson().replace("\"epoch\": 0", "\"epoch\": 1"), second.to_ndjson());
+    }
+
+    /// CI's refreeze feed: two programs resubmitted over four epochs.
+    fn refreeze_feed() -> Vec<BatchInput> {
+        ["A", "B"]
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let src = format!(
+                    "header h_t {{ <bit<8>, high> f; }}\nstruct hs {{ h_t h; }}\n\
+                     control {c}(inout hs s) {{ apply {{ s.h.f = s.h.f + 8w{}; }} }}",
+                    i + 1
+                );
+                BatchInput::new(c.to_lowercase(), src)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn policy_cells_refreeze_and_honour_the_prefix_cap() {
+        // Routed through a catch-all policy rule, every program checks in
+        // a policy cell. That cell must refreeze like the base core does
+        // (epoch 2 inserts tier-pure snapshots, epoch 3 resumes from them)
+        // and be built with the run's prefix-cache cap.
+        let pack = PolicyPack::parse("[*]\ndeclassify = true\n").unwrap();
+        let run = |prefix_cap: usize, refresh: Option<u64>, pack: Option<PolicyPack>| {
+            let core = SharedSessionCore::with_prefix_cache_cap(CheckOptions::ifc(), prefix_cap);
+            let mut engine =
+                ServeEngine::with_core(core, 1).with_refresh_every(refresh).with_policy(pack);
+            let out: String =
+                (0..4).map(|_| engine.run_epoch(&refreeze_feed()).to_ndjson()).collect();
+            let s = engine.cumulative_stats().sessions;
+            (out, (s.prefix_inserts, s.prefix_hits, s.prefix_items_saved))
+        };
+        let (plain, plain_counts) = run(DEFAULT_PREFIX_CACHE_CAP, Some(2), None);
+        let (routed, routed_counts) = run(DEFAULT_PREFIX_CACHE_CAP, Some(2), Some(pack.clone()));
+        assert_eq!(plain_counts, (3, 3, 7), "the no-policy refreeze smoke");
+        assert_eq!(routed_counts, (3, 3, 7), "a policy cell refreezes like the base core");
+        let (no_prefix, no_prefix_counts) = run(0, Some(2), Some(pack.clone()));
+        assert_eq!(no_prefix_counts, (0, 0, 0), "--prefix-cache-cap 0 reaches policy cells");
+        let (fresh, _) = run(DEFAULT_PREFIX_CACHE_CAP, None, Some(pack));
+        assert_eq!(routed, fresh, "refreezing never changes a report byte");
+        assert_eq!(no_prefix, fresh);
+        assert_eq!(plain, fresh, "the grant changes no verdict of this feed");
     }
 
     // --- ingest loops ------------------------------------------------------

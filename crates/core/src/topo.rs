@@ -64,14 +64,11 @@
 //! assert!(!report.all_ok());
 //! ```
 
-use crate::batch::{
-    check_batch_with_core, BatchDiagnostic, BatchInput, BatchReport, BatchStats, ProgramReport,
-};
+use crate::batch::{BatchReport, BatchStats, ProgramReport};
+use crate::engine::{CheckEngine, Submission};
 use crate::policy;
-use crate::serve::options_fingerprint;
 use p4bid_lattice::{Label, Lattice};
-use p4bid_typeck::{CheckOptions, SharedSessionCore};
-use std::collections::HashMap;
+use p4bid_typeck::{CheckOptions, DEFAULT_PREFIX_CACHE_CAP};
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -748,34 +745,30 @@ impl TopoReport {
     }
 }
 
-/// A cached per-switch verdict, keyed by `(source hash, options
-/// fingerprint)`. The full body is kept so a hash collision degrades to a
-/// recheck, never a replayed wrong verdict, and transient verdicts
-/// (`E-INTERNAL`, `E-TIMEOUT`) are never inserted — the same soundness
-/// rules the serve front door follows.
-#[derive(Debug, Clone)]
-struct CachedVerdict {
-    body: String,
-    accepted: bool,
-    diagnostics: Vec<BatchDiagnostic>,
-}
-
-/// The reusable fixpoint driver: a topology plus the session state worth
-/// keeping across epochs — one [`SharedSessionCore`] per distinct resolved
-/// option set (so re-checks keep their frozen prelude *and* the
-/// incremental prefix cache), and the verdict cache that lets an epoch
-/// skip every `(source, ingress)` pair it has already decided. Watch mode
-/// holds one engine across edits: after a single-switch edit, only that
-/// switch and its downstream cone miss the cache.
+/// The reusable fixpoint driver: a topology plus the crate's check engine
+/// — one shared core per distinct resolved option set (so re-checks keep
+/// their frozen prelude *and* the incremental prefix cache), and a verdict
+/// cache, bounded by the topology's size, that lets an epoch skip every
+/// `(source, ingress)` pair it has recently decided. Watch mode holds one
+/// engine across edits: after a single-switch edit, only that switch and
+/// its downstream cone miss the cache.
 #[derive(Debug)]
 pub struct TopoEngine {
     topo: Topology,
     base: CheckOptions,
     jobs: usize,
-    cores: Vec<(u64, SharedSessionCore)>,
-    cache: HashMap<(u64, u64), CachedVerdict>,
+    engine: CheckEngine,
     epochs: u64,
     cumulative: BatchStats,
+}
+
+/// The verdict-cache bound for a topology: two epochs' worth of
+/// `(source, ingress)` pairs. Labels only rise, so one epoch checks each
+/// switch at no more than `|lattice|` ingress labels; twice that keeps the
+/// previous epoch's verdicts alive through the current one (an edit and
+/// its revert both stay hits).
+fn cache_bound(topo: &Topology) -> usize {
+    2 * topo.switches.len() * topo.lattice.len()
 }
 
 impl TopoEngine {
@@ -788,15 +781,9 @@ impl TopoEngine {
             0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             n => n,
         };
-        TopoEngine {
-            topo,
-            base,
-            jobs,
-            cores: Vec::new(),
-            cache: HashMap::new(),
-            epochs: 0,
-            cumulative: BatchStats::default(),
-        }
+        let mut engine = CheckEngine::empty(DEFAULT_PREFIX_CACHE_CAP);
+        engine.set_cache_cap(cache_bound(&topo));
+        TopoEngine { topo, base, jobs, engine, epochs: 0, cumulative: BatchStats::default() }
     }
 
     /// The current topology.
@@ -806,9 +793,10 @@ impl TopoEngine {
     }
 
     /// Swaps in a re-resolved topology (a watch-mode reload), keeping the
-    /// session cores and the verdict cache — unchanged switches stay
-    /// cache hits.
+    /// session cores and the verdict cache (re-bounded for the new
+    /// topology) — unchanged switches stay cache hits.
     pub fn set_topology(&mut self, topo: Topology) {
+        self.engine.set_cache_cap(cache_bound(&topo));
         self.topo = topo;
     }
 
@@ -856,18 +844,6 @@ impl TopoEngine {
         self.topo.switches[i].declassify.unwrap_or(self.base.allow_declassify)
     }
 
-    /// The shared core for an option fingerprint, built on first use and
-    /// kept for the engine's lifetime (first-appearance order, so the
-    /// core list is deterministic).
-    fn core_for(&mut self, fp: u64, opts: &CheckOptions) -> SharedSessionCore {
-        if let Some((_, core)) = self.cores.iter().find(|(g, _)| *g == fp) {
-            return core.clone();
-        }
-        let core = SharedSessionCore::new(opts.clone());
-        self.cores.push((fp, core.clone()));
-        core
-    }
-
     /// Runs the fixpoint to stabilization and reports.
     ///
     /// Every switch starts dirty at its declared seed; each round checks
@@ -898,60 +874,21 @@ impl TopoEngine {
             for &i in &work {
                 dirty[i] = false;
             }
-            // Resolve options; split the dirty set into cache hits and
-            // misses, the misses grouped by options fingerprint in
-            // first-appearance order (the policy-pack grouping contract).
-            let mut groups: Vec<(u64, CheckOptions, Vec<usize>)> = Vec::new();
+            // The engine answers cache hits and checks the misses, one
+            // shared core per resolved option set.
+            let mut subs = Vec::with_capacity(work.len());
             for &i in &work {
                 let opts = self.effective_options(i, inl[i]);
-                let fp = options_fingerprint(&opts);
-                let src = &self.topo.switches[i].source;
-                let key = (p4bid_ast::fnv::hash(src.as_bytes()), fp);
-                if let Some(hit) = self.cache.get(&key).filter(|c| c.body == *src) {
-                    verdicts[i] = Some(ProgramReport {
-                        index: i,
-                        name: self.topo.switches[i].name.clone(),
-                        accepted: hit.accepted,
-                        diagnostics: hit.diagnostics.clone(),
-                    });
-                    continue;
-                }
-                match groups.iter_mut().find(|(g, _, _)| *g == fp) {
-                    Some((_, _, ixs)) => ixs.push(i),
-                    None => groups.push((fp, opts, vec![i])),
-                }
+                let sw = &self.topo.switches[i];
+                let cell = self.engine.cell(&opts);
+                subs.push(Submission { name: &sw.name, source: &sw.source, cell });
             }
-            for (fp, opts, ixs) in &groups {
-                let core = self.core_for(*fp, opts);
-                let inputs: Vec<BatchInput> = ixs
-                    .iter()
-                    .map(|&i| {
-                        let sw = &self.topo.switches[i];
-                        BatchInput::new(sw.name.clone(), sw.source.clone())
-                    })
-                    .collect();
-                rechecks += inputs.len() as u64;
-                let sub = check_batch_with_core(&inputs, &core, self.jobs);
-                stats.merge(&sub.stats);
-                for (slot, mut p) in ixs.iter().zip(sub.programs) {
-                    p.index = *slot;
-                    let transient = p
-                        .diagnostics
-                        .iter()
-                        .any(|d| d.code == "E-INTERNAL" || d.code == "E-TIMEOUT");
-                    if !transient {
-                        let src = &self.topo.switches[*slot].source;
-                        self.cache.insert(
-                            (p4bid_ast::fnv::hash(src.as_bytes()), *fp),
-                            CachedVerdict {
-                                body: src.clone(),
-                                accepted: p.accepted,
-                                diagnostics: p.diagnostics.clone(),
-                            },
-                        );
-                    }
-                    verdicts[*slot] = Some(p);
-                }
+            let (report, checked) = self.engine.check(&subs, self.jobs);
+            rechecks += checked;
+            stats.merge(&report.stats);
+            for (&i, mut p) in work.iter().zip(report.programs) {
+                p.index = i;
+                verdicts[i] = Some(p);
             }
             // Egress labels: the conservative taint `in(s)` unless the
             // manifest declares one — raises are free, lowering needs the
@@ -1243,6 +1180,7 @@ pub fn run_topo_watch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchInput;
     use p4bid_typeck::CheckOptions;
 
     /// A pass-through program writing only its `high` field: accepted at
@@ -1496,6 +1434,63 @@ mod tests {
         engine.set_topology(topo_from(manifest, &edited));
         let report = engine.run_epoch();
         assert_eq!(report.switch_rechecks, 1, "only the edited switch re-checks");
+    }
+
+    #[test]
+    fn verdict_cache_stays_within_its_topology_bound() {
+        // A long watch session: 1000 single-switch edits (each a fresh
+        // body), with a leak-then-revert pair every 100 edits. The cache
+        // must never outgrow two epochs' worth of (source, ingress) pairs,
+        // and that bound must still keep every revert a pure cache replay.
+        let manifest = "[switch a]\nprogram = \"a.p4\"\ningress = \"high\"\n\
+                        [switch b]\nprogram = \"b.p4\"\n\
+                        [switch c]\nprogram = \"c.p4\"\n\
+                        [switch d]\nprogram = \"d.p4\"\n\
+                        [link a:p1 -> b:p1]\n[link b:p2 -> c:p1]\n";
+        let fwd = |n: usize| {
+            format!("control F(inout <bit<32>, high> x) {{ apply {{ x = x + 32w{n}; }} }}")
+        };
+        let leak =
+            "control L(inout <bit<32>, low> l, inout <bit<32>, high> h) { apply { l = h; } }";
+        let topo_of = |progs: &[String]| {
+            let named: Vec<(&str, &str)> = ["a.p4", "b.p4", "c.p4", "d.p4"]
+                .into_iter()
+                .zip(progs.iter().map(String::as_str))
+                .collect();
+            topo_from(manifest, &named)
+        };
+        let mut progs: Vec<String> = (0..4).map(fwd).collect();
+        let mut engine = TopoEngine::new(topo_of(&progs), CheckOptions::ifc(), 1);
+        let bound = cache_bound(engine.topology());
+        assert_eq!(bound, 2 * 4 * 2, "2 x switches x lattice labels");
+        engine.run_epoch();
+        let mut reverts = 0;
+        for edit in 0..1000 {
+            let sw = edit % 4;
+            if edit % 100 == 50 {
+                let kept = std::mem::replace(&mut progs[sw], leak.to_string());
+                engine.set_topology(topo_of(&progs));
+                let leaked = engine.run_epoch();
+                assert!(!leaked.switches[sw].verdict.accepted, "edit {edit}");
+                assert!(engine.engine.cache().len() <= bound, "edit {edit}");
+                progs[sw] = kept;
+                engine.set_topology(topo_of(&progs));
+                let reverted = engine.run_epoch();
+                assert!(reverted.all_ok(), "edit {edit}");
+                assert_eq!(
+                    reverted.switch_rechecks, 0,
+                    "the revert at edit {edit} re-checks nothing"
+                );
+                reverts += 1;
+            } else {
+                progs[sw] = fwd(4 + edit);
+                engine.set_topology(topo_of(&progs));
+                assert!(engine.run_epoch().switch_rechecks >= 1, "edit {edit}");
+            }
+            assert!(engine.engine.cache().len() <= bound, "edit {edit}");
+        }
+        assert_eq!(reverts, 10);
+        assert_eq!(engine.engine.cache().len(), bound, "the cache filled and evicted");
     }
 
     #[test]

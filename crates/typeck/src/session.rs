@@ -761,24 +761,6 @@ impl SharedSessionCore {
         }
     }
 
-    /// Rebuilds a fresh core under the same options — the hard variant of
-    /// the *refresh hook* for long-lived services.
-    ///
-    /// Freezing is one-way and tiers do not stack, so a core can never
-    /// absorb what its workers learned through `rebuild`; it re-warms a
-    /// new root segment from scratch (the process-wide prelude token/AST
-    /// caches still hit, so only the prelude *check* is repaid) and drops
-    /// the shared caches, whose handles would dangle against the new
-    /// segment. Verdicts are unaffected — sessions off the old and the
-    /// new core produce identical reports — which is exactly what lets a
-    /// serve loop refresh between epochs without breaking its determinism
-    /// contract. Services that want to *keep* what workers learned use
-    /// [`refreeze`](SharedSessionCore::refreeze) instead.
-    #[must_use]
-    pub fn rebuild(&self) -> SharedSessionCore {
-        SharedSessionCore::with_prefix_cache_cap(self.opts.clone(), self.shared.prefix_cap)
-    }
-
     /// Merges harvested per-worker overlays into a fatter frozen root:
     /// overlay symbols, types, lattices, and push-memo entries are
     /// re-interned into the new frozen segment (children before parents,
