@@ -3,15 +3,14 @@
 //!
 //! The driver builds one [`SharedSessionCore`] — the prelude lexed, parsed,
 //! checked, and its interner/pool frozen exactly once — and hands every
-//! worker of a small dependency-free work-stealing thread pool a cheap
-//! overlay [`CheckerSession`] cloned off it: every worker owns a deque of
-//! program indices, pops from its own front, and steals from the back of
-//! its neighbours when it runs dry. Results are collected per worker and
-//! merged **by input index**, never by completion order, so the rendered
-//! reports are byte-identical run over run, across `--jobs` settings, and
-//! across the shared-core vs cold-session paths — the contract the
-//! determinism regression suite pins down ([`check_batch_cold`] keeps the
-//! per-worker cold-session path alive exactly for that comparison).
+//! worker of the crate's work-stealing pool a cheap overlay
+//! [`CheckerSession`] cloned off it (see "The worker pool" in
+//! `docs/ARCHITECTURE.md`). Results are merged **by input index**, never
+//! by completion order, so the rendered reports are byte-identical run
+//! over run, across `--jobs` settings, and across the shared-core vs
+//! cold-session paths — the contract the determinism regression suite
+//! pins down ([`check_batch_cold`] keeps the per-worker cold-session path
+//! alive exactly for that comparison).
 //!
 //! # Examples
 //!
@@ -38,11 +37,9 @@ use crate::synth::synth_program;
 use p4bid_ast::span::span_line_col;
 use p4bid_typeck::{
     CheckOptions, CheckerSession, DiagCode, Diagnostic, FlowNode, SessionHarvest, SessionStats,
-    SharedSessionCore, DEFAULT_PREFIX_CACHE_CAP,
+    SharedSessionCore,
 };
-use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
 /// One program in a batch: a display name plus its source text.
 #[derive(Debug, Clone)]
@@ -509,52 +506,6 @@ pub(crate) fn json_string(s: &str) -> String {
     out
 }
 
-/// A work-stealing queue of task indices: one deque per worker, owners pop
-/// from the front, thieves steal from the back.
-///
-/// Tasks never spawn tasks here, so termination is simple: a worker exits
-/// once every deque (its own and all victims') is empty.
-#[derive(Debug)]
-pub struct StealQueue {
-    deques: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl StealQueue {
-    /// Distributes `tasks` task indices round-robin over `workers` deques.
-    #[must_use]
-    pub fn new(tasks: usize, workers: usize) -> Self {
-        let workers = workers.max(1);
-        let mut deques: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for t in 0..tasks {
-            deques[t % workers].push_back(t);
-        }
-        StealQueue { deques: deques.into_iter().map(Mutex::new).collect() }
-    }
-
-    /// Number of worker deques.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.deques.len()
-    }
-
-    /// The next task for `worker`: its own front, else a steal from the
-    /// back of the first non-empty victim. `None` means global exhaustion.
-    #[must_use]
-    pub fn next_task(&self, worker: usize) -> Option<usize> {
-        if let Some(t) = self.deques[worker].lock().expect("queue lock").pop_front() {
-            return Some(t);
-        }
-        let n = self.deques.len();
-        for off in 1..n {
-            let victim = (worker + off) % n;
-            if let Some(t) = self.deques[victim].lock().expect("queue lock").pop_back() {
-                return Some(t);
-            }
-        }
-        None
-    }
-}
-
 /// Checks every input against one freshly frozen [`SharedSessionCore`]
 /// and returns the ordered report.
 ///
@@ -590,120 +541,55 @@ pub fn check_batch_cold(inputs: &[BatchInput], opts: &CheckOptions, jobs: usize)
 }
 
 /// Checks a batch under a policy pack: each input's options are resolved
-/// from its *name* and the crate's check engine runs every
-/// distinct option set over its own shared core, re-merging by input index
-/// — a pack that resolves every name to the base options produces exactly
-/// [`check_batch`]'s output.
+/// from its *name* against `base`'s options, and the crate's check engine
+/// runs every distinct option set over its own shared core (built with
+/// `base`'s prefix-cache cap), re-merging by input index — a pack that
+/// resolves every name to the base options produces exactly
+/// [`check_batch_with_core`]'s output.
 #[must_use]
 pub fn check_batch_with_policy(
     inputs: &[BatchInput],
-    base: &CheckOptions,
+    base: &SharedSessionCore,
     pack: &PolicyPack,
     jobs: usize,
 ) -> BatchReport {
     if pack.is_empty() {
-        return check_batch(inputs, base, jobs);
+        return check_batch_with_core(inputs, base, jobs);
     }
-    let mut engine = CheckEngine::empty(DEFAULT_PREFIX_CACHE_CAP);
+    let mut engine = CheckEngine::new(base.clone());
     let subs: Vec<Submission<'_>> = inputs
         .iter()
         .map(|inp| Submission {
             name: &inp.name,
             source: &inp.source,
-            cell: engine.cell(&pack.resolve(&inp.name, base)),
+            cell: engine.cell(&pack.resolve(&inp.name, base.options())),
         })
         .collect();
     engine.check(&subs, jobs).0
 }
 
-/// The shared driver: fans `inputs` over `jobs` workers, each owning one
-/// session produced by `make_session`. When `harvest` is set, every worker
-/// consumes its session into a [`SessionHarvest`] after draining its queue
-/// (sessions a panic tore down mid-batch were already replaced, so their
-/// fresh substitute is harvested instead — an empty but valid overlay).
+/// The shared driver: checks `inputs` on the crate's worker pool, each
+/// worker owning one session produced by `make_session`. A panicking check
+/// becomes that program's `E-INTERNAL` verdict. When `harvest` is set,
+/// every worker's final session is harvested (see [`crate::pool::run`]).
 pub(crate) fn run_batch(
     inputs: &[BatchInput],
     jobs: usize,
     make_session: &(impl Fn() -> CheckerSession + Sync),
     harvest: bool,
 ) -> (BatchReport, Vec<SessionHarvest>) {
-    let jobs = match jobs {
-        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        n => n,
-    };
-    let jobs = jobs.min(inputs.len()).max(1);
-
-    let mut stats = BatchStats::default();
-    let mut harvests: Vec<SessionHarvest> = Vec::new();
-    let mut programs = if jobs == 1 {
-        let mut session = make_session();
-        let out: Vec<ProgramReport> = inputs
-            .iter()
-            .enumerate()
-            .map(|(i, inp)| check_one_isolated(&mut session, make_session, i, inp))
-            .collect();
-        stats.absorb(&session.stats());
-        if harvest {
-            harvests.extend(session.into_harvest());
-        }
-        out
-    } else {
-        let queue = StealQueue::new(inputs.len(), jobs);
-        let mut collected: Vec<ProgramReport> = Vec::with_capacity(inputs.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|w| {
-                    let queue = &queue;
-                    scope.spawn(move || {
-                        // Sessions hold `Rc`-backed overlay tables, so each
-                        // worker owns one; only the frozen segment inside
-                        // is shared across threads.
-                        let mut session = make_session();
-                        let mut out = Vec::new();
-                        while let Some(i) = queue.next_task(w) {
-                            out.push(check_one_isolated(&mut session, make_session, i, &inputs[i]));
-                        }
-                        let session_stats = session.stats();
-                        let harvested = if harvest { session.into_harvest() } else { None };
-                        (out, session_stats, harvested)
-                    })
-                })
-                .collect();
-            for h in handles {
-                let (out, session_stats, harvested) = h.join().expect("batch worker panicked");
-                collected.extend(out);
-                stats.absorb(&session_stats);
-                harvests.extend(harvested);
-            }
-        });
-        collected
-    };
-    // Deterministic contract: order by input index, not completion.
-    programs.sort_by_key(|p| p.index);
-    stats.count_failure_domains(&programs);
-    (BatchReport { programs, jobs, stats }, harvests)
-}
-
-/// [`check_one`] inside a crash containment boundary: a panicking check —
-/// a checker bug, a pathological program, or an injected `P4BID_FAULTS`
-/// fault — becomes a deterministic `E-INTERNAL` verdict for that program
-/// alone, and the worker keeps draining its queue on a freshly rebuilt
-/// session (the panic may have torn the old one mid-mutation).
-pub(crate) fn check_one_isolated(
-    session: &mut CheckerSession,
-    make_session: impl Fn() -> CheckerSession,
-    index: usize,
-    input: &BatchInput,
-) -> ProgramReport {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        check_one(session, index, input)
-    })) {
-        Ok(report) => report,
-        Err(_) => {
-            *session = make_session();
-            internal_error_report(index, input)
-        }
-    }
+    let run = crate::pool::run(
+        inputs.len(),
+        jobs,
+        make_session,
+        harvest,
+        &|session, i| check_one(session, i, &inputs[i]),
+        &|i| internal_error_report(i, &inputs[i]),
+        &|_| false,
+    );
+    let mut stats = run.stats;
+    stats.count_failure_domains(&run.results);
+    (BatchReport { programs: run.results, jobs: run.workers, stats }, run.harvests)
 }
 
 /// The deterministic verdict a caught worker panic turns into. The
@@ -733,11 +619,7 @@ fn check_one(session: &mut CheckerSession, index: usize, input: &BatchInput) -> 
     // which worker picks it up.
     let deadline = session.options().deadline_from_now();
     session.set_deadline(deadline);
-    // The content hash exists only to key injected faults; skip it (it
-    // is O(source)) on the vastly common no-faults path.
-    if crate::faults::plan().is_some() {
-        crate::faults::check_faults(p4bid_ast::fnv::hash(input.source.as_bytes()));
-    }
+    crate::faults::check_faults(&input.source);
     match session.check(&input.source) {
         Ok(_) => ProgramReport {
             index,
@@ -838,21 +720,6 @@ mod tests {
     }
 
     #[test]
-    fn steal_queue_drains_exactly_once() {
-        let q = StealQueue::new(100, 3);
-        let mut seen = [false; 100];
-        // Worker 1 never pops its own; everything still drains via steals.
-        while let Some(t) = q.next_task(1) {
-            assert!(!seen[t], "task {t} handed out twice");
-            seen[t] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "all tasks drained");
-        for w in 0..q.workers() {
-            assert_eq!(q.next_task(w), None);
-        }
-    }
-
-    #[test]
     fn synthetic_corpus_is_accepted_at_scale() {
         let inputs = synthetic_corpus(64);
         let report = check_batch(&inputs, &CheckOptions::ifc(), 0);
@@ -917,7 +784,8 @@ mod tests {
                 "control C(inout <bit<8>, lo> l, inout <bit<8>, hi> h) { apply { l = h; } }",
             ),
         ];
-        let report = check_batch_with_policy(&inputs, &CheckOptions::ifc(), &pack, 2);
+        let base = SharedSessionCore::new(CheckOptions::ifc());
+        let report = check_batch_with_policy(&inputs, &base, &pack, 2);
         // Same source, different verdicts: the policy granted declassify
         // only to the first name.
         assert!(report.programs[0].accepted, "{}", report.render_table());
@@ -928,14 +796,14 @@ mod tests {
         assert_eq!(report.programs[2].diagnostics[0].code, "E-EXPLICIT-FLOW");
         assert!(report.programs[2].diagnostics[0].message.contains("`hi`"));
         // Deterministic across job counts, like plain batches.
-        let one = check_batch_with_policy(&inputs, &CheckOptions::ifc(), &pack, 1);
-        let eight = check_batch_with_policy(&inputs, &CheckOptions::ifc(), &pack, 8);
+        let one = check_batch_with_policy(&inputs, &base, &pack, 1);
+        let eight = check_batch_with_policy(&inputs, &base, &pack, 8);
         assert_eq!(one.to_json(), report.to_json());
         assert_eq!(one.to_json(), eight.to_json());
         // An empty pack is exactly the plain path.
         let empty = PolicyPack::parse("").unwrap();
         let plain = check_batch(&inputs, &CheckOptions::ifc(), 1);
-        let via_policy = check_batch_with_policy(&inputs, &CheckOptions::ifc(), &empty, 1);
+        let via_policy = check_batch_with_policy(&inputs, &base, &empty, 1);
         assert_eq!(plain.to_json(), via_policy.to_json());
     }
 

@@ -233,12 +233,10 @@ fn cmd_batch(args: &[String]) -> ExitCode {
     };
 
     let start = std::time::Instant::now();
+    let core = p4bid::SharedSessionCore::with_prefix_cache_cap(opts, prefix_cap);
     let report = match &policy {
-        Some(pack) => check_batch_with_policy(&inputs, &opts, pack, jobs),
-        None => {
-            let core = p4bid::SharedSessionCore::with_prefix_cache_cap(opts, prefix_cap);
-            p4bid::batch::check_batch_with_core(&inputs, &core, jobs)
-        }
+        Some(pack) => check_batch_with_policy(&inputs, &core, pack, jobs),
+        None => p4bid::batch::check_batch_with_core(&inputs, &core, jobs),
     };
     let elapsed = start.elapsed();
     if args.iter().any(|a| a == "--json") {

@@ -149,17 +149,20 @@ pub fn fires(site: Site, key: u64) -> bool {
     plan().is_some_and(|p| p.fires(site, key))
 }
 
-/// Runs the check-path faults for the program with content hash `key`:
-/// sleeps if a slow-check fault fires, then panics if a worker-panic fault
-/// fires. Called by the batch/serve/fuzz workers *inside* their
-/// `catch_unwind` isolation, after the per-program deadline is armed (so
-/// injected slowness deterministically exercises `--check-timeout-ms`).
+/// Runs the check-path faults for the program `source`, keyed on its
+/// content hash: sleeps if a slow-check fault fires, then panics if a
+/// worker-panic fault fires. Called by the batch/serve/fuzz checks *inside*
+/// the worker pool's panic boundary, after the per-program deadline is
+/// armed (so injected slowness deterministically exercises
+/// `--check-timeout-ms`). The hash is O(source), so it is taken only when
+/// a plan is loaded.
 ///
 /// # Panics
 ///
-/// Panics deliberately when a `panic=` fault fires for `key`.
-pub fn check_faults(key: u64) {
+/// Panics deliberately when a `panic=` fault fires for `source`.
+pub fn check_faults(source: &str) {
     let Some(p) = plan() else { return };
+    let key = p4bid_ast::fnv::hash(source.as_bytes());
     if p.fires(Site::SlowCheck, key) {
         std::thread::sleep(Duration::from_millis(p.slow_ms));
     }

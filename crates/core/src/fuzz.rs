@@ -2,10 +2,11 @@
 //! run the accepted ones through the non-interference harness — across
 //! cores, with reports byte-identical to the serial run.
 //!
-//! Seeds are partitioned over the same work-stealing pool `p4bid batch`
-//! uses ([`StealQueue`]): each worker owns a
-//! deque of seeds, generates its programs locally (generation is a pure
-//! function of the seed), and records one [`SeedOutcome`] per seed.
+//! Seeds are the tasks of the crate's worker pool, the one `p4bid batch`
+//! uses (see "The worker pool" in `docs/ARCHITECTURE.md`): each worker
+//! generates its programs locally (generation is a pure function of the
+//! seed) and records one [`SeedOutcome`] per seed; a violation stops the
+//! run at the lowest violating seed.
 //! Checker state comes from one frozen [`SharedSessionCore`] — the prelude
 //! is lexed/parsed/checked once per run, not once per worker — and each
 //! worker checks through a private overlay session cloned off it
@@ -16,7 +17,7 @@
 //! worker count and for both session paths. The determinism regression
 //! suite pins this down end to end.
 
-use crate::batch::{BatchStats, StealQueue};
+use crate::batch::BatchStats;
 use p4bid_ni::{check_non_interference, random_program, GenConfig, NiConfig, NiOutcome};
 use p4bid_typeck::{CheckOptions, CheckerSession, SharedSessionCore};
 
@@ -90,7 +91,7 @@ pub fn fuzz_seed(
     // like `batch`.
     let deadline = session.options().deadline_from_now();
     session.set_deadline(deadline);
-    crate::faults::check_faults(p4bid_ast::fnv::hash(gp.source.as_bytes()));
+    crate::faults::check_faults(&gp.source);
     match session.check(&gp.source) {
         Ok(typed) => {
             let out = check_non_interference(&typed, &gp.control_plane, "Fuzz", ni_cfg);
@@ -104,9 +105,8 @@ pub fn fuzz_seed(
     }
 }
 
-/// Fuzzes seeds `0..n` on `jobs` workers (`0` = one per core, `1` =
-/// serial with early exit on the first violation), all sharing one frozen
-/// session core.
+/// Fuzzes seeds `0..n` on `jobs` workers (`0` = one per core), all
+/// sharing one frozen session core; the run stops at the first violation.
 ///
 /// The report is deterministic in `(n, cfg, ni_cfg)` and independent of
 /// `jobs`: accepted/rejected totals count only seeds *below* the first
@@ -125,29 +125,11 @@ pub fn run_fuzz_cold(n: u64, cfg: &GenConfig, ni_cfg: &NiConfig, jobs: usize) ->
     run_fuzz_with(n, cfg, ni_cfg, jobs, || CheckerSession::new(CheckOptions::ifc()))
 }
 
-/// [`fuzz_seed`] inside the crash containment boundary: a panicking seed
-/// becomes [`SeedOutcome::Panicked`] and the worker continues on a fresh
-/// session (mirroring `batch`'s per-program isolation).
-fn fuzz_seed_isolated(
-    session: &mut CheckerSession,
-    make_session: impl Fn() -> CheckerSession,
-    seed: u64,
-    cfg: &GenConfig,
-    ni_cfg: &NiConfig,
-) -> SeedOutcome {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        fuzz_seed(session, seed, cfg, ni_cfg)
-    })) {
-        Ok(outcome) => outcome,
-        Err(_) => {
-            *session = make_session();
-            SeedOutcome::Panicked
-        }
-    }
-}
-
-/// The shared driver: fans seeds over `jobs` workers, each owning one
-/// session produced by `make_session`.
+/// The shared driver: fans seeds over the crate's worker pool, each worker
+/// owning one session produced by `make_session`. A panicking seed becomes
+/// [`SeedOutcome::Panicked`]; a violation stops the run, and the pool skips
+/// every seed above the lowest violating one — seeds the merge would never
+/// count and a serial early-exiting loop would never have reached.
 fn run_fuzz_with(
     n: u64,
     cfg: &GenConfig,
@@ -155,75 +137,17 @@ fn run_fuzz_with(
     jobs: usize,
     make_session: impl Fn() -> CheckerSession + Sync,
 ) -> FuzzReport {
-    let jobs = match jobs {
-        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        j => j,
-    };
-    let jobs = jobs.min(usize::try_from(n).unwrap_or(usize::MAX)).max(1);
-
-    let mut stats = BatchStats::default();
-    let outcomes: Vec<(u64, SeedOutcome)> = if jobs == 1 {
-        let mut session = make_session();
-        let mut out = Vec::with_capacity(usize::try_from(n).unwrap_or(0));
-        for seed in 0..n {
-            let o = fuzz_seed_isolated(&mut session, &make_session, seed, cfg, ni_cfg);
-            let stop = matches!(o, SeedOutcome::Violation { .. });
-            out.push((seed, o));
-            if stop {
-                break;
-            }
-        }
-        stats.absorb(&session.stats());
-        out
-    } else {
-        let queue = StealQueue::new(usize::try_from(n).unwrap_or(usize::MAX), jobs);
-        // Early-exit signal: the lowest violating seed found so far.
-        // Workers skip seeds above it — the merge only ever reports
-        // outcomes below the minimum violation, so skipping is invisible
-        // to the deterministic report while sparing the (expensive) NI
-        // runs for seeds a serial run would never have reached.
-        let min_violation = std::sync::atomic::AtomicU64::new(u64::MAX);
-        let mut collected = Vec::with_capacity(usize::try_from(n).unwrap_or(0));
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|w| {
-                    let queue = &queue;
-                    let min_violation = &min_violation;
-                    let make_session = &make_session;
-                    scope.spawn(move || {
-                        use std::sync::atomic::Ordering::Relaxed;
-                        // `Rc`-backed overlay tables are thread-local by
-                        // design: one session per worker, like `batch`;
-                        // only the frozen segment inside is shared.
-                        let mut session = make_session();
-                        let mut out = Vec::new();
-                        while let Some(ix) = queue.next_task(w) {
-                            let seed = ix as u64;
-                            if seed > min_violation.load(Relaxed) {
-                                continue;
-                            }
-                            let outcome =
-                                fuzz_seed_isolated(&mut session, make_session, seed, cfg, ni_cfg);
-                            if matches!(outcome, SeedOutcome::Violation { .. }) {
-                                min_violation.fetch_min(seed, Relaxed);
-                            }
-                            out.push((seed, outcome));
-                        }
-                        (out, session.stats())
-                    })
-                })
-                .collect();
-            for h in handles {
-                let (out, session_stats) = h.join().expect("fuzz worker panicked");
-                collected.extend(out);
-                stats.absorb(&session_stats);
-            }
-        });
-        collected
-    };
-
-    let mut report = merge_by_seed(n, outcomes);
-    report.stats = stats;
+    let run = crate::pool::run(
+        usize::try_from(n).unwrap_or(usize::MAX),
+        jobs,
+        &make_session,
+        false,
+        &|session, i| (i as u64, fuzz_seed(session, i as u64, cfg, ni_cfg)),
+        &|i| (i as u64, SeedOutcome::Panicked),
+        &|(_, o)| matches!(o, SeedOutcome::Violation { .. }),
+    );
+    let mut report = merge_by_seed(n, run.results);
+    report.stats = run.stats;
     report.stats.panics = report.panicked;
     report
 }

@@ -60,6 +60,7 @@ pub mod faults;
 pub mod fuzz;
 pub mod packet;
 pub mod policy;
+mod pool;
 pub mod report;
 pub mod serve;
 pub mod strip;

@@ -777,10 +777,8 @@ impl TopoEngine {
     /// worker count).
     #[must_use]
     pub fn new(topo: Topology, base: CheckOptions, jobs: usize) -> Self {
-        let jobs = match jobs {
-            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            n => n,
-        };
+        // Unclamped: every epoch's checks are clamped again by the pool.
+        let jobs = crate::pool::workers(jobs, usize::MAX);
         let mut engine = CheckEngine::empty(DEFAULT_PREFIX_CACHE_CAP);
         engine.set_cache_cap(cache_bound(&topo));
         TopoEngine { topo, base, jobs, engine, epochs: 0, cumulative: BatchStats::default() }

@@ -96,6 +96,30 @@ fn injected_panic_is_contained_and_deterministic_across_jobs() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// The fuzz driver shares batch's panic boundary: under seed 9 at
+/// `panic=20`, 10 of 60 generated programs panic. Each becomes a
+/// `panicked` seed, not a crash or a soundness violation, and the run
+/// prints the same line at every worker count.
+#[test]
+fn injected_fuzz_panics_are_contained_and_deterministic_across_jobs() {
+    let mut outputs = Vec::new();
+    for jobs in ["1", "2", "8"] {
+        let out = p4bid()
+            .args(["fuzz", "60", "--jobs", jobs, "--stats-json"])
+            .env("P4BID_FAULTS", "9:panic=20")
+            .output()
+            .expect("fuzz runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "jobs={jobs}: {stderr}");
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
+        assert!(stdout.contains(", 10 panicked"), "jobs={jobs}: {stdout}");
+        assert!(stderr.contains("\"panics\": 10"), "jobs={jobs}: {stderr}");
+        outputs.push(stdout);
+    }
+    assert_eq!(outputs[0], outputs[1], "jobs 1 vs 2");
+    assert_eq!(outputs[0], outputs[2], "jobs 1 vs 8");
+}
+
 /// Injected slowness (`slow=100` at 250 ms) against a 25 ms wall-clock
 /// budget trips the `E-TIMEOUT` guard on every program — the resource
 /// guard path, exercised deterministically.

@@ -92,16 +92,16 @@ function bit<32> num_bits_set(in bit<32> x) {
 }
 "#;
 
-/// How many times this process has lexed, parsed, and type-checked the
-/// prelude (see [`prelude_build_counts`]). The lex and parse counters can
-/// each reach at most 1: both results are cached process-wide.
+/// How many times this process has lexed and parsed the prelude (see
+/// [`prelude_build_counts`]). Each counter can reach at most 1: both
+/// results are cached process-wide. Prelude *checks* are counted per
+/// session ([`SessionStats::prelude_checks`]).
 pub(crate) static PRELUDE_LEXES: AtomicU64 = AtomicU64::new(0);
 pub(crate) static PRELUDE_PARSES: AtomicU64 = AtomicU64::new(0);
-pub(crate) static PRELUDE_CHECKS: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide prelude build counters, for asserting that shared-core
-/// workers never rebuild the prelude (the batch/fuzz regression suite pins
-/// this down).
+/// Process-wide prelude build counters, for asserting that no session or
+/// core ever re-lexes or re-parses the prelude (the shared-core
+/// regression suite pins this down).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PreludeBuildCounts {
     /// Times the prelude text was lexed (at most 1: the `Copy` token slice
@@ -110,10 +110,6 @@ pub struct PreludeBuildCounts {
     /// Times the prelude token slice was parsed (at most 1: the parsed
     /// `Program` is cached process-wide).
     pub parses: u64,
-    /// Times the prelude items were type-checked (once per
-    /// session-and-lattice on the cold path; once per *core*-and-lattice
-    /// on the shared-core path).
-    pub checks: u64,
 }
 
 /// Reads the process-wide prelude build counters.
@@ -122,7 +118,6 @@ pub fn prelude_build_counts() -> PreludeBuildCounts {
     PreludeBuildCounts {
         lexes: PRELUDE_LEXES.load(Ordering::Relaxed),
         parses: PRELUDE_PARSES.load(Ordering::Relaxed),
-        checks: PRELUDE_CHECKS.load(Ordering::Relaxed),
     }
 }
 

@@ -45,7 +45,7 @@ use crate::checker::{
 };
 use crate::diag::{DiagCode, Diagnostic};
 use crate::prefix::{PrefixCache, PrefixEntry};
-use crate::{prelude_arc, PRELUDE_CHECKS};
+use crate::prelude_arc;
 use p4bid_ast::pool::{CtxOverlay, FrozenTyCtx, SharedTyCtx, TyCtx};
 use p4bid_ast::surface::Program;
 use p4bid_lattice::Lattice;
@@ -144,6 +144,8 @@ pub struct CheckerSession {
     /// Publish-once lattice-state counters.
     lattice_state_hits: u64,
     lattice_states_published: u64,
+    /// Times this session type-checked the prelude.
+    prelude_checks: u64,
 }
 
 impl CheckerSession {
@@ -164,6 +166,7 @@ impl CheckerSession {
             prefix_items_saved: 0,
             lattice_state_hits: 0,
             lattice_states_published: 0,
+            prelude_checks: 0,
         }
     }
 
@@ -288,6 +291,7 @@ impl CheckerSession {
             prefix_items_saved: self.prefix_items_saved,
             lattice_state_hits: self.lattice_state_hits,
             lattice_states_published: self.lattice_states_published,
+            prelude_checks: self.prelude_checks,
         }
     }
 
@@ -632,7 +636,7 @@ impl CheckerSession {
             return Ok(state);
         }
         let default_pc = resolve_default_pc(lattice, &self.opts)?;
-        PRELUDE_CHECKS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.prelude_checks += 1;
         let (_, state, _) = {
             let mut ctx = self.ctx.borrow_mut();
             // The prelude is trusted input and its snapshot is shared by
@@ -758,6 +762,7 @@ impl SharedSessionCore {
             prefix_items_saved: 0,
             lattice_state_hits: 0,
             lattice_states_published: 0,
+            prelude_checks: 0,
         }
     }
 
@@ -834,6 +839,9 @@ pub struct SessionStats {
     /// Program-lattice prelude states this session built *and* published
     /// to the shared table (pure states only).
     pub lattice_states_published: u64,
+    /// Times the session type-checked the prelude: once per lattice on a
+    /// cold session, never for a lattice its shared core froze.
+    pub prelude_checks: u64,
 }
 
 impl SessionStats {
@@ -856,6 +864,7 @@ impl SessionStats {
         self.prefix_items_saved += other.prefix_items_saved;
         self.lattice_state_hits += other.lattice_state_hits;
         self.lattice_states_published += other.lattice_states_published;
+        self.prelude_checks += other.prelude_checks;
     }
 
     /// Fraction of symbol intern calls served by the frozen segment.
