@@ -4,33 +4,10 @@
 //!   baseline vs P4BID);
 //! * `scaling` — checking time vs program size (ablation);
 //! * `lattice_size` — checking time vs lattice size (ablation);
-//! * `interp` — interpreter and NI-harness throughput (substrate);
-//! * `batch` — session reuse and whole-corpus batch throughput;
-//! * `typeck_hot` — the checker hot paths the hash-consed type pool
-//!   targets (pooled sessions, wide-header field lookup, τ-equality);
-//! * `session_warmup` — cold session build vs shared-core clone (the
-//!   fixed cost the frozen core removes);
-//! * `serve_latency` — request-to-report latency of the streaming ingest
-//!   service against a warm core, plus the watcher's idle scan tick.
+//! * `interp` — interpreter and NI-harness throughput (substrate).
+//!
+//! The service paths (`batch`, `serve`, `topo --watch`, `fuzz`) are
+//! measured end to end by the `perfbench/` package instead; its
+//! recorded results are `BENCH_perfbench.json` in the repository root.
 
 #![forbid(unsafe_code)]
-
-use std::time::Instant;
-
-/// Best-of-`batches` batches of `iters` iterations, in milliseconds per
-/// iteration: the estimator behind the `P4BID_BENCH_JSON` summaries of
-/// the `batch` and `typeck_hot` benches. Taking the minimum batch is
-/// robust against transient scheduler noise on shared CI runners (the
-/// fastest observed batch is the closest to the true cost).
-pub fn time_ms_best_of(batches: u32, iters: u32, f: &mut dyn FnMut()) -> f64 {
-    f(); // warm-up
-    (0..batches)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_secs_f64() * 1e3 / f64::from(iters)
-        })
-        .fold(f64::INFINITY, f64::min)
-}

@@ -626,25 +626,31 @@ impl DirScanner {
             match read {
                 Ok(source) => {
                     let hash = fnv::hash(source.as_bytes());
-                    let unchanged =
-                        self.seen.get(&name).is_some_and(|fp| fp.readable && fp.hash == hash);
-                    let chains = p4bid_syntax::item_chains(&source);
-                    if !unchanged {
-                        // Attribute the edit to the first top-level item
-                        // whose cumulative chain hash differs from the
-                        // last readable content; a new (or previously
-                        // unreadable, or unlexable) file has no baseline.
-                        let first_changed =
-                            self.seen.get(&name).filter(|fp| fp.readable).and_then(|fp| {
-                                p4bid_syntax::first_changed_item(&fp.chains, &chains)
-                            });
-                        delta.item_changes.push(ItemChange {
-                            name: name.clone(),
-                            first_changed,
-                            items: chains.len(),
-                        });
-                        delta.changed.push(BatchInput::new(name.clone(), source));
+                    let same = self.seen.get_mut(&name).filter(|fp| fp.readable && fp.hash == hash);
+                    if let Some(fp) = same {
+                        // Same content (touched, or re-read inside the
+                        // racy window): keep the stored chains unlexed.
+                        fp.mtime = mtime;
+                        fp.size = size;
+                        present.insert(name);
+                        continue;
                     }
+                    // Attribute the edit to the first top-level item whose
+                    // cumulative chain hash differs from the last readable
+                    // content; a new (or previously unreadable, or
+                    // unlexable) file has no baseline.
+                    let chains = p4bid_syntax::item_chains(&source);
+                    let first_changed = self
+                        .seen
+                        .get(&name)
+                        .filter(|fp| fp.readable)
+                        .and_then(|fp| p4bid_syntax::first_changed_item(&fp.chains, &chains));
+                    delta.item_changes.push(ItemChange {
+                        name: name.clone(),
+                        first_changed,
+                        items: chains.len(),
+                    });
+                    delta.changed.push(BatchInput::new(name.clone(), source));
                     self.seen.insert(
                         name.clone(),
                         Fingerprint {
@@ -832,8 +838,8 @@ impl ServeEngine {
         Self::with_core(SharedSessionCore::new(opts), jobs)
     }
 
-    /// An engine over an existing core — lets callers (and the
-    /// `serve_latency` bench) pay the freeze cost where they choose.
+    /// An engine over an existing core — lets callers pay the freeze
+    /// cost where they choose, or hand in a refrozen or warmed core.
     #[must_use]
     pub fn with_core(core: SharedSessionCore, jobs: usize) -> Self {
         ServeEngine {
@@ -1024,12 +1030,6 @@ pub fn request_drain() {
 #[must_use]
 pub fn drain_requested() -> bool {
     DRAIN.load(Ordering::SeqCst)
-}
-
-/// Clears a pending drain request — for embedders (and tests) that run
-/// several ingest loops in one process; the CLI exits after one.
-pub fn clear_drain() {
-    DRAIN.store(false, Ordering::SeqCst);
 }
 
 /// Sleeps for `total`, in small slices so a drain request (which only
@@ -1482,10 +1482,6 @@ fn next_epoch(door: &Door, limits: &IngestLimits) -> Cut {
     Cut::Epoch(batch)
 }
 
-/// One connection's reader: frames lines under the byte cap, parses and
-/// loads requests, queues them through the [`Door`]. Every failure mode
-/// — mid-line disconnect, reset, bad UTF-8, over-long line — is counted
-/// and logged; none of them can reach the daemon.
 /// Close bookkeeping shared by every way a connection ends: any close —
 /// clean, errored, injected, or shutdown — flushes the connection's
 /// pending work, mirroring the single-producer EOF rule.
@@ -1498,6 +1494,10 @@ fn connection_closed(door: &Door) {
     door.ready.notify_all();
 }
 
+/// One connection's reader: frames lines under the byte cap, parses and
+/// loads requests, queues them through the [`Door`]. Every failure mode
+/// — mid-line disconnect, reset, bad UTF-8, over-long line — is counted
+/// and logged; none of them can reach the daemon.
 #[cfg(unix)]
 fn serve_connection(
     conn: u64,

@@ -636,3 +636,61 @@ fn serve_policies_stay_deterministic_across_jobs() {
     assert_eq!(outputs[0], outputs[2]);
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// A 64-item program: a header, a struct, 61 controls of a dozen
+/// statements each, and a `Tail` control that alone carries `tweak`.
+/// Two values of `tweak` share a 63-item prefix.
+fn many_item_program(tweak: u32) -> String {
+    use std::fmt::Write as _;
+    let body = |src: &mut String, field: &str, salt: u32| {
+        for j in 0..12 {
+            let _ = writeln!(src, "        h.f.{field} = (h.f.{field} + 32w{j}) ^ 32w{salt};");
+        }
+    };
+    let mut src = String::from(
+        "header it_t { <bit<32>, high> sec; <bit<32>, low> pub; }\nstruct ih { it_t f; }\n",
+    );
+    for i in 0..61 {
+        let _ = writeln!(src, "control C{i}(inout ih h) {{\n    apply {{");
+        body(&mut src, "pub", i);
+        src.push_str("    }\n}\n");
+    }
+    src.push_str("control Tail(inout ih h) {\n    apply {\n");
+    body(&mut src, "sec", tweak);
+    src.push_str("    }\n}\n");
+    src
+}
+
+#[test]
+fn last_item_edits_resume_from_a_refrozen_warm_core() {
+    use p4bid::batch::BatchInput;
+    use p4bid::serve::ServeEngine;
+    use p4bid::{CheckOptions, SharedSessionCore};
+
+    // The steady state `serve --refresh-every N` converges to: one cold
+    // check harvests the program's names into a refreeze, and a second,
+    // tier-pure check fills the prefix-snapshot tree.
+    let core = SharedSessionCore::new(CheckOptions::ifc());
+    let mut session = core.session();
+    let _ = session.check(&many_item_program(0));
+    let core = core.refreeze(vec![session.into_harvest().expect("core sessions harvest")]);
+    let _ = core.session().check(&many_item_program(0));
+
+    let mut warm = ServeEngine::with_core(core, 1);
+    let no_prefix = SharedSessionCore::with_prefix_cache_cap(CheckOptions::ifc(), 0);
+    let mut cold = ServeEngine::with_core(no_prefix, 1);
+    // Each tweak comes up twice: a resumed check must not extend the
+    // tree, so a revisited edit is again a 63-item resume.
+    let tweaks = [1, 2, 3, 4, 1, 2, 3, 4];
+    for tweak in tweaks {
+        let input = [BatchInput::new("edit", many_item_program(tweak))];
+        let resumed = warm.run_epoch(&input).to_ndjson();
+        assert_eq!(resumed, cold.run_epoch(&input).to_ndjson(), "tweak {tweak}");
+    }
+    let edits = tweaks.len() as u64;
+    let sessions = warm.cumulative_stats().sessions;
+    assert_eq!(sessions.prefix_misses, 0, "every edit resumes from the tree");
+    assert_eq!(sessions.prefix_hits, edits);
+    assert_eq!(sessions.prefix_items_saved, 63 * edits);
+    assert_eq!(cold.cumulative_stats().sessions.prefix_hits, 0);
+}

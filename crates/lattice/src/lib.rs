@@ -65,13 +65,6 @@ impl Label {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Builds a label from a raw index. Intended for serialization round
-    /// trips; prefer [`Lattice::label`].
-    #[must_use]
-    pub fn from_index(ix: usize) -> Self {
-        Label(ix as u32)
-    }
 }
 
 /// Errors produced while constructing a [`Lattice`].
@@ -455,12 +448,6 @@ impl Lattice {
     #[must_use]
     pub fn is_bottom(&self, l: Label) -> bool {
         l == self.bottom
-    }
-
-    /// Whether `l` is the top element.
-    #[must_use]
-    pub fn is_top(&self, l: Label) -> bool {
-        l == self.top
     }
 }
 

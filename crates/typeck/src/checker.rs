@@ -305,12 +305,6 @@ impl ProgramView {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Materializes a flat [`Program`] (deep-copies the shared parts).
-    #[must_use]
-    pub fn to_program(&self) -> Program {
-        Program { items: self.items().cloned().collect() }
-    }
 }
 
 impl PartialEq for ProgramView {

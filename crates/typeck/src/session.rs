@@ -745,7 +745,7 @@ impl SharedSessionCore {
     /// segment, with the prelude program and the per-lattice
     /// checked-prelude snapshots cloned in. Costs a few table clones —
     /// roughly 10–100× cheaper than a cold [`CheckerSession::new`] +
-    /// prelude check (the `session_warmup` bench tracks the ratio).
+    /// prelude check.
     #[must_use]
     pub fn session(&self) -> CheckerSession {
         CheckerSession {
