@@ -186,8 +186,9 @@ pub struct BatchStats {
     /// Topology fixpoint rounds until label stabilization (`p4bid topo`
     /// only; always 0 for plain batches — the `p4bid-stats/5` additions).
     pub topo_rounds: u64,
-    /// Real (non-cache-hit) per-switch program checks across the
-    /// topology fixpoint (`p4bid topo` only; always 0 for plain batches).
+    /// Real per-switch program checks at the topology fixpoint's final
+    /// labels, memo and cache hits excluded (`p4bid topo` only; always 0
+    /// for plain batches).
     pub switch_rechecks: u64,
 }
 

@@ -2718,11 +2718,16 @@ mod tests {
         let out = SharedBuf::default();
         let log = SharedBuf::default();
         let sock2 = socket.clone();
+        let log2 = log.clone();
         let client = std::thread::spawn(move || {
             // First client: half a request line, then vanish.
             let mut s = connect_retry(&sock2);
             s.write_all(b"{\"id\": \"torn\", \"sou").unwrap();
             drop(s);
+            // The skip is counted before it is logged. Waiting for the log
+            // line keeps the second client's epoch, which ends the daemon,
+            // from finishing before the torn line is counted.
+            log2.wait_for("skipped request");
             // Second client: a full epoch — the daemon must still serve.
             let mut s = std::os::unix::net::UnixStream::connect(&sock2).expect("daemon survived");
             s.write_all(feed_line("whole", OK).as_bytes()).unwrap();

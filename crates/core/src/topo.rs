@@ -23,11 +23,13 @@
 //! when the switch is allowed to declassify; otherwise the downgrade is
 //! refused (the conservative `in(s)` propagates) and reported.
 //!
-//! Determinism is the same contract the batch layer pins: rounds are
-//! sequential barriers, within a round the dirty switches fan out over
-//! the work-stealing pool (grouped by distinct resolved option sets, in
-//! first-appearance order) and merge by switch index, and link
-//! propagation walks the manifest's link order. Reports are
+//! Egress labels depend only on `in(s)` and the manifest, never on a
+//! verdict, so the fixpoint runs on labels alone and each switch is then
+//! checked once, at its final `in(s)`. Determinism is the same contract
+//! the batch layer pins: the label rounds are sequential and walk the
+//! manifest's link order, and the one check fans out over the
+//! work-stealing pool (grouped by distinct resolved option sets, in
+//! first-appearance order) and merges by switch index. Reports are
 //! byte-identical across `--jobs` settings and repeated runs.
 //!
 //! # Examples
@@ -65,7 +67,7 @@
 //! ```
 
 use crate::batch::{BatchReport, BatchStats, ProgramReport};
-use crate::engine::{CheckEngine, Submission};
+use crate::engine::{is_transient, CheckEngine, Submission};
 use crate::policy;
 use p4bid_lattice::{Label, Lattice};
 use p4bid_typeck::{CheckOptions, DEFAULT_PREFIX_CACHE_CAP};
@@ -586,7 +588,9 @@ pub struct TopoReport {
     pub violations: Vec<TopoViolation>,
     /// Fixpoint rounds until stabilization.
     pub rounds: u64,
-    /// Real (non-cache-hit) per-switch program checks across all rounds.
+    /// Real checks at final labels: switches answered by neither the
+    /// engine's memo of the last epoch nor the verdict cache. At most one
+    /// per switch.
     pub switch_rechecks: u64,
     /// Worker count the fixpoint ran with (reporting only; excluded from
     /// the JSON form).
@@ -749,26 +753,30 @@ impl TopoReport {
 /// — one shared core per distinct resolved option set (so re-checks keep
 /// their frozen prelude *and* the incremental prefix cache), and a verdict
 /// cache, bounded by the topology's size, that lets an epoch skip every
-/// `(source, ingress)` pair it has recently decided. Watch mode holds one
-/// engine across edits: after a single-switch edit, only that switch and
-/// its downstream cone miss the cache.
+/// `(source, ingress)` pair it has recently decided — plus a memo of each
+/// switch's last verdict and the final ingress label it was checked at.
+/// Watch mode holds one engine across edits: after a single-switch edit,
+/// only the switches whose source or final label changed reach the engine.
 #[derive(Debug)]
 pub struct TopoEngine {
     topo: Topology,
     base: CheckOptions,
     jobs: usize,
     engine: CheckEngine,
+    /// Per switch index: the last epoch's final ingress label and the
+    /// verdict checked at it. Never holds a transient verdict.
+    memo: Vec<Option<(Label, ProgramReport)>>,
     epochs: u64,
     cumulative: BatchStats,
 }
 
 /// The verdict-cache bound for a topology: two epochs' worth of
-/// `(source, ingress)` pairs. Labels only rise, so one epoch checks each
-/// switch at no more than `|lattice|` ingress labels; twice that keeps the
-/// previous epoch's verdicts alive through the current one (an edit and
-/// its revert both stay hits).
+/// `(source, ingress)` pairs. One epoch checks each switch once, at its
+/// final ingress label, so an epoch is `|switches|` pairs; twice that keeps
+/// the previous epoch's verdicts alive through the current one (an edit
+/// and its revert both stay hits).
 fn cache_bound(topo: &Topology) -> usize {
-    2 * topo.switches.len() * topo.lattice.len()
+    2 * topo.switches.len()
 }
 
 impl TopoEngine {
@@ -781,7 +789,8 @@ impl TopoEngine {
         let jobs = crate::pool::workers(jobs, usize::MAX);
         let mut engine = CheckEngine::empty(DEFAULT_PREFIX_CACHE_CAP);
         engine.set_cache_cap(cache_bound(&topo));
-        TopoEngine { topo, base, jobs, engine, epochs: 0, cumulative: BatchStats::default() }
+        let memo = vec![None; topo.switches.len()];
+        TopoEngine { topo, base, jobs, engine, memo, epochs: 0, cumulative: BatchStats::default() }
     }
 
     /// The current topology.
@@ -792,9 +801,28 @@ impl TopoEngine {
 
     /// Swaps in a re-resolved topology (a watch-mode reload), keeping the
     /// session cores and the verdict cache (re-bounded for the new
-    /// topology) — unchanged switches stay cache hits.
+    /// topology) — unchanged switches stay cache hits. A switch keeps its
+    /// memo slot only if its name, source, `pc`, `declassify` and `lattice`
+    /// override are all unchanged; a new switch count or boundary lattice
+    /// clears every slot.
     pub fn set_topology(&mut self, topo: Topology) {
         self.engine.set_cache_cap(cache_bound(&topo));
+        if topo.switches.len() != self.topo.switches.len() || topo.lattice != self.topo.lattice {
+            self.memo = vec![None; topo.switches.len()];
+        } else {
+            for ((slot, old), new) in
+                self.memo.iter_mut().zip(&self.topo.switches).zip(&topo.switches)
+            {
+                let same = old.name == new.name
+                    && old.source == new.source
+                    && old.pc == new.pc
+                    && old.declassify == new.declassify
+                    && old.lattice == new.lattice;
+                if !same {
+                    *slot = None;
+                }
+            }
+        }
         self.topo = topo;
     }
 
@@ -844,12 +872,17 @@ impl TopoEngine {
 
     /// Runs the fixpoint to stabilization and reports.
     ///
-    /// Every switch starts dirty at its declared seed; each round checks
-    /// the dirty set (grouped by distinct resolved options over the
-    /// work-stealing pool, merged by switch index), recomputes egress
-    /// labels, and propagates joins along the links in manifest order.
-    /// Labels only rise, so the loop ends — in at most
-    /// `|switches| · |lattice|` rounds — with every label stable.
+    /// Two phases. **Labels first:** every switch starts dirty at its
+    /// declared seed; each round recomputes the dirty switches' egress
+    /// labels and propagates joins along the links in manifest order.
+    /// Egress labels depend only on `in(s)` and the manifest, never on a
+    /// verdict, and labels only rise, so the loop ends — in at most
+    /// `|switches| · |lattice|` rounds — with every label stable. **One
+    /// check:** then each switch is checked once, at its final `in(s)`
+    /// (grouped by distinct resolved options over the work-stealing pool,
+    /// merged by switch index). A switch whose memo slot holds a verdict
+    /// at that same label skips the engine; the rest go through the
+    /// verdict cache.
     pub fn run_epoch(&mut self) -> TopoReport {
         let n = self.topo.switches.len();
         let lat = self.topo.lattice.clone();
@@ -858,44 +891,23 @@ impl TopoEngine {
         // For each switch, the link whose propagation last *raised* its
         // ingress label — the provenance edge violation chains walk.
         let mut pred: Vec<Option<usize>> = vec![None; n];
-        let mut verdicts: Vec<Option<ProgramReport>> = vec![None; n];
         let mut dirty: Vec<bool> = vec![true; n];
         let mut rounds: u64 = 0;
-        let mut rechecks: u64 = 0;
-        let mut stats = BatchStats::default();
         // Monotone joins over a finite lattice cannot climb forever; the
         // cap is unreachable and exists purely as a correctness backstop.
         let round_cap = (n as u64) * (lat.len() as u64) + 2;
         while dirty.iter().any(|&d| d) && rounds < round_cap {
             rounds += 1;
-            let work: Vec<usize> = (0..n).filter(|&i| dirty[i]).collect();
-            for &i in &work {
-                dirty[i] = false;
-            }
-            // The engine answers cache hits and checks the misses, one
-            // shared core per resolved option set.
-            let mut subs = Vec::with_capacity(work.len());
-            for &i in &work {
-                let opts = self.effective_options(i, inl[i]);
-                let sw = &self.topo.switches[i];
-                let cell = self.engine.cell(&opts);
-                subs.push(Submission { name: &sw.name, source: &sw.source, cell });
-            }
-            let (report, checked) = self.engine.check(&subs, self.jobs);
-            rechecks += checked;
-            stats.merge(&report.stats);
-            for (&i, mut p) in work.iter().zip(report.programs) {
-                p.index = i;
-                verdicts[i] = Some(p);
-            }
             // Egress labels: the conservative taint `in(s)` unless the
             // manifest declares one — raises are free, lowering needs the
             // declassify grant (a refusal is reported post-fixpoint).
-            for &i in &work {
-                outl[i] = match self.topo.switches[i].egress {
-                    Some(eg) if lat.leq(inl[i], eg) || self.declassify_allowed(i) => eg,
-                    _ => inl[i],
-                };
+            for i in 0..n {
+                if std::mem::take(&mut dirty[i]) {
+                    outl[i] = match self.topo.switches[i].egress {
+                        Some(eg) if lat.leq(inl[i], eg) || self.declassify_allowed(i) => eg,
+                        _ => inl[i],
+                    };
+                }
             }
             // Propagate joins downstream, in manifest link order.
             for (li, link) in self.topo.links.iter().enumerate() {
@@ -907,6 +919,7 @@ impl TopoEngine {
                 }
             }
         }
+        let (verdicts, rechecks, mut stats) = self.check_at(&inl);
         // Topology-level violations, from the *final* labels only (round
         // structure never leaks into the report): contract breaches in
         // link order, refused downgrades in switch order.
@@ -944,8 +957,8 @@ impl TopoEngine {
         let switches = verdicts
             .into_iter()
             .enumerate()
-            .map(|(i, v)| SwitchReport {
-                verdict: v.expect("every switch is checked in round 1"),
+            .map(|(i, verdict)| SwitchReport {
+                verdict,
                 program: self.topo.switches[i].program.clone(),
                 ingress: lat.name(inl[i]).to_string(),
                 egress: lat.name(outl[i]).to_string(),
@@ -963,6 +976,37 @@ impl TopoEngine {
             jobs: self.jobs,
             stats,
         }
+    }
+
+    /// Checks every switch once, at its final ingress label `inl[i]`, and
+    /// returns the verdicts in switch order, the number of real checks, and
+    /// the checks' stats. A switch whose memo slot holds a verdict at the
+    /// same label is answered from it; the rest go to the engine in one
+    /// call, and their non-transient verdicts refill the memo.
+    fn check_at(&mut self, inl: &[Label]) -> (Vec<ProgramReport>, u64, BatchStats) {
+        let work: Vec<usize> = (0..inl.len())
+            .filter(|&i| !matches!(&self.memo[i], Some((l, _)) if *l == inl[i]))
+            .collect();
+        let mut subs = Vec::with_capacity(work.len());
+        for &i in &work {
+            let opts = self.effective_options(i, inl[i]);
+            let sw = &self.topo.switches[i];
+            let cell = self.engine.cell(&opts);
+            subs.push(Submission { name: &sw.name, source: &sw.source, cell });
+        }
+        let (report, checked) = self.engine.check(&subs, self.jobs);
+        let mut fresh = work.iter().zip(report.programs).peekable();
+        let verdicts = (0..inl.len())
+            .map(|i| match fresh.next_if(|&(&j, _)| j == i) {
+                Some((_, mut p)) => {
+                    p.index = i;
+                    self.memo[i] = (!is_transient(&p.diagnostics)).then(|| (inl[i], p.clone()));
+                    p
+                }
+                None => self.memo[i].as_ref().expect("an unchecked switch is memoized").1.clone(),
+            })
+            .collect();
+        (verdicts, checked, report.stats)
     }
 
     /// The provenance hops into `start_switch`: the links (oldest first)
@@ -1097,9 +1141,11 @@ fn watch_fingerprint(manifest_path: &Path, base_dir: &Path, programs: &[String])
 /// The `p4bid topo --watch` loop: run one epoch now, then poll the
 /// manifest and its program files every `interval` and re-run the
 /// fixpoint whenever any content changes. The engine persists across
-/// epochs, so after a single-switch edit only that switch and its
-/// downstream cone miss the verdict cache — `switch_rechecks` in each
-/// epoch's report counts exactly the re-checked cone.
+/// epochs: each epoch reruns the label rounds, and only the switches
+/// whose source, options or final ingress label changed reach the
+/// engine; of those, the verdict cache answers the ones it has recently
+/// seen (a revert). `switch_rechecks` in each epoch's report counts the
+/// rest.
 ///
 /// A reload that fails (manifest syntax error, unreadable program) is
 /// logged and the previous topology stays live; SIGTERM/SIGINT (via
@@ -1460,7 +1506,9 @@ mod tests {
         let mut progs: Vec<String> = (0..4).map(fwd).collect();
         let mut engine = TopoEngine::new(topo_of(&progs), CheckOptions::ifc(), 1);
         let bound = cache_bound(engine.topology());
-        assert_eq!(bound, 2 * 4 * 2, "2 x switches x lattice labels");
+        // An epoch checks each of the 4 switches once, at its final
+        // ingress label: two epochs' worth is 2 x 4 pairs.
+        assert_eq!(bound, 2 * 4, "2 x switches");
         engine.run_epoch();
         let mut reverts = 0;
         for edit in 0..1000 {

@@ -174,6 +174,43 @@ fn panicking_bodies_are_never_cached() {
     assert!(stderr.contains("\"cache_misses\": 3"), "{stderr}");
 }
 
+/// A panicking switch is never memoized by `topo --watch`: after an edit
+/// to its neighbour, the victim's label is unchanged, yet it is checked
+/// (and panics) again rather than replaying its `E-INTERNAL` verdict.
+#[cfg(unix)]
+#[test]
+fn topo_watch_rechecks_a_panicking_switch_every_epoch() {
+    let dir = scratch_dir("topo-watch");
+    let manifest = dir.join("net.topo");
+    std::fs::write(
+        &manifest,
+        "[switch victim]\nprogram = \"victim.p4\"\n[switch steady]\nprogram = \"steady.p4\"\n",
+    )
+    .unwrap();
+    std::fs::write(dir.join("victim.p4"), VICTIM).unwrap();
+    std::fs::write(dir.join("steady.p4"), OK).unwrap();
+    let mut child = p4bid()
+        .args(["topo", manifest.to_str().unwrap(), "--watch", "--max-epochs", "2"])
+        .args(["--interval-ms", "20", "--jobs", "2"])
+        .env("P4BID_FAULTS", PANIC_FAULTS)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("topo spawns");
+    let stderr = Tail::new(child.stderr.take().expect("stderr piped"));
+    stderr.wait_for("epoch 1: 2 switch(es), 1 round(s), 2 recheck(s)");
+    std::fs::write(dir.join("steady.p4"), LEAK).unwrap();
+
+    let out = wait_with_deadline(child, Duration::from_secs(30));
+    assert_eq!(out.status.code(), Some(1), "{}", stderr.contents());
+    let log = stderr.contents();
+    // Epoch 2: `steady` changed, and `victim` is retried, not replayed.
+    assert!(log.contains("epoch 2: 2 switch(es), 1 round(s), 2 recheck(s)"), "{log}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout.matches("E-INTERNAL").count(), 2, "{stdout}");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 /// Waits for `child` to exit, killing it after `limit` so a wedged daemon
 /// fails the test instead of hanging the suite.
 fn wait_with_deadline(mut child: Child, limit: Duration) -> Output {
