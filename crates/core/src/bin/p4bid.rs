@@ -13,7 +13,7 @@
 //! p4bid topo MANIFEST [--jobs J] [--json] [--watch] [--interval-ms MS] [--max-epochs N]
 //!                                                       fixpoint-check a switch topology
 //!
-//! `check`/`batch`/`serve`/`watch` all take the resource guards
+//! `check`/`batch`/`serve`/`watch`/`topo` all take the resource guards
 //! `--max-source-bytes N` and `--check-timeout-ms MS`; `serve`/`watch`
 //! drain gracefully on SIGTERM/SIGINT.
 //! p4bid matrix                                          §5 case-study accept/reject matrix

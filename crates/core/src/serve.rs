@@ -26,21 +26,21 @@
 //! go to stderr; stdout carries only the reports — the human table, or
 //! one `p4bid-serve-report/2` JSON document per line in `--json` mode.
 //!
-//! The socket form is a **concurrent multi-producer front door**: a
-//! nonblocking acceptor thread hands each connection to its own reader
-//! thread, the readers queue parsed requests into a shared pending map
-//! keyed by `(connection id, arrival seq)`, and an **epoch sequencer**
-//! on the serving thread cuts that map into epochs — on a flush marker
-//! (blank line or connection close), when an epoch-size bound
-//! ([`IngestLimits::max_epoch`]) is reached, or when the queue is full
-//! ([`IngestLimits::max_pending`], the backpressure bound). Because the
-//! pending map iterates in key order, the inputs of an epoch are always
-//! sorted by `(connection id, arrival seq)` — so for a fixed
-//! interleaving of arrivals the epoch bytes are identical across runs
-//! and `--jobs` settings, and per-connection order is always preserved.
-//! Per-connection I/O errors (a client that vanishes mid-line, an
-//! `accept` hiccup) are logged and counted, **never fatal** to the
-//! daemon, and the socket file is unlinked on every exit path.
+//! Stdin and every socket connection share **one intake path**: one
+//! reader frames lines under [`IngestLimits::max_line`], one pending
+//! queue keyed by `(connection id, arrival seq)` holds the requests, and
+//! one cut rule fires an epoch on a flush marker (blank line, EOF, or
+//! connection close) with work pending, at [`IngestLimits::max_epoch`]
+//! pending, at a full queue ([`IngestLimits::max_pending`]), or during a
+//! drain — so an epoch's inputs are always sorted by that key. Stdin is
+//! connection 0 and cuts inline after every line: it never blocks or
+//! sheds. On a socket, an acceptor thread hands each connection to its
+//! own reader thread and the **epoch sequencer** on the serving thread
+//! waits for the cut rule; a producer that outruns it at a full queue is
+//! blocked or shed. Epoch bytes are identical across runs and `--jobs`
+//! for a fixed interleaving of arrivals. Per-connection I/O errors are
+//! logged and counted, **never fatal**, and the socket file is unlinked
+//! on every exit path.
 //!
 //! The engine can carry a **verdict cache** ([`ServeEngine::with_cache`])
 //! keyed by `(FNV-1a content hash, CheckOptions fingerprint)`: a
@@ -74,6 +74,7 @@ use crate::engine::{CheckEngine, Submission, BASE_CELL};
 use crate::policy::PolicyPack;
 use p4bid_ast::fnv;
 use p4bid_typeck::{CheckOptions, SharedSessionCore};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
@@ -310,27 +311,27 @@ impl MiniJson<'_> {
 // Ingest limits and line framing.
 // ---------------------------------------------------------------------
 
-/// Bounds on the ingest front door, shared by the stdin feed and the
-/// socket daemon. The defaults keep the historical behaviour (unbounded
-/// epochs, no backpressure) except for the request-line cap, which
-/// defends the daemon against a newline-free feed.
+/// Bounds on the one intake path the stdin feed and every socket
+/// connection share. The defaults keep the historical behaviour
+/// (unbounded epochs, no backpressure) except for the request-line cap,
+/// which defends the daemon against a newline-free feed.
 #[derive(Debug, Clone)]
 pub struct IngestLimits {
     /// Longest accepted request line, in bytes (default 1 MiB). A longer
     /// line is dropped *as it streams past* — counted as skipped, never
     /// buffered — and framing resynchronizes at the next newline.
     pub max_line: usize,
-    /// Largest epoch, in programs (`0` = unbounded): the sequencer cuts
-    /// an epoch as soon as this many requests are pending, without
-    /// waiting for a flush marker.
+    /// Largest epoch, in programs (`0` = unbounded): the cut rule fires
+    /// at this many pending requests, without waiting for a flush marker.
     pub max_epoch: usize,
-    /// Bound on the pending queue (`0` = unbounded). A full queue forces
-    /// the sequencer to cut an epoch; a producer that outruns it is
-    /// blocked (the default) or shed ([`shed`](IngestLimits::shed)).
+    /// Bound on the pending queue (`0` = unbounded); a full queue fires
+    /// the cut rule. Stdin cuts inline, so it never waits; a socket
+    /// producer that outruns the sequencer is blocked (the default) or
+    /// shed ([`shed`](IngestLimits::shed)).
     pub max_pending: usize,
-    /// Backpressure policy at a full queue: `false` blocks the producing
-    /// connection until the sequencer drains, `true` drops (sheds) the
-    /// request and counts it in [`ServeOps::shed`].
+    /// Socket backpressure at a full queue: `false` blocks the producing
+    /// connection until the sequencer cuts, `true` drops (sheds) the
+    /// request and counts it in [`ServeOps::shed`]. Stdin never sheds.
     pub shed: bool,
 }
 
@@ -415,6 +416,145 @@ impl LineFramer {
         } else if !self.buf.is_empty() {
             self.emit_line(events);
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The one intake path: reader, pending queue, cut rule, counters.
+// ---------------------------------------------------------------------
+
+/// One framed line, as [`read_intake`] resolves it.
+enum Intake {
+    /// A parsed request, its `path` body already read.
+    Request(BatchInput),
+    /// A blank line: cut what is pending.
+    Flush,
+    /// A dropped line (malformed, unreadable `path`, over-long, not
+    /// UTF-8), with the reason for the log.
+    Skip(String),
+}
+
+/// The one intake reader, behind the stdin feed and every socket
+/// connection: frames `reader` under the `max_line` cap, resolves each
+/// line into an [`Intake`] for `take`, and returns at EOF or once `stop`
+/// holds. `stop` is checked before every chunk, on every idle tick
+/// (`WouldBlock`, `TimedOut`, `Interrupted`), and after every line. A
+/// hard read error or an error from `take` is returned for the caller
+/// to judge.
+fn read_intake(
+    reader: &mut dyn BufRead,
+    max_line: usize,
+    stop: &dyn Fn() -> bool,
+    take: &mut dyn FnMut(Intake) -> io::Result<()>,
+) -> io::Result<()> {
+    use io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+    let mut framer = LineFramer::new(max_line);
+    let mut events: Vec<FeedEvent> = Vec::new();
+    while !stop() {
+        let n = match reader.fill_buf() {
+            Ok([]) => {
+                framer.finish(&mut events);
+                0
+            }
+            Ok(chunk) => {
+                framer.push(chunk, &mut events);
+                chunk.len()
+            }
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => continue,
+            Err(e) => return Err(e),
+        };
+        reader.consume(n);
+        for event in events.drain(..) {
+            take(match event {
+                FeedEvent::Line(line) if line.trim().is_empty() => Intake::Flush,
+                FeedEvent::Line(line) => match parse_request(line.trim()).and_then(load_request) {
+                    Ok(input) => Intake::Request(input),
+                    Err(e) => Intake::Skip(e),
+                },
+                FeedEvent::Oversized(len) => {
+                    Intake::Skip(format!("{len}-byte line exceeds the {max_line}-byte cap"))
+                }
+                FeedEvent::BadUtf8 => Intake::Skip("line is not valid UTF-8".to_string()),
+            })?;
+            if stop() {
+                return Ok(());
+            }
+        }
+        if n == 0 {
+            return Ok(());
+        }
+    }
+    Ok(())
+}
+
+/// Resolves one request into a batch input, reading `path` bodies from
+/// disk as the request line is received — so read failures are logged
+/// next to the offending line and the epoch snapshots content at
+/// receipt.
+fn load_request(req: ServeRequest) -> Result<BatchInput, String> {
+    match req.body {
+        RequestBody::Source(source) => Ok(BatchInput::new(req.id, source)),
+        RequestBody::Path(path) => match std::fs::read_to_string(&path) {
+            Ok(source) => Ok(BatchInput::new(req.id, source)),
+            Err(e) => Err(format!("cannot read `{path}`: {e}")),
+        },
+    }
+}
+
+/// One intake run's counters, kept on its [`Queue`]. `connections` and
+/// `conn_errors` only ever move on a socket.
+#[derive(Debug, Default, Clone, Copy)]
+struct IntakeCounters {
+    skipped: u64,
+    shed: u64,
+    conn_errors: u64,
+    connections: u64,
+    peak_pending: u64,
+}
+
+/// The pending queue every intake source feeds, and the one cut rule.
+#[derive(Debug, Default)]
+struct Queue {
+    /// Pending requests in cut order: `(connection id, arrival seq)`.
+    /// The map iterates in key order, so an epoch's inputs are always
+    /// sorted by that pair — the stable order that keeps epoch bytes
+    /// identical for a given interleaving of arrivals, regardless of
+    /// reader-thread scheduling inside it.
+    pending: BTreeMap<(u64, u64), BatchInput>,
+    /// Flush markers (blank lines, EOF, connection closes) not yet
+    /// consumed by a cut.
+    flushes: u64,
+    counters: IntakeCounters,
+}
+
+impl Queue {
+    fn push(&mut self, conn: u64, seq: u64, input: BatchInput) {
+        self.pending.insert((conn, seq), input);
+        self.counters.peak_pending = self.counters.peak_pending.max(self.pending.len() as u64);
+    }
+
+    fn is_full(&self, limits: &IngestLimits) -> bool {
+        limits.max_pending > 0 && self.pending.len() >= limits.max_pending
+    }
+
+    /// The cut rule: with work pending, fires on a flush marker, at
+    /// `max_epoch` pending, at a full queue (the force-cut that keeps
+    /// blocking backpressure deadlock-free), or while `draining`; takes
+    /// at most `max_epoch` requests in key order. When it does not fire
+    /// it clears stale flush markers: a lone blank line emits nothing.
+    fn cut(&mut self, limits: &IngestLimits, draining: bool) -> Option<Vec<BatchInput>> {
+        let n = self.pending.len();
+        let size_cut = limits.max_epoch > 0 && n >= limits.max_epoch;
+        if n == 0 || !(draining || self.flushes > 0 || size_cut || self.is_full(limits)) {
+            self.flushes = 0;
+            return None;
+        }
+        let take = if limits.max_epoch > 0 { limits.max_epoch.min(n) } else { n };
+        let batch = (0..take).filter_map(|_| self.pending.pop_first()).map(|(_, i)| i).collect();
+        if self.pending.is_empty() {
+            self.flushes = 0;
+        }
+        Some(batch)
     }
 }
 
@@ -815,19 +955,9 @@ pub struct ServeEngine {
     /// Per-program policy pack ([`ServeEngine::with_policy`]); `None`
     /// checks everything in the base cell.
     policy: Option<PolicyPack>,
-    /// Front-door counters recorded by [`run_socket`], cumulative across
-    /// socket runs over one engine.
-    door: DoorCounters,
-}
-
-/// The front-door slice of [`ServeOps`] owned by the engine; the cache
-/// counters live in the check engine's verdict cache.
-#[derive(Debug, Default, Clone, Copy)]
-struct DoorCounters {
-    connections: u64,
-    conn_errors: u64,
-    shed: u64,
-    peak_pending: u64,
+    /// Intake counters, cumulative across [`run_feed`] and [`run_socket`]
+    /// runs over one engine (cache counters live in the verdict cache).
+    intake: IntakeCounters,
 }
 
 impl ServeEngine {
@@ -850,7 +980,7 @@ impl ServeEngine {
             refreshes: 0,
             stats: BatchStats::default(),
             policy: None,
-            door: DoorCounters::default(),
+            intake: IntakeCounters::default(),
         }
     }
 
@@ -917,10 +1047,10 @@ impl ServeEngine {
     #[must_use]
     pub fn ops(&self) -> ServeOps {
         ServeOps {
-            connections: self.door.connections,
-            conn_errors: self.door.conn_errors,
-            shed: self.door.shed,
-            peak_pending: self.door.peak_pending,
+            connections: self.intake.connections,
+            conn_errors: self.intake.conn_errors,
+            shed: self.intake.shed,
+            peak_pending: self.intake.peak_pending,
             cache_hits: self.engine.cache().hits,
             cache_misses: self.engine.cache().misses,
             cache_size: self.engine.cache().len() as u64,
@@ -935,6 +1065,20 @@ impl ServeEngine {
     /// cut by a shutdown request rather than by the normal triggers.
     fn note_drained(&mut self, n: u64) {
         self.stats.drained += n;
+    }
+
+    /// Ends one intake run: its counters go into the run's `summary` and
+    /// into this engine's running totals.
+    fn settle_intake(&mut self, run: IntakeCounters, summary: &mut ServeSummary) {
+        summary.skipped = run.skipped;
+        summary.conn_errors = run.conn_errors;
+        summary.shed = run.shed;
+        let total = &mut self.intake;
+        total.skipped += run.skipped;
+        total.shed += run.shed;
+        total.conn_errors += run.conn_errors;
+        total.connections += run.connections;
+        total.peak_pending = total.peak_pending.max(run.peak_pending);
     }
 
     /// Checks one epoch's inputs against the long-lived cores and returns
@@ -1113,50 +1257,20 @@ fn flush_epoch(
     Ok(())
 }
 
-/// Resolves one request into a batch input, reading `path` bodies from
-/// disk as the request line is received — so read failures are logged
-/// next to the offending line and the epoch snapshots content at
-/// receipt.
-fn load_request(req: ServeRequest) -> Result<BatchInput, String> {
-    match req.body {
-        RequestBody::Source(source) => Ok(BatchInput::new(req.id, source)),
-        RequestBody::Path(path) => match std::fs::read_to_string(&path) {
-            Ok(source) => Ok(BatchInput::new(req.id, source)),
-            Err(e) => Err(format!("cannot read `{path}`: {e}")),
-        },
-    }
-}
-
-/// What to do with one framer event in an ingest loop: count and log the
-/// skip cases uniformly, hand complete lines back to the caller.
-fn skip_event(event: &FeedEvent, max_line: usize, log: &mut dyn Write, who: &str) {
-    match event {
-        FeedEvent::Line(_) => unreachable!("skip_event only handles skip cases"),
-        FeedEvent::Oversized(len) => {
-            let _ = writeln!(
-                log,
-                "{who}skipped request: {len}-byte line exceeds the {max_line}-byte cap"
-            );
-        }
-        FeedEvent::BadUtf8 => {
-            let _ = writeln!(log, "{who}skipped request: line is not valid UTF-8");
-        }
-    }
-}
-
-/// Drives the line-delimited request feed: requests accumulate until a
-/// blank line or EOF flushes them as one epoch (or
-/// [`IngestLimits::max_epoch`] cuts one early). Reports go to `out`
-/// (tables, or NDJSON epoch documents with `json`); framing,
-/// skipped-line notices, and timing go to `log`. Stops after
-/// `max_epochs` epochs when set, else at EOF. Lines longer than
+/// Drives the line-delimited request feed as connection 0 of the front
+/// door, cutting inline after every line: requests accumulate until a
+/// blank line or EOF flushes them as one epoch, or
+/// [`IngestLimits::max_epoch`] / [`IngestLimits::max_pending`] cuts one
+/// early. Reports go to `out` (tables, or NDJSON epoch documents with
+/// `json`); framing, skipped-line notices, and timing go to `log`. Stops
+/// after `max_epochs` epochs when set, else at EOF. Lines longer than
 /// [`IngestLimits::max_line`] are dropped without buffering and counted
 /// as skipped.
 ///
-/// A graceful drain ([`install_drain_handler`]/[`request_drain`]) is
-/// honored at the next chunk boundary: pending requests are flushed as
-/// the final epoch (counted as `drained` in the stats) and the loop
-/// returns normally.
+/// A graceful drain ([`install_drain_handler`]/[`request_drain`]) stops
+/// intake at the next chunk boundary or line: pending requests are
+/// flushed as the final epoch (counted as `drained` in the stats) and
+/// the loop returns normally.
 ///
 /// # Errors
 ///
@@ -1173,65 +1287,38 @@ pub fn run_feed(
     limits: &IngestLimits,
 ) -> io::Result<ServeSummary> {
     let mut summary = ServeSummary::default();
-    let mut pending: Vec<BatchInput> = Vec::new();
-    let mut framer = LineFramer::new(limits.max_line);
-    let mut events: Vec<FeedEvent> = Vec::new();
-    let done = |s: &ServeSummary| max_epochs.is_some_and(|m| s.epochs >= m);
-    'feed: while !done(&summary) {
-        if drain_requested() {
-            engine.note_drained(pending.len() as u64);
-            flush_epoch(engine, &mut pending, out, log, json, &mut summary)?;
-            break;
-        }
-        let n = match reader.fill_buf() {
-            Ok([]) => {
-                framer.finish(&mut events);
-                0
+    let mut queue = Queue::default();
+    let mut seq: u64 = 0;
+    let done = Cell::new(max_epochs == Some(0));
+    let mut take = |intake: Intake| -> io::Result<()> {
+        match intake {
+            Intake::Request(input) => {
+                queue.push(0, seq, input);
+                seq += 1;
             }
-            Ok(chunk) => {
-                let n = chunk.len();
-                framer.push(chunk, &mut events);
-                n
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if n > 0 {
-            reader.consume(n);
-        }
-        for event in events.drain(..) {
-            if let FeedEvent::Line(line) = &event {
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    flush_epoch(engine, &mut pending, out, log, json, &mut summary)?;
-                } else {
-                    match parse_request(trimmed).and_then(load_request) {
-                        Ok(input) => {
-                            pending.push(input);
-                            if limits.max_epoch > 0 && pending.len() >= limits.max_epoch {
-                                flush_epoch(engine, &mut pending, out, log, json, &mut summary)?;
-                            }
-                        }
-                        Err(e) => {
-                            summary.skipped += 1;
-                            let _ = writeln!(log, "skipped request: {e}");
-                        }
-                    }
-                }
-            } else {
-                summary.skipped += 1;
-                skip_event(&event, limits.max_line, log, "");
-            }
-            if done(&summary) {
-                break 'feed;
+            Intake::Flush => queue.flushes += 1,
+            Intake::Skip(why) => {
+                queue.counters.skipped += 1;
+                let _ = writeln!(log, "skipped request: {why}");
             }
         }
-        if n == 0 {
-            flush_epoch(engine, &mut pending, out, log, json, &mut summary)?;
-            break;
+        while !done.get() {
+            let draining = drain_requested();
+            let Some(mut batch) = queue.cut(limits, draining) else { break };
+            if draining {
+                engine.note_drained(batch.len() as u64);
+            }
+            flush_epoch(engine, &mut batch, out, log, json, &mut summary)?;
+            done.set(max_epochs.is_some_and(|m| summary.epochs >= m));
         }
-    }
-    Ok(summary)
+        Ok(())
+    };
+    let stop = || done.get() || drain_requested();
+    // EOF and a drain both flush whatever is still pending.
+    let result =
+        read_intake(reader, limits.max_line, &stop, &mut take).and_then(|()| take(Intake::Flush));
+    engine.settle_intake(queue.counters, &mut summary);
+    result.map(|()| summary)
 }
 
 /// Drives the watched-directory loop: scans every `interval`, and every
@@ -1326,57 +1413,34 @@ pub fn run_watch(
 // The socket front door: acceptor, per-connection readers, sequencer.
 // ---------------------------------------------------------------------
 
-/// The state shared between the acceptor thread, the per-connection
-/// reader threads, and the epoch sequencer on the serving thread.
-#[cfg(unix)]
-#[derive(Debug, Default)]
-struct DoorState {
-    /// Pending requests in sequencer order: `(connection id, arrival
-    /// seq)`. The map iterates in key order, so an epoch's inputs are
-    /// always sorted by that pair — the stable order that keeps epoch
-    /// bytes identical for a given interleaving of arrivals, regardless
-    /// of reader-thread scheduling inside it.
-    pending: BTreeMap<(u64, u64), BatchInput>,
-    /// Flush markers (blank lines, connection closes) not yet consumed
-    /// by the sequencer.
-    flushes: u64,
-    /// Live connection readers.
-    open: usize,
-    /// Shutdown flag: set when `--max-epochs` is reached or the
-    /// sequencer hit a fatal `out` error; everything drains out.
-    done: bool,
-    connections: u64,
-    conn_errors: u64,
-    shed: u64,
-    skipped: u64,
-    peak_pending: usize,
-}
-
-/// The front door: [`DoorState`] plus the two wakeups — `ready` for the
-/// sequencer (new request, flush marker, connection close), `space` for
-/// producers blocked on a full queue.
+/// The socket front door: the shared [`Queue`] behind a mutex, `ready`
+/// to wake the sequencer, `space` to wake producers blocked on a full
+/// queue, and the shutdown flag the sequencer sets when it stops.
 #[cfg(unix)]
 #[derive(Debug, Default)]
 struct Door {
-    state: Mutex<DoorState>,
+    queue: Mutex<Queue>,
     ready: Condvar,
     space: Condvar,
+    done: AtomicBool,
 }
 
 #[cfg(unix)]
 impl Door {
-    fn lock(&self) -> std::sync::MutexGuard<'_, DoorState> {
-        self.state.lock().expect("door lock")
+    fn lock(&self) -> std::sync::MutexGuard<'_, Queue> {
+        self.queue.lock().expect("door lock")
     }
 
     fn is_done(&self) -> bool {
-        self.lock().done
+        self.done.load(Ordering::SeqCst)
     }
 
-    /// Begins shutdown: wakes the sequencer, every reader, and every
-    /// blocked producer so the thread scope can join.
+    /// Begins shutdown: wakes the sequencer and every blocked producer so
+    /// the thread scope can join. The flag is stored under the lock, so a
+    /// waiter between its check and its wait cannot miss the wakeup.
     fn set_done(&self) {
-        self.lock().done = true;
+        let _held = self.lock();
+        self.done.store(true, Ordering::SeqCst);
         self.ready.notify_all();
         self.space.notify_all();
     }
@@ -1387,38 +1451,28 @@ impl Door {
     /// queue forces, so a blocked producer never deadlocks. Returns
     /// `false` when the daemon is shutting down.
     fn submit(&self, conn: u64, seq: u64, input: BatchInput, limits: &IngestLimits) -> bool {
-        let mut st = self.lock();
-        if limits.max_pending > 0 && st.pending.len() >= limits.max_pending {
-            if limits.shed {
-                st.shed += 1;
-                return !st.done;
-            }
-            while !st.done && st.pending.len() >= limits.max_pending {
-                self.ready.notify_all();
-                st = self.space.wait(st).expect("door lock");
-            }
+        let mut queue = self.lock();
+        if limits.shed && queue.is_full(limits) {
+            queue.counters.shed += 1;
+            return !self.is_done();
         }
-        if st.done {
+        while !self.is_done() && queue.is_full(limits) {
+            self.ready.notify_all();
+            queue = self.space.wait(queue).expect("door lock");
+        }
+        if self.is_done() {
             return false;
         }
-        st.pending.insert((conn, seq), input);
-        st.peak_pending = st.peak_pending.max(st.pending.len());
+        queue.push(conn, seq, input);
         self.ready.notify_all();
         true
     }
 
-    /// Records a flush marker (blank line or connection close).
+    /// Records a flush marker: a blank line, or any connection close —
+    /// clean, errored, injected, or shutdown — mirroring stdin's EOF.
     fn flush(&self) {
         self.lock().flushes += 1;
         self.ready.notify_all();
-    }
-
-    fn skip(&self) {
-        self.lock().skipped += 1;
-    }
-
-    fn conn_error(&self) {
-        self.lock().conn_errors += 1;
     }
 }
 
@@ -1431,73 +1485,37 @@ enum Cut {
     Finished,
 }
 
-/// Blocks until an epoch can be cut and returns it, in `(connection id,
-/// arrival seq)` order. Cut triggers: a pending flush marker with work
-/// queued, the epoch-size bound, or a full queue (the force-cut that
-/// makes blocking backpressure deadlock-free). An explicit flush drains
-/// *everything* pending — in `max_epoch`-sized pieces when bounded.
+/// Blocks until the cut rule ([`Queue::cut`]) fires and returns the
+/// epoch. A drain finishes once the queue is empty; the timed wait
+/// exists for the drain flag, which a signal stores without waking any
+/// condvar.
 #[cfg(unix)]
 fn next_epoch(door: &Door, limits: &IngestLimits) -> Cut {
-    let mut st = door.lock();
-    loop {
-        if st.done {
-            return Cut::Finished;
+    let mut queue = door.lock();
+    while !door.is_done() {
+        let draining = drain_requested();
+        if let Some(batch) = queue.cut(limits, draining) {
+            door.space.notify_all();
+            return Cut::Epoch(batch);
         }
-        let n = st.pending.len();
-        // A graceful drain cuts everything pending as the final epoch(s)
-        // and finishes once the queue is empty.
-        if drain_requested() {
-            if n == 0 {
-                return Cut::Finished;
-            }
+        if draining {
             break;
         }
-        let size_cut = limits.max_epoch > 0 && n >= limits.max_epoch;
-        let full_cut = limits.max_pending > 0 && n >= limits.max_pending;
-        if size_cut || full_cut || (st.flushes > 0 && n > 0) {
-            break;
-        }
-        // Flush markers with nothing pending emit nothing. The timed
-        // wait exists for the drain flag: a signal stores it but wakes
-        // no condvar, so the sequencer re-polls on its own clock.
-        st.flushes = 0;
-        let (guard, _) = door.ready.wait_timeout(st, Duration::from_millis(25)).expect("door lock");
-        st = guard;
+        queue = door.ready.wait_timeout(queue, Duration::from_millis(25)).expect("door lock").0;
     }
-    let take = if limits.max_epoch > 0 {
-        limits.max_epoch.min(st.pending.len())
-    } else {
-        st.pending.len()
-    };
-    let mut batch = Vec::with_capacity(take);
-    for _ in 0..take {
-        let (_, input) = st.pending.pop_first().expect("sized above");
-        batch.push(input);
-    }
-    if st.pending.is_empty() {
-        st.flushes = 0;
-    }
-    drop(st);
-    door.space.notify_all();
-    Cut::Epoch(batch)
+    Cut::Finished
 }
 
-/// Close bookkeeping shared by every way a connection ends: any close —
-/// clean, errored, injected, or shutdown — flushes the connection's
-/// pending work, mirroring the single-producer EOF rule.
+/// Writes one line to the daemon log the socket threads share.
 #[cfg(unix)]
-fn connection_closed(door: &Door) {
-    let mut st = door.lock();
-    st.open -= 1;
-    st.flushes += 1;
-    drop(st);
-    door.ready.notify_all();
+fn log_line(log: &Mutex<&mut (dyn Write + Send)>, line: std::fmt::Arguments<'_>) {
+    let _ = writeln!(log.lock().expect("log lock"), "{line}");
 }
 
-/// One connection's reader: frames lines under the byte cap, parses and
-/// loads requests, queues them through the [`Door`]. Every failure mode
+/// One connection's reader: [`read_intake`] over the stream, queueing
+/// through the [`Door`] until EOF, a drain, or shutdown. Every failure
 /// — mid-line disconnect, reset, bad UTF-8, over-long line — is counted
-/// and logged; none of them can reach the daemon.
+/// and logged, never fatal. However the connection ends, it flushes.
 #[cfg(unix)]
 fn serve_connection(
     conn: u64,
@@ -1506,93 +1524,40 @@ fn serve_connection(
     log: &Mutex<&mut (dyn Write + Send)>,
     limits: &IngestLimits,
 ) {
+    let mut seq: u64 = 0;
+    let mut take = |intake: Intake| -> io::Result<()> {
+        match intake {
+            Intake::Request(input) => {
+                door.submit(conn, seq, input, limits);
+                seq += 1;
+            }
+            Intake::Flush => door.flush(),
+            Intake::Skip(why) => {
+                door.lock().counters.skipped += 1;
+                log_line(log, format_args!("connection {conn}: skipped request: {why}"));
+            }
+        }
+        Ok(())
+    };
     // Chaos hook: a `sock-eio` fault (keyed on the connection id) fails
     // this connection's first read, driving the same absorb-and-count
     // path a mid-stream reset would.
-    if crate::faults::fires(crate::faults::Site::SocketRead, conn) {
-        door.conn_error();
-        {
-            let mut log = log.lock().expect("log lock");
-            let _ =
-                writeln!(log, "connection {conn} error: {}", crate::faults::injected_eio("socket"));
-        }
-        connection_closed(door);
-        return;
+    let result = if crate::faults::fires(crate::faults::Site::SocketRead, conn) {
+        Err(crate::faults::injected_eio("socket"))
+    } else {
+        // The read timeout is the reader's idle tick, keeping it
+        // responsive to a drain and to shutdown.
+        let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+        let stop = || drain_requested() || door.is_done();
+        read_intake(&mut io::BufReader::new(stream), limits.max_line, &stop, &mut take)
+    };
+    if let Err(e) = result {
+        // The fault-isolation contract: a connection that breaks
+        // mid-stream is logged and counted, never fatal.
+        door.lock().counters.conn_errors += 1;
+        log_line(log, format_args!("connection {conn} error: {e}"));
     }
-    // The read timeout keeps the reader responsive to shutdown; a
-    // WouldBlock/TimedOut tick is not an error.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut reader = io::BufReader::new(stream);
-    let mut framer = LineFramer::new(limits.max_line);
-    let mut events: Vec<FeedEvent> = Vec::new();
-    let mut seq: u64 = 0;
-    'serve: loop {
-        let n = match reader.fill_buf() {
-            Ok([]) => {
-                framer.finish(&mut events);
-                0
-            }
-            Ok(chunk) => {
-                let n = chunk.len();
-                framer.push(chunk, &mut events);
-                n
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                if door.is_done() {
-                    break;
-                }
-                continue;
-            }
-            Err(e) => {
-                // The fault-isolation contract: a connection that breaks
-                // mid-stream is logged and counted, never fatal.
-                door.conn_error();
-                let mut log = log.lock().expect("log lock");
-                let _ = writeln!(log, "connection {conn} error: {e}");
-                break;
-            }
-        };
-        if n > 0 {
-            reader.consume(n);
-        }
-        for event in events.drain(..) {
-            if let FeedEvent::Line(line) = &event {
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    door.flush();
-                } else {
-                    match parse_request(trimmed).and_then(load_request) {
-                        Ok(input) => {
-                            if !door.submit(conn, seq, input, limits) {
-                                break 'serve;
-                            }
-                            seq += 1;
-                        }
-                        Err(e) => {
-                            door.skip();
-                            let mut log = log.lock().expect("log lock");
-                            let _ = writeln!(log, "connection {conn}: skipped request: {e}");
-                        }
-                    }
-                }
-            } else {
-                door.skip();
-                let mut log = log.lock().expect("log lock");
-                skip_event(&event, limits.max_line, &mut **log, &format!("connection {conn}: "));
-            }
-        }
-        if n == 0 || door.is_done() {
-            break;
-        }
-    }
-    connection_closed(door);
+    door.flush();
 }
 
 /// The acceptor: polls a nonblocking listener, spawns one reader thread
@@ -1608,8 +1573,8 @@ fn accept_loop<'scope, 'env: 'scope, 'log: 'env>(
 ) {
     let _ = listener.set_nonblocking(true);
     let mut next_conn: u64 = 0;
-    // A drain stops accepting immediately; connections already open keep
-    // feeding the sequencer until the final epochs are cut.
+    // A drain stops accepting immediately, and every open connection's
+    // reader stops at its next line or idle tick.
     while !door.is_done() && !drain_requested() {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -1618,15 +1583,8 @@ fn accept_loop<'scope, 'env: 'scope, 'log: 'env>(
                 let _ = stream.set_nonblocking(false);
                 let conn = next_conn;
                 next_conn += 1;
-                {
-                    let mut st = door.lock();
-                    st.open += 1;
-                    st.connections += 1;
-                }
-                {
-                    let mut log = log.lock().expect("log lock");
-                    let _ = writeln!(log, "connection {conn}: accepted");
-                }
+                door.lock().counters.connections += 1;
+                log_line(log, format_args!("connection {conn}: accepted"));
                 scope.spawn(move || serve_connection(conn, stream, door, log, limits));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -1634,10 +1592,8 @@ fn accept_loop<'scope, 'env: 'scope, 'log: 'env>(
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => {
-                door.conn_error();
-                let mut log = log.lock().expect("log lock");
-                let _ = writeln!(log, "accept error: {e}");
-                drop(log);
+                door.lock().counters.conn_errors += 1;
+                log_line(log, format_args!("accept error: {e}"));
                 std::thread::sleep(Duration::from_millis(20));
             }
         }
@@ -1649,10 +1605,10 @@ fn accept_loop<'scope, 'env: 'scope, 'log: 'env>(
 /// path — anything else there is an error, never deleted), then an
 /// acceptor thread hands each connection to its own reader thread, and
 /// the epoch sequencer on the calling thread cuts the shared pending
-/// queue into epochs — on each blank line or connection close, at
-/// [`IngestLimits::max_epoch`] pending requests, or when the queue hits
-/// [`IngestLimits::max_pending`] (backpressure: block the producer, or
-/// shed). Epoch inputs are always ordered by `(connection id, arrival
+/// queue into epochs by [`run_feed`]'s cut rule — on each blank line or
+/// connection close, at [`IngestLimits::max_epoch`] pending requests, or
+/// when the queue hits [`IngestLimits::max_pending`] (backpressure:
+/// block the producer, or shed). Epoch inputs are always ordered by `(connection id, arrival
 /// seq)`, so output is byte-identical for a given interleaving of
 /// arrivals across runs and `--jobs` settings.
 ///
@@ -1661,9 +1617,9 @@ fn accept_loop<'scope, 'env: 'scope, 'log: 'env>(
 /// fatal; the socket file is unlinked on **every** exit path.
 ///
 /// A graceful drain ([`install_drain_handler`]/[`request_drain`]) stops
-/// the acceptor, cuts everything pending as the final epoch(s) — counted
-/// as `drained` in the stats — and returns normally, so the caller's
-/// stats flush and the socket unlink both still run.
+/// the acceptor and every connection's reader, cuts everything pending
+/// as the final epoch(s) — counted as `drained` in the stats — and
+/// returns normally, so the caller's stats flush and socket unlink run.
 ///
 /// # Errors
 ///
@@ -1702,50 +1658,31 @@ pub fn run_socket(
     }
     let listener = std::os::unix::net::UnixListener::bind(socket)?;
     let log = Mutex::new(log);
-    {
-        let mut log = log.lock().expect("log lock");
-        let _ = writeln!(log, "listening on {}", socket.display());
-    }
+    log_line(&log, format_args!("listening on {}", socket.display()));
     let door = Door::default();
     let mut summary = ServeSummary::default();
     let (listener_ref, door_ref, log_ref) = (&listener, &door, &log);
     let result: io::Result<()> = std::thread::scope(|scope| {
         scope.spawn(move || accept_loop(scope, listener_ref, door_ref, log_ref, limits));
-        let result = loop {
-            match next_epoch(&door, limits) {
-                Cut::Finished => break Ok(()),
-                Cut::Epoch(mut batch) => {
-                    if drain_requested() {
-                        engine.note_drained(batch.len() as u64);
-                    }
-                    let flushed = {
-                        let mut log = log.lock().expect("log lock");
-                        flush_epoch(engine, &mut batch, out, &mut **log, json, &mut summary)
-                    };
-                    if let Err(e) = flushed {
-                        break Err(e);
-                    }
-                    if max_epochs.is_some_and(|m| summary.epochs >= m) {
-                        break Ok(());
-                    }
-                }
+        let mut result = Ok(());
+        while let Cut::Epoch(mut batch) = next_epoch(&door, limits) {
+            if drain_requested() {
+                engine.note_drained(batch.len() as u64);
             }
-        };
+            let mut log = log.lock().expect("log lock");
+            result = flush_epoch(engine, &mut batch, out, &mut **log, json, &mut summary);
+            if result.is_err() || max_epochs.is_some_and(|m| summary.epochs >= m) {
+                break;
+            }
+        }
         door.set_done();
         result
     });
     // The fault-isolation contract: the socket file is unlinked on every
     // exit path, the error ones included.
     let _ = std::fs::remove_file(socket);
-    let st = door.lock();
-    summary.skipped += st.skipped;
-    summary.conn_errors = st.conn_errors;
-    summary.shed = st.shed;
-    engine.door.connections += st.connections;
-    engine.door.conn_errors += st.conn_errors;
-    engine.door.shed += st.shed;
-    engine.door.peak_pending = engine.door.peak_pending.max(st.peak_pending as u64);
-    drop(st);
+    let counters = door.lock().counters;
+    engine.settle_intake(counters, &mut summary);
     result.map(|()| summary)
 }
 
@@ -2538,6 +2475,39 @@ mod tests {
     }
 
     #[test]
+    fn feed_force_cuts_a_full_queue_inline_and_never_sheds() {
+        // --max-pending 2 over five requests and no blank lines: stdin
+        // runs the shared cut rule inline, so a full queue is cut at once
+        // — epochs of 2, 2, and (at EOF) 1 — and the producer never
+        // blocks, and never sheds even under the shed policy.
+        let feed: String = (0..5).map(|i| feed_line(&format!("r{i}"), OK)).collect();
+        for shed in [false, true] {
+            let limits = IngestLimits { max_pending: 2, shed, ..IngestLimits::default() };
+            let mut engine = ServeEngine::new(CheckOptions::ifc(), 1);
+            let (mut out, mut log) = (Vec::new(), Vec::new());
+            let summary = run_feed(
+                &mut engine,
+                &mut Cursor::new(feed.as_bytes()),
+                &mut out,
+                &mut log,
+                true,
+                None,
+                &limits,
+            )
+            .expect("feed runs");
+            assert_eq!((summary.epochs, summary.requests, summary.shed), (3, 5, 0), "shed={shed}");
+            let out = String::from_utf8(out).unwrap();
+            let totals: Vec<&str> =
+                out.lines().filter_map(|l| l.split("\"total\": ").nth(1)).collect();
+            assert_eq!(totals.len(), 3, "{out}");
+            assert!(totals[0].starts_with('2') && totals[1].starts_with('2'));
+            assert!(totals[2].starts_with('1'));
+            let ops = engine.ops();
+            assert_eq!((ops.peak_pending, ops.shed), (2, 0), "shed={shed}");
+        }
+    }
+
+    #[test]
     fn duplicate_ids_in_one_epoch_are_noticed_not_refused() {
         let feed = format!("{}{}", feed_line("dup", OK), feed_line("dup", LEAK));
         let mut engine = ServeEngine::new(CheckOptions::ifc(), 1);
@@ -2803,7 +2773,7 @@ mod tests {
         assert!(door.submit(0, 1, BatchInput::new("b", OK), &limits), "shed, not refused");
         {
             let st = door.lock();
-            assert_eq!((st.shed, st.pending.len(), st.peak_pending), (1, 2, 2));
+            assert_eq!((st.counters.shed, st.pending.len(), st.counters.peak_pending), (1, 2, 2));
         }
         // The full queue force-cuts an epoch with no flush marker at all.
         match next_epoch(&door, &limits) {

@@ -370,6 +370,52 @@ fn sigterm_drains_pending_work_and_unlinks_the_socket() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// SIGTERM stops every connection's reader, not only the acceptor: a
+/// client that streams distinct requests, each flushed by a blank line,
+/// as fast as it can cannot keep the daemon alive. Intake stops, what is
+/// pending drains as the final epoch(s), the daemon exits with the
+/// verdict code, and the socket file is gone. How much was drained
+/// depends on timing, so it is not pinned.
+#[cfg(unix)]
+#[test]
+fn sigterm_stops_a_streaming_connection_and_exits() {
+    let dir = scratch_dir("drain-stream");
+    let socket = dir.join("p4bid.sock");
+    // stdout goes nowhere, so a full pipe can never stall the daemon.
+    let mut child = p4bid()
+        .args(["serve", "--socket", socket.to_str().unwrap(), "--jobs", "1", "--stats-json"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("serve spawns");
+    let stderr = Tail::new(child.stderr.take().expect("stderr piped"));
+
+    let mut stream = connect_retry(&socket);
+    let writer = std::thread::spawn(move || {
+        for i in 0u64.. {
+            let line = format!(
+                "{{\"id\": \"r{i}\", \"source\": \"control C(inout bit<64> x) {{ apply {{ x = x + \
+                 64w{i}; }} }}\"}}\n\n"
+            );
+            if stream.write_all(line.as_bytes()).is_err() {
+                break;
+            }
+        }
+    });
+    stderr.wait_for("epoch 1:");
+    let kill =
+        Command::new("kill").args(["-TERM", &child.id().to_string()]).status().expect("kill runs");
+    assert!(kill.success(), "SIGTERM delivered");
+
+    let out = wait_with_deadline(child, Duration::from_secs(30));
+    writer.join().expect("writer stops once the daemon is gone");
+    assert_eq!(out.status.code(), Some(0), "clean verdict exit: {}", stderr.contents());
+    let log = stderr.contents();
+    assert!(log.contains("\"schema\": \"p4bid-stats/5\""), "final stats flushed: {log}");
+    assert!(!socket.exists(), "socket file must be unlinked on drain");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 /// A panicking check never poisons the prefix-snapshot tree: three
 /// programs share a two-item prefix, one of them is fault-picked to panic
 /// every epoch, and with `--refresh-every 1` the surviving programs'
