@@ -524,7 +524,7 @@ pub(crate) fn check_items<'a>(
     state: CheckerState,
     deadline: Option<std::time::Instant>,
 ) -> Result<(Vec<TypedControl>, CheckerState, LineageGraph), Vec<Diagnostic>> {
-    check_items_run(items, lattice, opts, default_pc, ctx, state, deadline, None, false)
+    check_items_run(items, lattice, opts, default_pc, ctx, state, deadline, None, &[])
         .map(|out| (out.controls, out.state, out.lineage))
 }
 
@@ -548,7 +548,8 @@ pub(crate) struct RunCheckpoint {
 }
 
 /// A successful [`check_items_run`]: combined (seed + new) outputs, plus
-/// the checkpoint candidates and rendered flow log when collecting.
+/// the checkpoint candidates, and the rendered flow log when there is at
+/// least one.
 pub(crate) struct RunOutput {
     pub(crate) controls: Vec<TypedControl>,
     pub(crate) state: CheckerState,
@@ -560,9 +561,10 @@ pub(crate) struct RunOutput {
 /// The full item-run driver behind [`check_items`]. With `resume`, the
 /// run continues from a prefix snapshot: the seed's controls are adopted
 /// and its rendered edges prepend the flow log, so traces and verdicts
-/// come out byte-identical to a cold check of the whole program. With
-/// `collect`, per-item checkpoints are gathered (only while no diagnostic
-/// has fired — failed runs never produce snapshots) and the run's flow
+/// come out byte-identical to a cold check of the whole program.
+/// `collect[d]` asks for a checkpoint after item `d + 1` (a missing entry
+/// means no): each is taken only while no diagnostic has fired — failed
+/// runs never produce snapshots — and if any was taken, the run's flow
 /// log is rendered to owned edges for future seeding.
 ///
 /// # Errors
@@ -578,9 +580,12 @@ pub(crate) fn check_items_run<'a>(
     state: CheckerState,
     deadline: Option<std::time::Instant>,
     resume: Option<ResumeSeed>,
-    collect: bool,
+    collect: &[bool],
 ) -> Result<RunOutput, Vec<Diagnostic>> {
-    debug_assert!(resume.is_none() || !collect, "resumed runs never collect checkpoints");
+    debug_assert!(
+        resume.is_none() || !collect.contains(&true),
+        "resumed runs never collect checkpoints"
+    );
     let TyCtx { syms, types } = ctx;
     let labels = LabelTable::new(lattice, syms);
     let mut checker = Checker {
@@ -615,7 +620,7 @@ pub(crate) fn check_items_run<'a>(
         None => Vec::new(),
     };
     let mut checkpoints = Vec::new();
-    for (items_done, item) in (1_u32..).zip(items) {
+    for (ix, item) in items.iter().enumerate() {
         if checker.deadline_expired() {
             break;
         }
@@ -630,9 +635,9 @@ pub(crate) fn check_items_run<'a>(
                 }
             }
         }
-        if collect && checker.diags.is_empty() {
+        if collect.get(ix) == Some(&true) && checker.diags.is_empty() {
             checkpoints.push(RunCheckpoint {
-                items_done,
+                items_done: ix as u32 + 1,
                 state: CheckerState {
                     defs: checker.defs.clone(),
                     env: checker.env.clone(),
@@ -645,7 +650,7 @@ pub(crate) fn check_items_run<'a>(
     }
 
     if checker.diags.is_empty() {
-        let seed_edges = collect.then(|| checker.rendered_seed());
+        let seed_edges = (!checkpoints.is_empty()).then(|| checker.rendered_seed());
         let state = CheckerState {
             defs: checker.defs,
             env: checker.env,

@@ -1,17 +1,34 @@
 //! Item-granular prefix snapshots: content-hashed checkpoints of the
 //! checker's carried state after each top-level item.
 //!
-//! A [`CheckerSession`](crate::CheckerSession) that finishes a clean check
-//! of an `N`-item program records one [`PrefixEntry`] per item boundary,
-//! keyed by the FNV chain hash of the token spans up to that boundary
-//! (see [`p4bid_syntax::item_segments`]). When a program is resubmitted
-//! with an edit near the end, the session probes the deepest matching
-//! boundary and re-checks only the suffix — an edit to the last control
-//! of a 64-item program re-checks one item, not 64.
+//! Every item boundary of a submission has an FNV chain hash of the
+//! source up to it (see [`p4bid_syntax::item_segments`]). Snapshots are
+//! pay-on-reuse: a clean cold check records a [`PrefixEntry`] at a
+//! boundary only if that boundary's chain was *sighted* before by the
+//! same cache, and every cold check sights all of its chains. So the
+//! first submission of a prefix costs one table write per boundary, the
+//! second snapshots it, and the third resumes from it. When a program is
+//! resubmitted with an edit near the end, the session probes the deepest
+//! matching boundary and re-checks only the suffix — an edit to the last
+//! control of a 64-item program re-checks one item, not 64. A program
+//! seen once, the common case of a compile loop, never pays for a
+//! snapshot.
+//!
+//! The sighting table is a fixed array of chains, allocated on first use
+//! and sized from the cache bound; a cap of zero disables it along with
+//! the cache. It is four-way set-associative (bucket = chain % buckets)
+//! rather than direct-mapped: with four slots per cache entry, a
+//! direct-mapped table loses about one chain in eight to a slot
+//! collision while a cache's worth of chains is live, and a four-way
+//! table loses well under one in a hundred. A full bucket
+//! forgets its oldest sighting, which only delays a snapshot by one
+//! submission.
 //!
 //! # Soundness
 //!
-//! Three rules keep a snapshot hit byte-identical to a cold check:
+//! Sightings only decide whether a snapshot is *taken*. Whether one is
+//! *used* is decided by three rules, which keep a snapshot hit
+//! byte-identical to a cold check:
 //!
 //! * **Byte re-verification.** The chain hash is only a locator; a probe
 //!   compares the stored prefix bytes against the submitted source, so a
@@ -28,9 +45,10 @@
 //!   frozen ids stable by construction.
 //!
 //! Failed runs never insert (mirroring the serve verdict cache's refusal
-//! of transient verdicts): checkpoints are collected during the run but
-//! discarded unless the run ends with zero diagnostics, so a panic or
-//! timeout mid-check cannot poison the snapshot tree.
+//! of transient verdicts): checkpoints at sighted boundaries are
+//! collected during the run but discarded unless the run ends with zero
+//! diagnostics, so a panic or timeout mid-check cannot poison the
+//! snapshot tree.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -144,20 +162,55 @@ impl PrefixEntry {
     }
 }
 
+/// Slots of the sighting table of a cache bounded at `cap` entries: four
+/// per entry, at most 8192 (64 KB of chains).
+pub(crate) fn sighting_slots(cap: usize) -> usize {
+    cap.saturating_mul(SIGHTING_WAYS).min(8192)
+}
+
+/// Slots per sighting-table bucket.
+const SIGHTING_WAYS: usize = 4;
+
 /// Bounded chain-hash-keyed store of [`PrefixEntry`]s with touch-on-hit
-/// LRU eviction (O(n) min-scan, like the serve verdict cache). A cap of
-/// zero disables the cache entirely.
+/// LRU eviction (O(n) min-scan, like the serve verdict cache), plus the
+/// sighting table that gates what is worth storing. A cap of zero
+/// disables both.
 #[derive(Debug)]
 pub(crate) struct PrefixCache {
     cap: usize,
     len: usize,
     clock: u64,
     map: HashMap<u64, Vec<PrefixEntry>>,
+    /// Sighted chains in buckets of `SIGHTING_WAYS`, newest first;
+    /// empty until the first sighting. A zero slot reads as a sighting
+    /// of chain 0, which at worst snapshots one prefix early.
+    sighted: Vec<u64>,
 }
 
 impl PrefixCache {
     pub(crate) fn new(cap: usize) -> Self {
-        PrefixCache { cap, len: 0, clock: 0, map: HashMap::new() }
+        PrefixCache { cap, len: 0, clock: 0, map: HashMap::new(), sighted: Vec::new() }
+    }
+
+    /// Records `chain` as sighted and says whether it was already: the
+    /// pay-on-reuse rule snapshots a boundary only on a `true`. Always
+    /// `false` (and allocation-free) when the cache is disabled.
+    pub(crate) fn sight(&mut self, chain: u64) -> bool {
+        if self.cap == 0 {
+            return false;
+        }
+        if self.sighted.is_empty() {
+            self.sighted = vec![0; sighting_slots(self.cap)];
+        }
+        let buckets = (self.sighted.len() / SIGHTING_WAYS) as u64;
+        let start = (chain % buckets) as usize * SIGHTING_WAYS;
+        let bucket = &mut self.sighted[start..start + SIGHTING_WAYS];
+        if bucket.contains(&chain) {
+            return true;
+        }
+        bucket.copy_within(..SIGHTING_WAYS - 1, 1);
+        bucket[0] = chain;
+        false
     }
 
     /// Looks up a snapshot for the given chain hash covering exactly
@@ -209,6 +262,12 @@ impl PrefixCache {
 
     pub(crate) fn len(&self) -> usize {
         self.len
+    }
+
+    /// Slots the sighting table holds (0 until its first use).
+    #[cfg(test)]
+    pub(crate) fn sighting_len(&self) -> usize {
+        self.sighted.len()
     }
 
     fn evict_lru(&mut self) {
@@ -300,5 +359,42 @@ mod tests {
         c.insert(1, entry(lat.clone(), "a", 1));
         assert_eq!(c.len(), 0);
         assert!(c.probe(1, &lat, "a", 1).is_none());
+        // Cap 0 sights nothing and never allocates the table.
+        assert!(!c.sight(9));
+        assert!(!c.sight(9));
+        assert_eq!(c.sighting_len(), 0);
+    }
+
+    #[test]
+    fn sighting_table_stays_fixed_and_bounded() {
+        let mut c = PrefixCache::new(2);
+        assert_eq!(c.sighting_len(), 0, "allocated on first use, not at construction");
+        assert!(!c.sight(42));
+        assert!(c.sight(42), "sighted from its second appearance");
+        for chain in 1..=1000 {
+            c.sight(chain);
+        }
+        assert_eq!(c.sighting_len(), sighting_slots(2), "more chains than slots: no growth");
+        assert_eq!(sighting_slots(2), 8);
+        assert_eq!(sighting_slots(crate::session::DEFAULT_PREFIX_CACHE_CAP), 4096);
+        assert_eq!(sighting_slots(usize::MAX), 8192, "never above 64 KB");
+    }
+
+    #[test]
+    fn a_full_bucket_only_delays_a_sighting() {
+        // Cap 2: two buckets of four, so even chains share bucket 0.
+        let mut c = PrefixCache::new(2);
+        assert!(!c.sight(2));
+        for other in [4, 6, 8] {
+            assert!(!c.sight(other));
+        }
+        assert!(c.sight(2), "four chains fit one bucket");
+        assert!(!c.sight(1), "the odd bucket is separate");
+        // A fifth chain in the bucket pushes out the oldest, 2…
+        assert!(!c.sight(10));
+        // …so 2's next appearance counts as a first one, and the one
+        // after that is sighted again.
+        assert!(!c.sight(2));
+        assert!(c.sight(2));
     }
 }

@@ -54,8 +54,9 @@ use std::rc::Rc;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Default bound on the shared prefix-snapshot cache (entries, across all
-/// sessions of one core). Overridden by `--prefix-cache-cap`; `0`
-/// disables prefix snapshotting entirely.
+/// sessions of one core), which also sizes its sighting table.
+/// Overridden by `--prefix-cache-cap`; `0` disables prefix snapshotting
+/// entirely.
 pub const DEFAULT_PREFIX_CACHE_CAP: usize = 1024;
 
 /// Locks a mutex, riding through poisoning: the protected caches are
@@ -67,8 +68,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// State shared by every session of one core (and carried across
 /// refreezes, whose id-stability keeps the contents valid): the prefix
-/// snapshot cache and the publish-once table of checked-prelude states
-/// for program-supplied lattices.
+/// snapshot cache with its sighting table, and the publish-once table of
+/// checked-prelude states for program-supplied lattices.
 #[derive(Debug)]
 struct CoreShared {
     /// Prefix cache bound (`0` disables; fixed at construction).
@@ -323,7 +324,7 @@ impl CheckerSession {
                     return Err(malformed(&e));
                 }
             };
-            return self.check_cold(user, source, &[]);
+            return self.check_cold(user, source, &[], &[]);
         }
         let tokens = match p4bid_syntax::lex(source) {
             Ok(t) => t,
@@ -333,9 +334,12 @@ impl CheckerSession {
             }
         };
         let segs = p4bid_syntax::item_segments(source, &tokens);
-        if let Some(result) = self.try_resume(source, &tokens, &segs) {
-            return result;
-        }
+        let sighted = match self.probe(source, &tokens, &segs) {
+            Ok((lattice, entry)) => {
+                return self.resume_with(source, &tokens, &segs, lattice, entry)
+            }
+            Err(sighted) => sighted,
+        };
         self.prefix_misses += 1;
         let user = match p4bid_syntax::parse_tokens(source, &tokens) {
             Ok(user) => user,
@@ -344,7 +348,7 @@ impl CheckerSession {
                 return Err(malformed(&e));
             }
         };
-        self.check_cold(user, source, &segs)
+        self.check_cold(user, source, &segs, &sighted)
     }
 
     /// Checks an already-parsed user program against the session prelude.
@@ -356,23 +360,27 @@ impl CheckerSession {
     ///
     /// Returns the full list of type/flow errors.
     pub fn check_parsed(&mut self, user: Program) -> Result<TypedProgram, Vec<Diagnostic>> {
-        self.check_cold(user, "", &[])
+        self.check_cold(user, "", &[], &[])
     }
 
-    /// The cold check path: full run over all user items, collecting
-    /// per-item prefix snapshots when the splitter's segmentation aligns
-    /// with the parse (one segment per item) and the cache is enabled.
+    /// The cold check path: full run over all user items. It collects a
+    /// checkpoint at item boundary `d` only if `sighted[d]` — the
+    /// boundary's chain was sighted before this check, so the prefix is
+    /// being reused — and only when the splitter's segmentation aligns
+    /// with the parse (one segment per item). A program seen for the
+    /// first time clones no state and renders no flow log.
     fn check_cold(
         &mut self,
         user: Program,
         source: &str,
         segs: &[ItemSeg],
+        sighted: &[bool],
     ) -> Result<TypedProgram, Vec<Diagnostic>> {
         let deadline = self.deadline.take().or_else(|| self.opts.deadline_from_now());
         let lattice = resolve_lattice(&user, &self.opts)?;
         let default_pc = resolve_default_pc(&lattice, &self.opts)?;
         let state = CheckerState::clone(&*self.prelude_state(&lattice)?);
-        let collect = !segs.is_empty() && segs.len() == user.items.len();
+        let collect = if segs.len() == user.items.len() { sighted } else { &[] };
 
         let out = {
             let mut ctx = self.ctx.borrow_mut();
@@ -392,10 +400,10 @@ impl CheckerSession {
         // The interpreter needs the prelude definitions in the program
         // body, exactly as `check_source` includes them; the view shares
         // them (and the user items) instead of deep-copying.
-        let (items, controls) = if collect {
+        let (items, controls) = if let Some(seed) = out.seed_edges {
             let items = Arc::new(user.items);
             let controls = Arc::new(out.controls);
-            let seed = Arc::new(out.seed_edges.unwrap_or_default());
+            let seed = Arc::new(seed);
             self.insert_checkpoints(
                 source,
                 segs,
@@ -420,34 +428,41 @@ impl CheckerSession {
         })
     }
 
-    /// Tries to serve a check from the deepest matching prefix snapshot,
-    /// re-checking only the suffix. `None` falls through to the cold
-    /// path (no snapshot, or the lattice could not be pre-resolved
-    /// conservatively).
-    fn try_resume(
+    /// Probes for the deepest matching prefix snapshot. On a miss it
+    /// sights every boundary's chain under the same lock and returns, per
+    /// boundary, whether that chain had been sighted before — the set of
+    /// boundaries the cold check should snapshot. The probe itself is
+    /// skipped when the lattice cannot be pre-resolved conservatively.
+    fn probe(
         &mut self,
         source: &str,
         tokens: &[Token],
         segs: &[ItemSeg],
-    ) -> Option<Result<TypedProgram, Vec<Diagnostic>>> {
+    ) -> Result<(Lattice, PrefixEntry), Vec<bool>> {
         if segs.is_empty() {
-            return None;
+            return Err(Vec::new());
         }
-        let lattice = self.quick_lattice(source, tokens, segs)?;
-        let entry = {
-            let mut cache = lock(&self.shared.prefix);
+        let lattice = self.quick_lattice(source, tokens, segs);
+        let mut cache = lock(&self.shared.prefix);
+        let entry = lattice.as_ref().and_then(|lattice| {
             (0..segs.len()).rev().find_map(|d| {
                 cache.probe(
                     segs[d].chain,
-                    &lattice,
+                    lattice,
                     &source[..segs[d].byte_end as usize],
                     (d + 1) as u32,
                 )
             })
-        }?;
-        self.prefix_hits += 1;
-        self.prefix_items_saved += u64::from(entry.items);
-        Some(self.resume_with(source, tokens, segs, lattice, entry))
+        });
+        match (lattice, entry) {
+            (Some(lattice), Some(entry)) => {
+                drop(cache);
+                self.prefix_hits += 1;
+                self.prefix_items_saved += u64::from(entry.items);
+                Ok((lattice, entry))
+            }
+            _ => Err(segs.iter().map(|s| cache.sight(s.chain)).collect()),
+        }
     }
 
     /// Completes a snapshot hit: parses and checks only the suffix past
@@ -497,7 +512,7 @@ impl CheckerSession {
                 entry.state,
                 deadline,
                 Some(resume),
-                false,
+                &[],
             )?
         };
         // O(suffix) assembly: the prefix AST is the snapshot's `Arc`,
@@ -566,12 +581,13 @@ impl CheckerSession {
         }
     }
 
-    /// Records the checkpoints of a clean, aligned cold run into the
-    /// shared prefix cache. Only tier-pure checkpoints are inserted
-    /// (state append-only ⟹ purity is prefix-monotone, so the scan stops
-    /// at the first impure one); failed and timed-out runs never reach
-    /// here, which is what keeps panics and transient verdicts from
-    /// poisoning the snapshot tree.
+    /// Records the checkpoints of a clean, aligned cold run — one per
+    /// boundary whose chain was sighted before — into the shared prefix
+    /// cache. Only tier-pure checkpoints are inserted (state append-only
+    /// ⟹ purity is prefix-monotone, so the scan stops at the first
+    /// impure one); failed and timed-out runs never reach here, which is
+    /// what keeps panics and transient verdicts from poisoning the
+    /// snapshot tree.
     #[allow(clippy::too_many_arguments)]
     fn insert_checkpoints(
         &mut self,
@@ -583,9 +599,6 @@ impl CheckerSession {
         seed: &Arc<crate::prefix::SeedEdges>,
         checkpoints: Vec<crate::checker::RunCheckpoint>,
     ) {
-        if checkpoints.is_empty() {
-            return;
-        }
         let (max_sym, max_ty) = self.tier_limits();
         let mut cache = lock(&self.shared.prefix);
         for cp in checkpoints {
@@ -1050,8 +1063,11 @@ mod tests {
         ];
         let mut warm = CheckerSession::new(CheckOptions::ifc());
         let first = format!("{base}{}", tails[0]);
+        // Snapshots are pay-on-reuse: the first check only sights the
+        // chains, the second snapshots every boundary.
         warm.check(&first).expect("accepts");
-        assert!(warm.stats().prefix_inserts >= 4, "cold run snapshots every item boundary");
+        warm.check(&first).expect("accepts");
+        assert!(warm.stats().prefix_inserts >= 4, "sighted run snapshots every item boundary");
         for tail in tails {
             let src = format!("{base}{tail}");
             let mut cold = CheckerSession::new(CheckOptions::ifc()).with_prefix_cache_cap(0);
@@ -1089,6 +1105,8 @@ mod tests {
         let src = format!("{prefix}{leak}");
         let mut warm = CheckerSession::new(CheckOptions::ifc());
         let ok = format!("{prefix}control D(inout bit<8> x) {{ apply {{ }} }}");
+        // The first check sights the prefix, the second snapshots it.
+        warm.check(&ok).expect("accepts");
         warm.check(&ok).expect("accepts");
         let resumed = warm.check(&src).unwrap_err();
         assert_eq!(warm.stats().prefix_hits, 1);
@@ -1097,6 +1115,119 @@ mod tests {
             .check(&src)
             .unwrap_err();
         assert_eq!(format!("{resumed:?}"), format!("{cold:?}"));
+    }
+
+    /// Asserts that `got` matches a check of `src` with prefix snapshots
+    /// disabled: same program, lineage, controls and diagnostics (the
+    /// controls by their id-free fields, so sessions on different tiers
+    /// compare).
+    fn assert_same_as_cold(got: Result<TypedProgram, Vec<Diagnostic>>, src: &str) {
+        let cold = CheckerSession::new(CheckOptions::ifc()).with_prefix_cache_cap(0).check(src);
+        let controls = |p: &TypedProgram| {
+            p.controls.iter().map(|c| (c.name.clone(), c.pc, c.tables.clone())).collect::<Vec<_>>()
+        };
+        match (got, cold) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.program, b.program, "{src}");
+                assert_eq!(controls(&a), controls(&b), "{src}");
+                assert_eq!(format!("{:?}", a.lineage), format!("{:?}", b.lineage), "{src}");
+            }
+            (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}"), "{src}"),
+            (a, b) => panic!("verdicts diverge on {src}: {a:?} vs {b:?}"),
+        }
+    }
+
+    #[test]
+    fn snapshots_are_paid_for_on_reuse() {
+        let src = "typedef bit<8> octet;\n\
+                   header h_t { <octet, high> secret; <octet, low> public; }\n\
+                   function octet idf(in octet x) { return x; }\n\
+                   control C(inout h_t h) { apply { h.public = idf(h.public); } }";
+        let mut s = CheckerSession::new(CheckOptions::ifc());
+        s.check(src).expect("accepts");
+        let first = s.stats();
+        assert_eq!((first.prefix_misses, first.prefix_inserts), (1, 0), "unseen: {first:?}");
+        assert_eq!(lock(&s.shared.prefix).len(), 0);
+        s.check(src).expect("accepts");
+        assert_eq!(s.stats().prefix_inserts, 4, "one snapshot per sighted boundary");
+        let resumed = s.check(src);
+        let third = s.stats();
+        assert_eq!((third.prefix_hits, third.prefix_items_saved, third.prefix_inserts), (1, 4, 4));
+        assert_same_as_cold(resumed, src);
+    }
+
+    #[test]
+    fn a_run_renders_its_seed_only_with_a_checkpoint() {
+        let src = "header h_t { <bit<8>, high> f; }\n\
+                   control C(inout h_t h, inout <bit<8>, high> g) { apply { g = h.f; } }";
+        let user = p4bid_syntax::parse(src).expect("parses");
+        let mut s = CheckerSession::new(CheckOptions::ifc());
+        let lattice = Lattice::two_point();
+        let default_pc = resolve_default_pc(&lattice, &s.opts).expect("default pc");
+        let state = s.prelude_state(&lattice).expect("prelude checks");
+        for (collect, taken) in [(&[][..], 0), (&[false, false], 0), (&[false, true], 1)] {
+            let out = check_items_run(
+                &user.items,
+                &lattice,
+                &s.opts,
+                default_pc,
+                &mut s.ctx.borrow_mut(),
+                CheckerState::clone(&state),
+                None,
+                None,
+                collect,
+            )
+            .expect("accepts");
+            assert_eq!(out.checkpoints.len(), taken, "{collect:?}");
+            assert_eq!(out.seed_edges.is_some(), taken > 0, "{collect:?}");
+            assert!(!out.lineage.edges().is_empty(), "the run has flow edges to render");
+        }
+    }
+
+    #[test]
+    fn a_source_sighted_before_a_refreeze_snapshots_after_it() {
+        let src = "typedef bit<8> octet;\ncontrol C(inout octet x) { apply { x = x + 8w1; } }";
+        let core = SharedSessionCore::new(CheckOptions::ifc());
+        let mut s = core.session();
+        s.check(src).expect("accepts");
+        assert_eq!(s.stats().prefix_inserts, 0);
+        let core2 = core.refreeze(vec![s.into_harvest().expect("harvests")]);
+        // A copy whose chain differs from byte 0 was never sighted, so it
+        // snapshots nothing yet, though all its names are frozen now…
+        let mut fresh = core2.session();
+        let spaced = format!(" {src}");
+        fresh.check(&spaced).expect("accepts");
+        assert_eq!(fresh.stats().prefix_inserts, 0, "{:?}", fresh.stats());
+        fresh.check(&spaced).expect("accepts");
+        assert_eq!(fresh.stats().prefix_inserts, 2, "its own second check snapshots");
+        // …while the source sighted before the refreeze snapshots now.
+        let mut s2 = core2.session();
+        s2.check(src).expect("accepts");
+        assert_eq!(s2.stats().prefix_inserts, 2, "{:?}", s2.stats());
+        let mut s3 = core2.session();
+        let resumed = s3.check(src);
+        assert_eq!(s3.stats().prefix_hits, 1);
+        assert_same_as_cold(resumed, src);
+    }
+
+    #[test]
+    fn a_full_sighting_bucket_only_delays_the_snapshot() {
+        // Cap 1: a single bucket of four sightings, so four other programs
+        // push `a`'s sighting out.
+        assert_eq!(crate::prefix::sighting_slots(1), 4);
+        let a = "control A(inout bit<8> x) { apply { x = x + 8w1; } }";
+        let mut s = CheckerSession::new(CheckOptions::ifc()).with_prefix_cache_cap(1);
+        s.check(a).expect("accepts");
+        for i in 0..4 {
+            s.check(&format!("control B{i}(inout bit<8> x) {{ apply {{ }} }}")).expect("accepts");
+        }
+        s.check(a).expect("accepts");
+        assert_eq!(s.stats().prefix_inserts, 0, "a's sighting was pushed out");
+        s.check(a).expect("accepts");
+        assert_eq!(s.stats().prefix_inserts, 1, "one submission later, a snapshots");
+        let resumed = s.check(a);
+        assert_eq!(s.stats().prefix_hits, 1);
+        assert_same_as_cold(resumed, a);
     }
 
     #[test]
@@ -1205,6 +1336,16 @@ mod tests {
         let stats = s.stats();
         assert_eq!((stats.prefix_hits, stats.prefix_misses, stats.prefix_inserts), (0, 0, 0));
         assert_eq!(core.prefix_cache_len(), 0);
+        assert_eq!(lock(&core.shared.prefix).sighting_len(), 0, "cap 0 sights nothing");
+    }
+
+    #[test]
+    fn the_sighting_table_is_allocated_on_first_use() {
+        let core = SharedSessionCore::new(CheckOptions::ifc());
+        assert_eq!(lock(&core.shared.prefix).sighting_len(), 0, "building a core allocates none");
+        core.session().check("control C(inout bit<8> x) { apply { } }").expect("accepts");
+        let slots = crate::prefix::sighting_slots(DEFAULT_PREFIX_CACHE_CAP);
+        assert_eq!(lock(&core.shared.prefix).sighting_len(), slots);
     }
 
     #[test]
