@@ -24,13 +24,19 @@ use p4bid_typeck::{CheckerSession, SessionHarvest};
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// The worker count for `tasks` tasks at `--jobs jobs`: `0` means one
 /// worker per available core, and the result is clamped to `1..=tasks`.
+/// The cores are counted once per process: `available_parallelism` reads
+/// cgroup files on every call, and `serve` and `watch` resolve their jobs
+/// on every epoch.
 pub(crate) fn workers(jobs: usize, tasks: usize) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
     let jobs = match jobs {
-        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        0 => *CORES.get_or_init(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        }),
         n => n,
     };
     jobs.min(tasks).max(1)

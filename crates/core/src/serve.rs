@@ -126,6 +126,15 @@ pub struct ServeRequest {
 /// Returns a human-readable message for malformed JSON, nested values, or
 /// a missing/conflicting `path`/`source`/`id` combination.
 pub fn parse_request(line: &str) -> Result<ServeRequest, String> {
+    parse_request_with(line, MiniJson::string)
+}
+
+/// [`parse_request`]'s grammar over the string decoder `string`, so the
+/// test module can run it with its char-at-a-time reference decoder.
+fn parse_request_with<'a>(
+    line: &'a str,
+    string: impl Fn(&mut MiniJson<'a>) -> Result<String, String>,
+) -> Result<ServeRequest, String> {
     let mut p = MiniJson { src: line, pos: 0 };
     p.skip_ws();
     p.expect('{')?;
@@ -134,11 +143,11 @@ pub fn parse_request(line: &str) -> Result<ServeRequest, String> {
     if p.peek() != Some('}') {
         loop {
             p.skip_ws();
-            let key = p.string()?;
+            let key = string(&mut p)?;
             p.skip_ws();
             p.expect(':')?;
             p.skip_ws();
-            let value = p.value()?;
+            let value = p.value(&string)?;
             let slot = match key.as_str() {
                 "id" => Some(&mut id),
                 "path" => Some(&mut path),
@@ -209,7 +218,7 @@ struct MiniJson<'a> {
     pos: usize,
 }
 
-impl MiniJson<'_> {
+impl<'a> MiniJson<'a> {
     fn peek(&self) -> Option<char> {
         self.src[self.pos..].chars().next()
     }
@@ -234,9 +243,12 @@ impl MiniJson<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<MiniValue, String> {
+    fn value(
+        &mut self,
+        string: impl Fn(&mut Self) -> Result<String, String>,
+    ) -> Result<MiniValue, String> {
         match self.peek() {
-            Some('"') => self.string().map(MiniValue::Str),
+            Some('"') => string(self).map(MiniValue::Str),
             Some('[' | '{') => Err("nested values are not part of the request grammar".to_string()),
             Some(c) if c == '-' || c.is_ascii_digit() || c.is_ascii_alphabetic() => {
                 let start = self.pos;
@@ -253,28 +265,35 @@ impl MiniJson<'_> {
         }
     }
 
+    /// Decodes one string literal. Each maximal run free of `"`, `\` and
+    /// bytes below 0x20 is copied with one `push_str`; those three bytes
+    /// always start a UTF-8 character, so a run never splits one. Escapes
+    /// are dispatched on their byte.
     fn string(&mut self) -> Result<String, String> {
         self.expect('"')?;
+        let bytes = self.src.as_bytes();
         let mut out = String::new();
         loop {
-            match self.bump()? {
-                '"' => return Ok(out),
-                '\\' => match self.bump()? {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    '/' => out.push('/'),
-                    'n' => out.push('\n'),
-                    'r' => out.push('\r'),
-                    't' => out.push('\t'),
-                    'b' => out.push('\u{0008}'),
-                    'f' => out.push('\u{000c}'),
+            let run = special_byte(&bytes[self.pos..]).unwrap_or(bytes.len() - self.pos);
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            let stop = bytes.get(self.pos + run).copied();
+            self.pos += run + 1;
+            match stop {
+                None => return Err("unexpected end of line".to_string()),
+                Some(b'"') => return Ok(out),
+                Some(b'\\') => {}
+                // Otherwise the run stopped at a byte below 0x20.
+                Some(_) => return Err("unescaped control character in string".to_string()),
+            }
+            match bytes.get(self.pos).copied().and_then(simple_escape) {
+                Some(c) => {
+                    self.pos += 1;
+                    out.push(c);
+                }
+                None => match self.bump()? {
                     'u' => out.push(self.unicode_escape()?),
                     c => return Err(format!("unsupported escape `\\{c}`")),
                 },
-                c if (c as u32) < 0x20 => {
-                    return Err("unescaped control character in string".to_string())
-                }
-                c => out.push(c),
             }
         }
     }
@@ -305,6 +324,44 @@ impl MiniJson<'_> {
         };
         char::from_u32(code).ok_or_else(|| format!("invalid \\u escape U+{code:04X}"))
     }
+}
+
+/// The character a one-letter escape `\b` stands for (`\u` is not one).
+fn simple_escape(b: u8) -> Option<char> {
+    Some(match b {
+        b'"' => '"',
+        b'\\' => '\\',
+        b'/' => '/',
+        b'n' => '\n',
+        b'r' => '\r',
+        b't' => '\t',
+        b'b' => '\u{0008}',
+        b'f' => '\u{000c}',
+        _ => return None,
+    })
+}
+
+/// The offset of the first `"`, `\` or byte below 0x20 in `bytes`, eight
+/// bytes at a time. Each of the three tests flags its first match exactly
+/// (a borrow only flags bytes after a match), so the lowest flag wins.
+fn special_byte(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([1; 8]);
+    const HIGH: u64 = ONES << 7;
+    // The high bit of each byte of `w` below `n`.
+    let below = |w: u64, n: u8| w.wrapping_sub(ONES * u64::from(n)) & !w & HIGH;
+    let mut chunks = bytes.chunks_exact(8);
+    for (i, chunk) in chunks.by_ref().enumerate() {
+        let w = u64::from_le_bytes(chunk.try_into().expect("an eight-byte chunk"));
+        let hit = below(w, 0x20)
+            | below(w ^ (ONES * u64::from(b'"')), 1)
+            | below(w ^ (ONES * u64::from(b'\\')), 1);
+        if hit != 0 {
+            return Some(8 * i + hit.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = chunks.remainder();
+    let at = tail.iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20)?;
+    Some(bytes.len() - tail.len() + at)
 }
 
 // ---------------------------------------------------------------------
@@ -1763,6 +1820,144 @@ mod tests {
             let err = parse_request(line).expect_err(line);
             assert!(err.contains(needle), "{line}: {err}");
         }
+    }
+
+    #[test]
+    fn string_decode_errors_keep_their_exact_text() {
+        for (value, want) in [
+            ("\"abc", "unexpected end of line"),
+            ("\"a\u{1}b\"", "unescaped control character in string"),
+            ("\"a\tb\"", "unescaped control character in string"),
+            (r#""\u00g0""#, "bad hex digit `g` in \\u escape"),
+            (r#""\ud800\u0041""#, "invalid surrogate pair \\ud800\\u0041"),
+            (r#""\ude00\ud83d""#, "invalid \\u escape U+DE00"),
+            (r#""\udc00""#, "invalid \\u escape U+DC00"),
+            (r#""\ud800\n""#, "expected `u`, found `n`"),
+            (r#""\é""#, "unsupported escape `\\é`"),
+        ] {
+            let line = format!(r#"{{"id": "a", "source": {value}}}"#);
+            assert_eq!(parse_request(&line), Err(want.to_string()), "{line}");
+        }
+    }
+
+    #[test]
+    fn special_byte_finds_the_first_stop_at_every_offset() {
+        let is_stop = |b: u8| b == b'"' || b == b'\\' || b < 0x20;
+        // Fill bytes at and around the thresholds, and high bytes, whose
+        // borrows are what could misplace a match.
+        for fill in [b'a', b' ', b'!', b'#', b']', 0x80, 0xff] {
+            for len in 0..20 {
+                for at in 0..len {
+                    for b in 0..=u8::MAX {
+                        let mut buf = vec![fill; len];
+                        buf[at] = b;
+                        // A later stop must never win over an earlier one.
+                        buf[len - 1] = if at + 1 < len { b'"' } else { b };
+                        let want = buf.iter().position(|&x| is_stop(x));
+                        assert_eq!(special_byte(&buf), want, "{buf:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A char-at-a-time string decoder: the reference the run-copying
+    /// `MiniJson::string` is held to below. It shares `unicode_escape`
+    /// with it.
+    fn reference_string(p: &mut MiniJson<'_>) -> Result<String, String> {
+        p.expect('"')?;
+        let mut out = String::new();
+        loop {
+            match p.bump()? {
+                '"' => return Ok(out),
+                '\\' => match p.bump()? {
+                    '"' => out.push('"'),
+                    '\\' => out.push('\\'),
+                    '/' => out.push('/'),
+                    'n' => out.push('\n'),
+                    'r' => out.push('\r'),
+                    't' => out.push('\t'),
+                    'b' => out.push('\u{0008}'),
+                    'f' => out.push('\u{000c}'),
+                    'u' => out.push(p.unicode_escape()?),
+                    c => return Err(format!("unsupported escape `\\{c}`")),
+                },
+                c if (c as u32) < 0x20 => {
+                    return Err("unescaped control character in string".to_string())
+                }
+                c => out.push(c),
+            }
+        }
+    }
+
+    /// A seeded string literal body (no quotes) built from ASCII runs, raw
+    /// multi-byte UTF-8, every escape and good `\u` escapes, paired
+    /// surrogates among them; one piece in twenty is a malformed one.
+    fn gen_string_body(rng: &mut rand::rngs::StdRng) -> String {
+        use rand::Rng;
+        // Raw pieces first, then escaped ones (split at spaces).
+        let good: Vec<&str> = ["é", "中文", "😀", "\u{7f}", "\u{80}", "\u{ffff}"]
+            .into_iter()
+            .chain(
+                r#"\" \\ \/ \n \r \t \b \f \u0041 \u00e9 \uABCD \u001f \ud83d\ude00 \uDBFF\uDFFF"#
+                    .split(' '),
+            )
+            .collect();
+        // Raw control bytes and `"`, bad escapes and bad hex, and
+        // surrogates that are lone, reversed or paired with a non-surrogate.
+        let bad: Vec<&str> = ["\u{0}", "\u{1}", "\t", "\n", "\u{1f}", "\""]
+            .into_iter()
+            .chain(
+                r"\q \é \u12g4 \u00 \uzzzz \ud800 \ud800x \ud800\n \ud800\u0041 \udc00 \ude00\ud83d"
+                    .split(' '),
+            )
+            .collect();
+        let mut body = String::new();
+        for _ in 0..rng.gen_range(0..6usize) {
+            if rng.gen_bool(0.05) {
+                body.push_str(bad[rng.gen_range(0..bad.len())]);
+            } else if rng.gen_bool(0.4) {
+                for _ in 0..rng.gen_range(1..24usize) {
+                    // Printable ASCII other than `"` and `\`.
+                    let c = rng.gen_range(0x20u8..0x7f);
+                    if c != b'"' && c != b'\\' {
+                        body.push(char::from(c));
+                    }
+                }
+            } else {
+                body.push_str(good[rng.gen_range(0..good.len())]);
+            }
+        }
+        body
+    }
+
+    #[test]
+    fn run_copy_decoder_matches_the_char_at_a_time_reference() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED_DEC0);
+        let (mut oks, mut errs) = (0, 0);
+        for _ in 0..400 {
+            // Keys go through the decoder too, so some are escaped.
+            let key = ["source", "path", "s\\u006furce", "x"][rng.gen_range(0..4usize)];
+            let line = format!(
+                r#"{{"id": "{}", "{key}": "{}"}}"#,
+                gen_string_body(&mut rng),
+                gen_string_body(&mut rng)
+            );
+            // Every truncation, the whole line included. A `&str` cut
+            // lies on a character boundary.
+            for cut in (0..=line.len()).filter(|&c| line.is_char_boundary(c)) {
+                let part = &line[..cut];
+                let got = parse_request(part);
+                assert_eq!(got, parse_request_with(part, reference_string), "{part:?}");
+            }
+            match parse_request(&line) {
+                Ok(_) => oks += 1,
+                Err(_) => errs += 1,
+            }
+        }
+        // Whole lines reach both outcomes, not just the error paths.
+        assert!(oks > 100 && errs > 50, "{oks} lines accepted, {errs} rejected");
     }
 
     // --- line framing ------------------------------------------------------
