@@ -621,8 +621,8 @@ fn check_one(session: &mut CheckerSession, index: usize, input: &BatchInput) -> 
     let deadline = session.options().deadline_from_now();
     session.set_deadline(deadline);
     crate::faults::check_faults(&input.source);
-    match session.check(&input.source) {
-        Ok(_) => ProgramReport {
+    match session.verdict(&input.source) {
+        Ok(()) => ProgramReport {
             index,
             name: input.name.clone(),
             accepted: true,

@@ -386,10 +386,10 @@ fn cache_cap(args: &[String]) -> Result<usize, ()> {
     Ok(u64_flag(args, "--cache-cap")?.map_or(1024, |n| n as usize))
 }
 
-/// `--prefix-cache-cap N`: prefix-snapshot cache capacity shared by the
-/// engine's worker sessions (default [`p4bid::DEFAULT_PREFIX_CACHE_CAP`],
-/// `0` disables incremental prefix re-checking); it also sizes the
-/// table of sighted prefixes that decides which ones get snapshotted.
+/// `--prefix-cache-cap N`: item-memo capacity shared by the engine's
+/// worker sessions (default [`p4bid::DEFAULT_PREFIX_CACHE_CAP`], `0`
+/// disables incremental re-checking); it also sizes the table of
+/// sighted controls that decides which ones get recorded.
 fn prefix_cache_cap(args: &[String]) -> Result<usize, ()> {
     Ok(u64_flag(args, "--prefix-cache-cap")?
         .map_or(p4bid::DEFAULT_PREFIX_CACHE_CAP, |n| n as usize))

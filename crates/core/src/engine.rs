@@ -73,7 +73,7 @@ impl CheckEngine {
     }
 
     /// An engine with no cells yet; each is built on first use with a
-    /// `prefix_cap`-entry prefix cache. The verdict cache starts disabled.
+    /// `prefix_cap`-entry item memo. The verdict cache starts disabled.
     pub(crate) fn empty(prefix_cap: usize) -> Self {
         CheckEngine { cells: Vec::new(), prefix_cap, harvest: false, cache: VerdictCache::new(0) }
     }

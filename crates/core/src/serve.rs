@@ -629,9 +629,10 @@ pub struct ItemChange {
     pub name: String,
     /// 0-based index of the first changed top-level item. `None` when the
     /// file is new to the scanner (first scan, or it was previously
-    /// unreadable) or when either version does not lex.
+    /// unreadable) or when either version does not split into items.
     pub first_changed: Option<usize>,
-    /// Top-level item count of the new content (`0` when it does not lex).
+    /// Top-level item count of the new content (`0` when it does not
+    /// split).
     pub items: usize,
 }
 
@@ -671,9 +672,10 @@ struct Fingerprint {
     size: u64,
     hash: u64,
     /// Cumulative per-item chain hashes of the last readable content
-    /// ([`p4bid_syntax::item_chains`]); empty for unreadable files and
-    /// content that does not lex. Lets a change tick attribute the edit
-    /// to the first differing top-level item.
+    /// ([`p4bid_syntax::item_chains`], read off bytes without lexing);
+    /// empty for unreadable files and content that does not split. Lets a
+    /// change tick attribute the edit to the first differing top-level
+    /// item.
     chains: Vec<u64>,
     readable: bool,
     /// Current retry backoff for an unreadable file, in ticks: doubled
@@ -826,7 +828,7 @@ impl DirScanner {
                     let same = self.seen.get_mut(&name).filter(|fp| fp.readable && fp.hash == hash);
                     if let Some(fp) = same {
                         // Same content (touched, or re-read inside the
-                        // racy window): keep the stored chains unlexed.
+                        // racy window): keep the stored chains.
                         fp.mtime = mtime;
                         fp.size = size;
                         present.insert(name);
@@ -835,7 +837,7 @@ impl DirScanner {
                     // Attribute the edit to the first top-level item whose
                     // cumulative chain hash differs from the last readable
                     // content; a new (or previously unreadable, or
-                    // unlexable) file has no baseline.
+                    // unsplittable) file has no baseline.
                     let chains = p4bid_syntax::item_chains(&source);
                     let first_changed = self
                         .seen
@@ -1044,10 +1046,10 @@ impl ServeEngine {
     /// Re-freezes every core — the base one and each policy cell — every
     /// `n` epochs ([`SharedSessionCore::refreeze`] over the harvested
     /// per-worker overlay tables), folding the names and types workers
-    /// interned since the last refresh into a fatter frozen root — which is
-    /// what lets worker sessions publish tier-pure prefix snapshots for
-    /// resubmitted programs. Verdicts are unaffected; `None` disables
-    /// refreshing (the default).
+    /// interned since the last refresh into a fatter frozen root, so
+    /// resubmitted programs start with their names warm. Verdicts are
+    /// unaffected, and the item memo needs no refresh to reuse a control;
+    /// `None` disables refreshing (the default).
     #[must_use]
     pub fn with_refresh_every(mut self, n: Option<u64>) -> Self {
         self.refresh_every = n.filter(|&n| n > 0);
@@ -1147,9 +1149,9 @@ impl ServeEngine {
             if self.epoch > 0 && self.epoch.is_multiple_of(n) {
                 // Refreeze, don't rebuild: the harvested overlay tables
                 // become frozen, so the names this daemon's programs keep
-                // using are served tier-pure from now on (and tier-pure
-                // prefix snapshots start landing). Old frozen ids are
-                // preserved verbatim, so existing snapshots stay valid.
+                // using are served tier-pure from now on. Old frozen ids
+                // are preserved verbatim, and the item memo holds none,
+                // so everything the cores share stays valid.
                 self.engine.refreeze();
                 self.refreshes += 1;
             }
@@ -2492,9 +2494,11 @@ mod tests {
     #[test]
     fn policy_cells_refreeze_and_honour_the_prefix_cap() {
         // Routed through a catch-all policy rule, every program checks in
-        // a policy cell. That cell must refreeze like the base core does
-        // (epoch 2 inserts tier-pure snapshots, epoch 3 resumes from them)
-        // and be built with the run's prefix-cache cap.
+        // a policy cell. That cell must be built with the run's
+        // prefix-cache cap and use the item memo like the base core does:
+        // epoch 0 sights each control, epoch 1 records both (2 inserts),
+        // epochs 2 and 3 reuse both (4 hits, 4 items saved). Refreezing
+        // changes none of it, since the memo holds no interner ids.
         let pack = PolicyPack::parse("[*]\ndeclassify = true\n").unwrap();
         let run = |prefix_cap: usize, refresh: Option<u64>, pack: Option<PolicyPack>| {
             let core = SharedSessionCore::with_prefix_cache_cap(CheckOptions::ifc(), prefix_cap);
@@ -2507,11 +2511,12 @@ mod tests {
         };
         let (plain, plain_counts) = run(DEFAULT_PREFIX_CACHE_CAP, Some(2), None);
         let (routed, routed_counts) = run(DEFAULT_PREFIX_CACHE_CAP, Some(2), Some(pack.clone()));
-        assert_eq!(plain_counts, (3, 3, 7), "the no-policy refreeze smoke");
-        assert_eq!(routed_counts, (3, 3, 7), "a policy cell refreezes like the base core");
+        assert_eq!(plain_counts, (2, 4, 4), "the no-policy refreeze smoke");
+        assert_eq!(routed_counts, (2, 4, 4), "a policy cell refreezes like the base core");
         let (no_prefix, no_prefix_counts) = run(0, Some(2), Some(pack.clone()));
         assert_eq!(no_prefix_counts, (0, 0, 0), "--prefix-cache-cap 0 reaches policy cells");
-        let (fresh, _) = run(DEFAULT_PREFIX_CACHE_CAP, None, Some(pack));
+        let (fresh, fresh_counts) = run(DEFAULT_PREFIX_CACHE_CAP, None, Some(pack));
+        assert_eq!(fresh_counts, (2, 4, 4), "no refreeze needed to reuse a control");
         assert_eq!(routed, fresh, "refreezing never changes a report byte");
         assert_eq!(no_prefix, fresh);
         assert_eq!(plain, fresh, "the grant changes no verdict of this feed");
@@ -2986,28 +2991,39 @@ mod tests {
     fn blocking_backpressure_force_cuts_and_never_deadlocks() {
         let dir = scratch_dir("sock-block");
         let socket = dir.join("block.sock");
-        let mut engine = ServeEngine::new(CheckOptions::ifc(), 1);
-        let out = SharedBuf::default();
-        let mut log = Vec::new();
         // A one-deep queue with the default (blocking) policy: the
         // producer outruns the sequencer immediately, blocks, and the
         // full-queue force-cut must unblock it — three one-request
         // epochs, nothing shed.
         let limits = IngestLimits { max_pending: 1, ..IngestLimits::default() };
+        // The daemon waits for three epochs, so every request must parse.
+        let lines: Vec<String> = (0..3).map(|i| feed_line(&format!("q{i}"), OK)).collect();
+        for line in &lines {
+            assert!(parse_request(line.trim_end()).is_ok(), "{line}");
+        }
         let sock2 = socket.clone();
         let client = std::thread::spawn(move || {
             let mut s = connect_retry(&sock2);
-            for i in 0..3 {
-                s.write_all(feed_line(&format!("q{i}"), OK).as_bytes()).unwrap();
+            for line in lines {
+                s.write_all(line.as_bytes()).unwrap();
             }
         });
-        let mut out_w = out.clone();
-        let summary =
-            run_socket(&mut engine, &socket, &mut out_w, &mut log, true, Some(3), &limits)
-                .expect("serves");
+        // The daemon runs on its own thread, so a deadlock fails the test
+        // within a minute instead of hanging it.
+        let (done, finished) = std::sync::mpsc::channel();
+        let out = SharedBuf::default();
+        std::thread::spawn(move || {
+            let mut engine = ServeEngine::new(CheckOptions::ifc(), 1);
+            let (mut out_w, mut log) = (out, Vec::new());
+            let summary =
+                run_socket(&mut engine, &socket, &mut out_w, &mut log, true, Some(3), &limits);
+            let _ = done.send((summary.map_err(|e| e.to_string()), engine.ops()));
+        });
+        let (summary, ops) =
+            finished.recv_timeout(Duration::from_secs(60)).expect("the daemon never finished");
+        let summary = summary.expect("serves");
         client.join().unwrap();
         assert_eq!((summary.epochs, summary.requests, summary.shed), (3, 3, 0));
-        let ops = engine.ops();
         assert!(ops.peak_pending <= 1, "{ops:?}");
         let _ = std::fs::remove_dir_all(dir);
     }

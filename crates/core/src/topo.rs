@@ -751,7 +751,7 @@ impl TopoReport {
 
 /// The reusable fixpoint driver: a topology plus the crate's check engine
 /// — one shared core per distinct resolved option set (so re-checks keep
-/// their frozen prelude *and* the incremental prefix cache), and a verdict
+/// their frozen prelude *and* the item memo), and a verdict
 /// cache, bounded by the topology's size, that lets an epoch skip every
 /// `(source, ingress)` pair it has recently decided — plus a memo of each
 /// switch's last verdict and the final ingress label it was checked at.

@@ -312,22 +312,29 @@ fn batch_policy_resolves_per_program_options() {
 
 #[test]
 fn batch_policy_honours_the_prefix_cache_cap() {
-    // Ten identical programs at one worker: after the first, every check
-    // resumes from its prefix snapshot — unless the cap disables them.
-    let files: Vec<(String, &str)> =
-        (0..10).map(|i| (format!("p{i}.p4"), "lattice { lo < hi; }\n")).collect();
+    // Ten identical programs at one worker: the first sights the control,
+    // the second records it, and the other eight reuse it from the item
+    // memo — unless the cap disables it.
+    let src = "lattice { lo < hi; }\ncontrol C(inout <bit<8>, lo> x) { apply { x = x + 8w1; } }\n";
+    let files: Vec<(String, &str)> = (0..10).map(|i| (format!("p{i}.p4"), src)).collect();
     let files: Vec<(&str, &str)> = files.iter().map(|(n, s)| (n.as_str(), *s)).collect();
     let dir = batch_dir("policy-cap", &files);
     let policy = dir.join("all.policy");
     std::fs::write(&policy, "[*]\ndeclassify = true\n").unwrap();
     let dir = dir.to_str().unwrap();
-    let base = ["batch", dir, "--jobs", "1", "--prefix-cache-cap", "0", "--stats-json"];
+    let base = ["batch", dir, "--jobs", "1", "--stats-json"];
     for extra in [&[][..], &["--policy", policy.to_str().unwrap()][..]] {
-        let out = p4bid(&[&base[..], extra].concat());
-        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("\"prefix_hits\": 0,"), "{extra:?}: {stderr}");
-        assert!(stderr.contains("\"prefix_inserts\": 0,"), "{extra:?}: {stderr}");
+        for (cap, hits, inserts) in [(&["--prefix-cache-cap", "0"][..], 0, 0), (&[][..], 8, 1)] {
+            let out = p4bid(&[&base[..], extra, cap].concat());
+            assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let pin = |field: &str, n: u64| format!("\"{field}\": {n},");
+            assert!(stderr.contains(&pin("prefix_hits", hits)), "{extra:?} {cap:?}: {stderr}");
+            assert!(
+                stderr.contains(&pin("prefix_inserts", inserts)),
+                "{extra:?} {cap:?}: {stderr}"
+            );
+        }
     }
     let _ = std::fs::remove_dir_all(dir);
 }

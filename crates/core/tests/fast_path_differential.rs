@@ -8,16 +8,21 @@
 //!
 //! * **warm** — the verdict cache on, so resubmissions skip the checker;
 //! * **resumed** — `--cache-cap 0 --refresh-every 2`: every submission
-//!   reaches the checker, and once the core has refrozen the sighted
-//!   prefixes are snapshotted and later submissions resume from them;
+//!   reaches the checker, and controls seen before under the same
+//!   declarations are answered from the item memo;
 //! * **refrozen** — `--cache-cap 0 --refresh-every 1`: a refreeze before
 //!   every epoch after the first;
 //! * **cold** — `--cache-cap 0 --prefix-cache-cap 0`: no shortcut at all.
 //!
 //! Every epoch's NDJSON report must be byte-identical across the four.
 //! The seeds are fixed here, so the cases are the same on every run, and
-//! the test also asserts that the cache and the prefix snapshots really
+//! the test also asserts that the cache and the item memo really
 //! answered, so it cannot pass by never taking a fast path.
+//!
+//! A second test drives hand-written edits of one program through the
+//! memo: edits that keep every other item's verdict reusable (early
+//! cutoff), edits that must invalidate every control after them, and
+//! malformed ones.
 
 use p4bid::batch::BatchInput;
 use p4bid::corpus::case_studies;
@@ -37,9 +42,9 @@ const SEEDS: std::ops::Range<u64> = 1..41;
 const ROUNDS: usize = 4;
 
 /// The base program of a case, from `(kind, pick)`, and a relative of it
-/// whose rejection explains itself through the base's own flows: a leak
-/// appended to a synthetic program, a case study's insecure variant (the
-/// paper's one-line bug), or a fuzz program's renamed twin.
+/// that shares most of its items: a leak appended to a synthetic program,
+/// a case study's insecure variant (the paper's one-line bug), or a fuzz
+/// program's renamed twin.
 fn base_program(kind: usize, pick: u64) -> (String, String) {
     match kind {
         0 => {
@@ -153,6 +158,93 @@ fn every_fast_path_matches_the_cold_check_byte_for_byte() {
         assert_eq!(cold.cumulative_stats().sessions.prefix_hits, 0, "seed {seed}");
     }
     assert!(cache_hits > 0, "the verdict cache never answered");
-    assert!(resumed_hits > 0, "no check resumed on the refresh-every-2 engine");
-    assert!(refrozen_hits > 0, "no check resumed on the refresh-every-1 engine");
+    assert!(resumed_hits > 0, "the memo never answered on the refresh-every-2 engine");
+    assert!(refrozen_hits > 0, "the memo never answered on the refresh-every-1 engine");
+}
+
+/// The early-cutoff base: declarations, then five controls. `Local`
+/// interns a name (`scratch`) that only it declares, `Uses` reads that
+/// name (an unknown variable), and `Leak` is rejected with a two-edge
+/// lineage path.
+const CUTOFF_BASE: &str = "\
+lattice { low < high; }
+typedef bit<8> octet;
+header h_t { <octet, high> sec; <octet, low> pub; }
+struct hs { h_t h; }
+function octet idf(in octet x) { return x; }
+control C0(inout hs s) {
+    apply { s.h.pub = idf(s.h.pub); }
+}
+control Local(inout hs s) {
+    <octet, low> scratch = 8w0;
+    apply { scratch = s.h.pub; s.h.pub = scratch + 8w1; }
+}
+control Leak(inout hs s) {
+    apply {
+        <octet, high> t = s.h.sec;
+        s.h.pub = t;
+    }
+}
+control Uses(inout hs s) {
+    apply { s.h.pub = scratch; }
+}
+control Tail(inout hs s) {
+    apply { s.h.sec = s.h.sec + 8w2; }
+}
+";
+
+/// One edit of [`CUTOFF_BASE`]: what it does, the edited program, and how
+/// many of the five controls the memo answers when it is first submitted.
+fn cutoff_edits() -> Vec<(&'static str, String, u64)> {
+    let edit = |from: &str, to: &str| {
+        assert!(CUTOFF_BASE.contains(from), "{from}");
+        CUTOFF_BASE.replacen(from, to, 1)
+    };
+    vec![
+        ("a body-only edit that lengthens C0", edit("idf(s.h.pub);", "idf(s.h.pub) + 8w0;"), 4),
+        ("a same-length edit of the last control", edit("8w2", "8w3"), 4),
+        ("a body-only edit that shortens Local", edit(" s.h.pub = scratch + 8w1;", ""), 4),
+        ("lines added above everything", format!("// moved\n\n{CUTOFF_BASE}"), 5),
+        ("a header field's label", edit("<octet, low> pub", "<octet, high> pub"), 0),
+        ("a typedef", edit("typedef bit<8> octet", "typedef bit<16> octet"), 0),
+        ("a function's signature", edit("idf(in octet x)", "idf(in <octet, high> x)"), 0),
+        ("the lattice", edit("lattice { low < high; }", "lattice { low < mid; mid < high; }"), 0),
+        ("an action added before Leak", edit("control Leak", "action nop() { }\ncontrol Leak"), 2),
+        ("a malformed control", edit("s.h.sec + 8w2", "s.h.sec + "), 0),
+        ("a malformed declaration", edit("struct hs { h_t h; }", "struct hs { h_t h }"), 0),
+        (
+            "an unbalanced brace",
+            edit("apply { s.h.pub = scratch; }", "apply { s.h.pub = scratch;"),
+            0,
+        ),
+    ]
+}
+
+#[test]
+fn early_cutoff_edits_match_the_cold_check_byte_for_byte() {
+    let opts = CheckOptions::ifc();
+    let mut memo = ServeEngine::new(opts.clone(), 1);
+    let mut cold = ServeEngine::with_core(SharedSessionCore::with_prefix_cache_cap(opts, 0), 1);
+    let hits = |e: &ServeEngine| e.cumulative_stats().sessions.prefix_hits;
+    let mut submit = |src: &str, what: &str| {
+        let before = hits(&memo);
+        let input = [BatchInput::new("p", src)];
+        let got = memo.run_epoch(&input).to_ndjson();
+        assert_eq!(got, cold.run_epoch(&input).to_ndjson(), "{what}:\n{src}");
+        hits(&memo) - before
+    };
+    // The first submission sights the controls, the second records them.
+    assert_eq!(submit(CUTOFF_BASE, "base"), 0);
+    assert_eq!(submit(CUTOFF_BASE, "base"), 0);
+    assert_eq!(submit(CUTOFF_BASE, "base"), 5, "every control answered from the memo");
+    for (what, src, reused) in cutoff_edits() {
+        assert_eq!(submit(&src, what), reused, "{what}");
+        // Twice more: the edit's own controls are recorded, then reused.
+        submit(&src, what);
+        submit(&src, what);
+        assert_eq!(submit(CUTOFF_BASE, what), 5, "{what}: the base is still recorded");
+    }
+    let stats = memo.cumulative_stats().sessions;
+    assert!(stats.prefix_items_saved > 0, "{stats:?}");
+    assert_eq!(cold.cumulative_stats().sessions.prefix_items_saved, 0);
 }

@@ -38,13 +38,20 @@ fn program_lattices_publish_prelude_state_once_across_workers() {
         "exactly one worker builds the chain prelude state: {s:?}"
     );
 
-    // Resubmitting the same corpus rebuilds nothing: every program either
-    // resumes from the shared depth-1 prefix snapshot (the lattice decl
-    // prefix is byte-identical across all 40 programs) or adopts the
-    // published lattice state — no second build, no second publish.
+    // Resubmitting the same corpus rebuilds nothing: every worker adopts
+    // the published lattice state — no second build, no second publish.
+    // The item memo is pay-on-reuse, so this second sighting of each
+    // control records it (40 inserts, 0 hits)…
     let again = check_batch_with_core(&inputs, &core, 8);
     assert_eq!(report.to_json(), again.to_json(), "warm reports are byte-identical");
     let s2 = again.stats.sessions;
     assert_eq!(s2.lattice_states_published, 0, "{s2:?}");
-    assert_eq!(s2.prefix_hits, 40, "every resubmission resumes past the lattice decl: {s2:?}");
+    assert_eq!((s2.prefix_inserts, s2.prefix_hits), (40, 0), "{s2:?}");
+    // …and the third answers every control from the memo, under the
+    // lattice the declaration resolves to.
+    let third = check_batch_with_core(&inputs, &core, 8);
+    assert_eq!(report.to_json(), third.to_json(), "memo answers are byte-identical");
+    let s3 = third.stats.sessions;
+    assert_eq!(s3.lattice_states_published, 0, "{s3:?}");
+    assert_eq!(s3.prefix_hits, 40, "every control is reused past the lattice decl: {s3:?}");
 }

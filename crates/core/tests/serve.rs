@@ -668,8 +668,8 @@ fn last_item_edits_resume_from_a_refrozen_warm_core() {
     use p4bid::{CheckOptions, SharedSessionCore};
 
     // The steady state `serve --refresh-every N` converges to: one cold
-    // check harvests the program's names into a refreeze, and a second,
-    // tier-pure check fills the prefix-snapshot tree.
+    // check sights every control and harvests the program's names into a
+    // refreeze, and a second check records the 62 controls in the memo.
     let core = SharedSessionCore::new(CheckOptions::ifc());
     let mut session = core.session();
     let _ = session.check(&many_item_program(0));
@@ -679,8 +679,10 @@ fn last_item_edits_resume_from_a_refrozen_warm_core() {
     let mut warm = ServeEngine::with_core(core, 1);
     let no_prefix = SharedSessionCore::with_prefix_cache_cap(CheckOptions::ifc(), 0);
     let mut cold = ServeEngine::with_core(no_prefix, 1);
-    // Each tweak comes up twice: a resumed check must not extend the
-    // tree, so a revisited edit is again a 63-item resume.
+    // Each edit reuses the 61 unedited controls; the header and struct
+    // are checked every time, and so is `Tail`. Each tweak comes up
+    // twice: its first submission sights the edited `Tail`, its second
+    // records it (the verdict cache is off, so both reach the checker).
     let tweaks = [1, 2, 3, 4, 1, 2, 3, 4];
     for tweak in tweaks {
         let input = [BatchInput::new("edit", many_item_program(tweak))];
@@ -689,8 +691,9 @@ fn last_item_edits_resume_from_a_refrozen_warm_core() {
     }
     let edits = tweaks.len() as u64;
     let sessions = warm.cumulative_stats().sessions;
-    assert_eq!(sessions.prefix_misses, 0, "every edit resumes from the tree");
-    assert_eq!(sessions.prefix_hits, edits);
-    assert_eq!(sessions.prefix_items_saved, 63 * edits);
+    assert_eq!(sessions.prefix_misses, edits, "only the edited control is checked");
+    assert_eq!(sessions.prefix_hits, 61 * edits);
+    assert_eq!(sessions.prefix_items_saved, 61 * edits);
+    assert_eq!(sessions.prefix_inserts, 4, "each tweak is recorded on its second sighting");
     assert_eq!(cold.cumulative_stats().sessions.prefix_hits, 0);
 }

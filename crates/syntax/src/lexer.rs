@@ -159,6 +159,24 @@ pub fn lex(source: &str) -> Result<Vec<Token>, ParseError> {
     Lexer { src: source.as_bytes(), pos: 0 }.run()
 }
 
+/// Tokenizes `source[range]` with spans that stay absolute into `source`,
+/// appending an [`TokenKind::Eof`] sentinel at `range.end`, so the tokens
+/// of a run of items parse against the whole text with
+/// [`parse_tokens`](crate::parse_tokens). `range` must lie on trivia or
+/// token boundaries, as the item ranges of
+/// [`split_items`](crate::split_items) do.
+///
+/// # Errors
+///
+/// As [`lex`], for the bytes in `range`.
+///
+/// # Panics
+///
+/// If `range.end` lies past the end of `source`.
+pub fn lex_range(source: &str, range: std::ops::Range<usize>) -> Result<Vec<Token>, ParseError> {
+    Lexer { src: &source.as_bytes()[..range.end], pos: range.start }.run()
+}
+
 struct Lexer<'a> {
     src: &'a [u8],
     pos: usize,
@@ -168,7 +186,7 @@ impl Lexer<'_> {
     fn run(mut self) -> Result<Vec<Token>, ParseError> {
         // P4 source averages well above three bytes per token; one
         // pre-sized allocation covers the whole stream.
-        let mut tokens = Vec::with_capacity(self.src.len() / 3 + 8);
+        let mut tokens = Vec::with_capacity(self.src.len().saturating_sub(self.pos) / 3 + 8);
         loop {
             self.skip_trivia()?;
             let start = self.pos as u32;

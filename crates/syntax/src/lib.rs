@@ -36,9 +36,11 @@ pub mod lexer;
 pub mod parser;
 pub mod slice;
 
-pub use lexer::{lex, Token, TokenKind};
-pub use parser::{parse, parse_lattice_decl, parse_tokens};
-pub use slice::{first_changed_item, item_chains, item_segments, ItemSeg};
+pub use lexer::{lex, lex_range, Token, TokenKind};
+pub use parser::{parse, parse_tokens};
+pub use slice::{
+    first_changed_item, item_chains, item_segments, split_items, ByteItem, ItemHead, ItemSeg,
+};
 
 /// A lexical or syntactic error with its source location.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -55,22 +55,6 @@ pub fn parse_tokens(source: &str, tokens: &[Token]) -> Result<Program, ParseErro
     p.program()
 }
 
-/// Parses exactly one leading `lattice { … }` declaration from the front
-/// of an already-lexed token stream, without parsing the rest of the
-/// program. The incremental checker uses this to resolve the active
-/// lattice before deciding how much of the program it must re-parse; the
-/// tokens must have been produced by [`lex`] on exactly `source`.
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] when the stream does not begin with a
-/// well-formed lattice declaration — the same error a full parse of the
-/// program would report, since the declaration is the first item.
-pub fn parse_lattice_decl(source: &str, tokens: &[Token]) -> Result<LatticeDecl, ParseError> {
-    let mut p = Parser { tokens, pos: 0, source, depth: 0 };
-    p.lattice_decl()
-}
-
 /// Maximum nesting depth of statements and expressions. The parser is
 /// recursive-descent, so without a cap a pathological input like ten
 /// thousand `(`s or `if(c)`s overflows the thread stack — an abort no

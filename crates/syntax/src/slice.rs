@@ -1,5 +1,6 @@
-//! Token-level slicing of a program into top-level item segments, and the
-//! content chain-hash the incremental checker keys prefix snapshots by.
+//! Slicing a program into top-level items: token-level segments with the
+//! content chain-hash watch mode attributes edits by, and a byte-level
+//! splitter that finds the same items without lexing.
 //!
 //! A P4BID program is a sequence of top-level items. At the token level an
 //! item ends at the first `;` at bracket depth 0 (`typedef`) or at the `}`
@@ -13,13 +14,18 @@
 //! terminates and is deterministic — trailing tokens that never reach a
 //! boundary are simply not emitted as a segment.
 //!
+//! [`split_items`] applies the same rule to bytes. The only lexical
+//! structure it must respect is trivia: brackets and `;` inside a `//` or
+//! `/* */` comment are not code (the language has no string or character
+//! literals). It refuses input whose brackets do not balance or
+//! that ends inside an item or a comment, so a caller can fall back to a
+//! full parse whenever the split is in doubt.
+//!
 //! Each segment carries a *chain hash*: the FNV-1a hash of every source
 //! byte from the start of the program through the segment's last token —
 //! gaps (whitespace, comments) included. Chain equality therefore implies
-//! (modulo a 64-bit collision, which callers close by re-verifying the
-//! prefix bytes) that two programs are *byte-identical* up to and including
-//! that item, so token spans, parse results, and checker state for the
-//! shared prefix are interchangeable between them.
+//! (modulo a 64-bit collision) that two programs are *byte-identical* up to
+//! and including that item.
 
 use crate::lexer::{Token, TokenKind};
 use p4bid_ast::fnv;
@@ -76,15 +82,129 @@ pub fn item_segments(source: &str, tokens: &[Token]) -> Vec<ItemSeg> {
     segs
 }
 
-/// The per-item chain hashes of a source text, or an empty vector when the
-/// text does not lex. This is the fingerprint watch mode keeps per file to
-/// attribute a change to the first item it touches.
+/// What a top-level item declares, read from its first word (the parser
+/// dispatches on the same word).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ItemHead {
+    /// A `control` block, with or without a leading `@pc(…)` attribute.
+    Control,
+    /// A `lattice { … }` declaration.
+    Lattice,
+    /// Any other item: a type, function, action, or something malformed.
+    Other,
+}
+
+/// One top-level item found by [`split_items`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ByteItem {
+    /// Byte offset of the item's first byte (the trivia before it is not
+    /// part of the item).
+    pub start: u32,
+    /// Byte offset one past the item's closing `;` or `}`.
+    pub end: u32,
+    /// What the item declares.
+    pub head: ItemHead,
+}
+
+/// Splits a source text into its top-level items without lexing it, by
+/// the token-level boundary rule of [`item_segments`]. Returns `None` when
+/// the split is in doubt: a closing bracket with nothing open, or input
+/// that ends inside an item or a block comment. On any source that parses,
+/// the items coincide one-for-one with the parsed items.
+#[must_use]
+pub fn split_items(source: &str) -> Option<Vec<ByteItem>> {
+    let bytes = source.as_bytes();
+    let mut items = Vec::new();
+    let mut depth: u32 = 0;
+    let mut start: Option<usize> = None;
+    let mut pos = 0;
+    while pos < bytes.len() {
+        if start.is_some() {
+            // Inside an item only brackets, `;` and comment openers matter.
+            let skip = bytes[pos..].iter().position(|&b| ITEM_BYTES[usize::from(b)]);
+            pos += skip.unwrap_or(bytes.len() - pos);
+        }
+        let Some(&b) = bytes.get(pos) else { break };
+        match (b, bytes.get(pos + 1)) {
+            (b'/', Some(b'/')) => {
+                pos =
+                    bytes[pos..].iter().position(|&c| c == b'\n').map_or(bytes.len(), |n| pos + n);
+                continue;
+            }
+            (b'/', Some(b'*')) => {
+                let close = bytes[pos + 2..].windows(2).position(|w| w == b"*/")?;
+                pos += close + 4;
+                continue;
+            }
+            _ if b.is_ascii_whitespace() => {
+                pos += 1;
+                continue;
+            }
+            _ => {}
+        }
+        let item_start = *start.get_or_insert(pos);
+        let ends = match b {
+            b'(' | b'[' | b'{' => {
+                depth += 1;
+                false
+            }
+            b')' | b']' | b'}' => {
+                depth = depth.checked_sub(1)?;
+                b == b'}' && depth == 0
+            }
+            b';' => depth == 0,
+            _ => false,
+        };
+        pos += 1;
+        if ends {
+            let head = item_head(&bytes[item_start..pos]);
+            items.push(ByteItem { start: item_start as u32, end: pos as u32, head });
+            start = None;
+        }
+    }
+    start.is_none().then_some(items)
+}
+
+/// The bytes [`split_items`] must look at inside an item.
+const ITEM_BYTES: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut i = 0;
+    let marks = b"/()[]{};";
+    while i < marks.len() {
+        table[marks[i] as usize] = true;
+        i += 1;
+    }
+    table
+};
+
+/// Reads an item's [`ItemHead`] off its first word.
+fn item_head(item: &[u8]) -> ItemHead {
+    let word_len = item.iter().take_while(|c| c.is_ascii_alphanumeric() || **c == b'_').count();
+    match &item[..word_len] {
+        _ if item[0] == b'@' => ItemHead::Control,
+        b"control" => ItemHead::Control,
+        b"lattice" => ItemHead::Lattice,
+        _ => ItemHead::Other,
+    }
+}
+
+/// The per-item chain hashes of a source text, or an empty vector when
+/// [`split_items`] cannot split it. This is the fingerprint watch mode
+/// keeps per file to attribute a change to the first item it touches;
+/// it reads bytes only, never tokens.
 #[must_use]
 pub fn item_chains(source: &str) -> Vec<u64> {
-    match crate::lex(source) {
-        Ok(tokens) => item_segments(source, &tokens).iter().map(|s| s.chain).collect(),
-        Err(_) => Vec::new(),
-    }
+    let Some(items) = split_items(source) else { return Vec::new() };
+    let mut chain = fnv::OFFSET;
+    let mut prev_end = 0;
+    items
+        .iter()
+        .map(|item| {
+            chain = fnv::bytes(chain, &source.as_bytes()[prev_end..item.end as usize]);
+            prev_end = item.end as usize;
+            chain
+        })
+        .collect()
 }
 
 /// The index of the first item whose chain hash differs between two chain
@@ -184,6 +304,38 @@ mod tests {
     fn stray_closers_terminate() {
         // Unbalanced input must not loop or underflow.
         assert_eq!(segs("} } ;").len(), 3);
+    }
+
+    #[test]
+    fn byte_split_matches_token_segments() {
+        let src = "lattice { bot < A; A < top; }\n\
+                   // a comment with } and ; and {\n\
+                   typedef <bit<8>, A> key_t; /* { */\n\
+                   header h_t { key_t f; bit<8> g; }\n\
+                   @pc(A) control C(inout h_t h) { apply { h.g = 8w1; } }\n\
+                   control D(inout h_t h) { apply { } }\n";
+        let items = split_items(src).expect("splits");
+        let ends: Vec<u32> = segs(src).iter().map(|s| s.byte_end).collect();
+        assert_eq!(items.iter().map(|i| i.end).collect::<Vec<_>>(), ends);
+        let heads: Vec<ItemHead> = items.iter().map(|i| i.head).collect();
+        use ItemHead::{Control, Lattice, Other};
+        assert_eq!(heads, [Lattice, Other, Other, Control, Control]);
+        assert!(src[items[1].start as usize..].starts_with("typedef"), "trivia is not the item's");
+        assert_eq!(item_chains(src), segs(src).iter().map(|s| s.chain).collect::<Vec<_>>());
+        // A run of items lexed on its own parses to the same items.
+        let run = crate::lex_range(src, items[1].start as usize..items[3].end as usize).unwrap();
+        let whole = crate::parse(src).unwrap();
+        assert_eq!(crate::parse_tokens(src, &run).unwrap().items, whole.items[1..4]);
+    }
+
+    #[test]
+    fn byte_split_refuses_what_it_cannot_split() {
+        assert_eq!(split_items(""), Some(Vec::new()));
+        assert_eq!(split_items("  // only trivia\n/* */"), Some(Vec::new()));
+        assert_eq!(split_items("typedef bit<8> a_t;\ncontrol C(inout"), None, "ends in an item");
+        assert_eq!(split_items("} } ;"), None, "a closer with nothing open");
+        assert_eq!(split_items("typedef bit<8> a_t; /* open"), None, "ends in a comment");
+        assert_eq!(item_chains("control C() { apply { }"), Vec::<u64>::new());
     }
 
     #[test]

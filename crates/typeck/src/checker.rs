@@ -241,49 +241,29 @@ impl TypedControl {
     }
 }
 
-/// The checked program's items — prelude, a possibly snapshot-shared
-/// prefix, and the freshly checked suffix — assembled without
-/// deep-copying the shared parts. A session's prefix-snapshot resume
-/// borrows the prefix AST straight from the snapshot (`Arc`), so building
-/// one of these is O(suffix), not O(program); iteration order and
-/// equality behave exactly like the flat [`Program`] this replaces.
+/// The checked program's items: the shared prelude (an `Arc`, never
+/// deep-copied per program) followed by the user's items; iteration order
+/// and equality behave exactly like one flat [`Program`].
 #[derive(Debug, Clone)]
 pub struct ProgramView {
     prelude: Arc<Program>,
-    prefix: Arc<Vec<Item>>,
-    prefix_len: usize,
-    suffix: Vec<Item>,
+    items: Vec<Item>,
 }
 
 impl ProgramView {
-    pub(crate) fn new(
-        prelude: Arc<Program>,
-        prefix: Arc<Vec<Item>>,
-        prefix_len: usize,
-        suffix: Vec<Item>,
-    ) -> Self {
-        Self { prelude, prefix, prefix_len, suffix }
+    pub(crate) fn new(prelude: Arc<Program>, items: Vec<Item>) -> Self {
+        Self { prelude, items }
     }
 
     /// A view over a whole program, no shared parts.
     pub(crate) fn flat(program: Program) -> Self {
-        let prefix_len = program.items.len();
-        Self {
-            prelude: Arc::new(Program { items: Vec::new() }),
-            prefix: Arc::new(program.items),
-            prefix_len,
-            suffix: Vec::new(),
-        }
+        Self { prelude: Arc::new(Program { items: Vec::new() }), items: program.items }
     }
 
     /// All items in source order (prelude items first if a prelude was
     /// included).
     pub fn items(&self) -> impl Iterator<Item = &Item> {
-        self.prelude
-            .items
-            .iter()
-            .chain(self.prefix[..self.prefix_len].iter())
-            .chain(self.suffix.iter())
+        self.prelude.items.iter().chain(self.items.iter())
     }
 
     /// Iterates over the control blocks in source order.
@@ -297,7 +277,7 @@ impl ProgramView {
     /// Number of items in the view.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.prelude.items.len() + self.prefix_len + self.suffix.len()
+        self.prelude.items.len() + self.items.len()
     }
 
     /// Whether the view holds no items at all.
@@ -308,8 +288,8 @@ impl ProgramView {
 }
 
 impl PartialEq for ProgramView {
-    /// Item-sequence equality, independent of how the parts are split
-    /// between prefix and suffix.
+    /// Item-sequence equality, independent of how the items are split
+    /// between prelude and program.
     fn eq(&self, other: &Self) -> bool {
         self.items().eq(other.items())
     }
@@ -419,10 +399,8 @@ pub(crate) fn resolve_lattice(
     }
 }
 
-/// Builds the lattice a `lattice { … }` declaration describes (shared by
-/// [`resolve_lattice`] and the session's pre-parse prefix-cache probe,
-/// which must resolve the lattice from the declaration alone).
-pub(crate) fn lattice_from_decl(decl: &LatticeDecl) -> Result<Lattice, Vec<Diagnostic>> {
+/// Builds the lattice a `lattice { … }` declaration describes.
+fn lattice_from_decl(decl: &LatticeDecl) -> Result<Lattice, Vec<Diagnostic>> {
     let names = decl.element_names();
     let order: Vec<(String, String)> =
         decl.order.iter().map(|(lo, hi)| (lo.node.clone(), hi.node.clone())).collect();
@@ -470,8 +448,8 @@ impl CheckerState {
     }
 
     /// Whether every interner/pool handle in the state lies below the
-    /// given tier boundaries — the prefix-snapshot purity condition (a
-    /// pure state is valid in any session over the same frozen base).
+    /// given tier boundaries (a pure state is valid in any session over
+    /// the same frozen base, so it can be published to the core).
     pub(crate) fn within_tiers(&self, max_sym: usize, max_ty: usize) -> bool {
         self.defs.within_tiers(max_sym, max_ty)
             && self.env.within_tiers(max_sym, max_ty)
@@ -500,14 +478,6 @@ pub(crate) fn fnty_within_tiers(f: &FnTy, max_sym: usize, max_ty: usize) -> bool
         && f.ret.ty.index() < max_ty
 }
 
-/// Whether a checked control's handles all lie below the tier boundaries
-/// (parameter symbols/types and inferred signatures; table bounds are
-/// plain labels).
-pub(crate) fn control_within_tiers(c: &TypedControl, max_sym: usize, max_ty: usize) -> bool {
-    c.params.iter().all(|p| p.sym.index() < max_sym && p.ty.ty.index() < max_ty)
-        && c.functions.iter().all(|(_, f)| fnty_within_tiers(f, max_sym, max_ty))
-}
-
 /// Checks a run of top-level items under an initial state, returning the
 /// checked controls, the final state (for prelude snapshotting), and the
 /// recorded flow-lineage graph.
@@ -524,68 +494,50 @@ pub(crate) fn check_items<'a>(
     state: CheckerState,
     deadline: Option<std::time::Instant>,
 ) -> Result<(Vec<TypedControl>, CheckerState, LineageGraph), Vec<Diagnostic>> {
-    check_items_run(items, lattice, opts, default_pc, ctx, state, deadline, None, &[])
-        .map(|out| (out.controls, out.state, out.lineage))
+    let walk =
+        walk_items(items.iter().map(Step::Check), lattice, opts, default_pc, ctx, state, deadline);
+    if walk.diags.is_empty() {
+        Ok((walk.controls, walk.state, walk.lineage))
+    } else {
+        Err(walk.diags)
+    }
 }
 
-/// How a resumed run continues a prior one: the snapshot's already-checked
-/// controls and its rendered flow-log prefix, both truncated to the
-/// snapshot's depth.
-pub(crate) struct ResumeSeed {
-    pub(crate) seed: Arc<crate::prefix::SeedEdges>,
-    pub(crate) edges_len: u32,
-    pub(crate) controls: Arc<Vec<TypedControl>>,
-    pub(crate) controls_len: u32,
+/// One top-level item of a [`walk_items`] run: checked from its AST, or
+/// answered by the session's item memo with the diagnostics it recorded
+/// (already rebased to the item's position).
+pub(crate) enum Step<'a> {
+    Check(&'a Item),
+    Reuse(Vec<Diagnostic>),
 }
 
-/// One mid-run snapshot candidate: the carried state after `items_done`
-/// items, plus how much of the run's output belongs to that prefix.
-pub(crate) struct RunCheckpoint {
-    pub(crate) items_done: u32,
-    pub(crate) state: CheckerState,
-    pub(crate) controls_len: u32,
-    pub(crate) edges_len: u32,
-}
-
-/// A successful [`check_items_run`]: combined (seed + new) outputs, plus
-/// the checkpoint candidates, and the rendered flow log when there is at
-/// least one.
-pub(crate) struct RunOutput {
+/// Everything a [`walk_items`] run produced. `diags` is in item order and
+/// `ends[i]` is its length after item `i`; a run cut by its deadline has
+/// fewer `ends` than items, and `timed_out` set.
+pub(crate) struct Walk {
     pub(crate) controls: Vec<TypedControl>,
     pub(crate) state: CheckerState,
     pub(crate) lineage: LineageGraph,
-    pub(crate) checkpoints: Vec<RunCheckpoint>,
-    pub(crate) seed_edges: Option<crate::prefix::SeedEdges>,
+    pub(crate) diags: Vec<Diagnostic>,
+    pub(crate) ends: Vec<usize>,
+    pub(crate) timed_out: bool,
 }
 
-/// The full item-run driver behind [`check_items`]. With `resume`, the
-/// run continues from a prefix snapshot: the seed's controls are adopted
-/// and its rendered edges prepend the flow log, so traces and verdicts
-/// come out byte-identical to a cold check of the whole program.
-/// `collect[d]` asks for a checkpoint after item `d + 1` (a missing entry
-/// means no): each is taken only while no diagnostic has fired — failed
-/// runs never produce snapshots — and if any was taken, the run's flow
-/// log is rendered to owned edges for future seeding.
-///
-/// # Errors
-///
-/// Returns all diagnostics if any item is ill-typed.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn check_items_run<'a>(
-    items: &'a [Item],
+/// Walks top-level items in order under an initial state: each checked
+/// item extends Δ/Γ/the signatures, each reused one contributes only its
+/// recorded diagnostics. Reuse is sound for a `control` alone: it leaves
+/// the carried state as it found it, and its lineage traces never reach
+/// past its own flows (see `FlowLog::item_start`), so its diagnostics are
+/// a function of the state before it and its own text.
+pub(crate) fn walk_items<'a>(
+    steps: impl IntoIterator<Item = Step<'a>>,
     lattice: &'a Lattice,
     opts: &CheckOptions,
     default_pc: Label,
     ctx: &'a mut TyCtx,
     state: CheckerState,
     deadline: Option<std::time::Instant>,
-    resume: Option<ResumeSeed>,
-    collect: &[bool],
-) -> Result<RunOutput, Vec<Diagnostic>> {
-    debug_assert!(
-        resume.is_none() || !collect.contains(&true),
-        "resumed runs never collect checkpoints"
-    );
+) -> Walk {
     let TyCtx { syms, types } = ctx;
     let labels = LabelTable::new(lattice, syms);
     let mut checker = Checker {
@@ -601,10 +553,7 @@ pub(crate) fn check_items_run<'a>(
         defs: state.defs,
         env: state.env,
         diags: Vec::new(),
-        log: FlowLog {
-            seed: resume.as_ref().map(|r| (Arc::clone(&r.seed), r.edges_len)),
-            ..FlowLog::default()
-        },
+        log: FlowLog::default(),
         guards: Vec::new(),
         guard_keys: Vec::new(),
         sig_functions: state.sig_functions,
@@ -615,56 +564,38 @@ pub(crate) fn check_items_run<'a>(
         timed_out: false,
     };
 
-    let mut controls = match &resume {
-        Some(r) => r.controls[..r.controls_len as usize].to_vec(),
-        None => Vec::new(),
-    };
-    let mut checkpoints = Vec::new();
-    for (ix, item) in items.iter().enumerate() {
+    let mut controls = Vec::new();
+    let mut ends = Vec::new();
+    for step in steps {
         if checker.deadline_expired() {
             break;
         }
-        match item {
-            Item::Lattice(_) => {}
-            Item::Type(t) => checker.type_decl(t),
-            Item::Function(f) => checker.function_decl(f),
-            Item::Action(a) => checker.action_decl(a),
-            Item::Control(c) => {
+        checker.log.item_start = checker.log.edges.len();
+        match step {
+            Step::Reuse(diags) => checker.diags.extend(diags),
+            Step::Check(Item::Lattice(_)) => {}
+            Step::Check(Item::Type(t)) => checker.type_decl(t),
+            Step::Check(Item::Function(f)) => checker.function_decl(f),
+            Step::Check(Item::Action(a)) => checker.action_decl(a),
+            Step::Check(Item::Control(c)) => {
                 if let Some(tc) = checker.control_decl(c, default_pc) {
                     controls.push(tc);
                 }
             }
         }
-        if collect.get(ix) == Some(&true) && checker.diags.is_empty() {
-            checkpoints.push(RunCheckpoint {
-                items_done: ix as u32 + 1,
-                state: CheckerState {
-                    defs: checker.defs.clone(),
-                    env: checker.env.clone(),
-                    sig_functions: checker.sig_functions.clone(),
-                },
-                controls_len: controls.len() as u32,
-                edges_len: checker.log.edges.len() as u32,
-            });
-        }
+        ends.push(checker.diags.len());
     }
-
-    if checker.diags.is_empty() {
-        let seed_edges = (!checkpoints.is_empty()).then(|| checker.rendered_seed());
-        let state = CheckerState {
+    Walk {
+        controls,
+        state: CheckerState {
             defs: checker.defs,
             env: checker.env,
             sig_functions: checker.sig_functions,
-        };
-        Ok(RunOutput {
-            controls,
-            state,
-            lineage: checker.log.into_graph(),
-            checkpoints,
-            seed_edges,
-        })
-    } else {
-        Err(checker.diags)
+        },
+        lineage: checker.log.into_graph(),
+        diags: checker.diags,
+        ends,
+        timed_out: checker.timed_out,
     }
 }
 
@@ -811,11 +742,6 @@ struct PendingEdge<'a> {
 /// [`LineageGraph`] when checking finishes.
 #[derive(Default)]
 struct FlowLog<'a> {
-    /// Replayed prefix edges from a resumed snapshot (rendered, owned)
-    /// with the count that belongs to this run's prefix — the shared
-    /// `Arc` may cover a deeper run. Seed edges occupy combined indices
-    /// `0..seed_len()`, live edges follow.
-    seed: Option<(Arc<crate::prefix::SeedEdges>, u32)>,
     edges: Vec<PendingEdge<'a>>,
     /// Per-edge structural key of the sink (what later traces match).
     sink_keys: Vec<u64>,
@@ -824,6 +750,11 @@ struct FlowLog<'a> {
     src_keys: Vec<u64>,
     /// Per-edge `(start, len)` range into `src_keys`.
     src_ranges: Vec<(u32, u32)>,
+    /// Index of the first edge of the top-level item being checked.
+    /// Traces stop there: each item binds its own names (a control's
+    /// parameters, a function's locals), so an earlier item's write to
+    /// an equally named sink is a different variable.
+    item_start: usize,
 }
 
 impl<'a> FlowLog<'a> {
@@ -850,74 +781,40 @@ impl<'a> FlowLog<'a> {
         &self.src_keys[start as usize..(start as usize + len as usize)]
     }
 
-    /// Number of replayed seed edges (combined indices below this are
-    /// seed edges, at or above are live edges).
-    fn seed_len(&self) -> usize {
-        self.seed.as_ref().map_or(0, |(_, n)| *n as usize)
-    }
-
-    /// Total edge count across the seed prefix and the live run.
-    fn total_len(&self) -> usize {
-        self.seed_len() + self.edges.len()
-    }
-
-    /// The sink key of the edge at a combined index.
-    fn sink_key_at(&self, ix: usize) -> u64 {
-        let sl = self.seed_len();
-        if ix < sl {
-            self.seed.as_ref().expect("ix < seed_len implies a seed").0.sink_keys[ix]
-        } else {
-            self.sink_keys[ix - sl]
-        }
-    }
-
-    /// The source keys of the edge at a combined index.
-    fn src_keys_at(&self, ix: usize) -> &[u64] {
-        let sl = self.seed_len();
-        if ix < sl {
-            self.seed.as_ref().expect("ix < seed_len implies a seed").0.src_keys_of(ix)
-        } else {
-            self.src_keys_of(ix - sl)
-        }
-    }
-
     /// Walks backwards from a violating expression (described by its
     /// l-value `keys`) to its origins: repeatedly finds the most recent
-    /// earlier edge whose sink matches one of the current keys, prepends
-    /// it, and continues from *that* edge's source keys. Returns
-    /// *combined* edge indices oldest-first — the walk crosses seamlessly
-    /// from live edges into the replayed seed prefix, so resumed runs
-    /// trace exactly like cold ones (capped at [`TRACE_CAP`] hops; the
-    /// strictly decreasing cursor guarantees termination).
+    /// earlier edge of the current item whose sink matches one of the
+    /// current keys, prepends it, and continues from *that* edge's source
+    /// keys. Returns edge indices oldest-first (capped at [`TRACE_CAP`]
+    /// hops; the strictly decreasing cursor guarantees termination).
     fn trace_indices(&self, keys: &[u64]) -> Vec<usize> {
         let mut path = std::collections::VecDeque::new();
         let mut keys: Vec<u64> = keys.to_vec();
-        let mut cursor = self.total_len();
+        let mut cursor = self.edges.len();
         while path.len() < TRACE_CAP {
-            let found = (0..cursor).rev().find(|&i| keys.contains(&self.sink_key_at(i)));
+            let found =
+                (self.item_start..cursor).rev().find(|&i| keys.contains(&self.sink_keys[i]));
             let Some(ix) = found else { break };
             path.push_front(ix);
             keys.clear();
-            keys.extend_from_slice(self.src_keys_at(ix));
+            keys.extend_from_slice(self.src_keys_of(ix));
             cursor = ix;
         }
         path.into()
     }
 
     fn into_graph(self) -> LineageGraph {
-        let sl = self.seed_len();
-        let FlowLog { seed, edges: live, .. } = self;
-        let mut edges: Vec<LineageEdge> = Vec::with_capacity(sl + live.len());
-        if let Some((seed, _)) = &seed {
-            edges.extend(seed.edges[..sl].iter().map(crate::prefix::OwnedEdge::lineage_edge));
-        }
-        edges.extend(live.into_iter().map(|e| LineageEdge {
-            op: e.op,
-            src_span: e.src.span,
-            src_label: e.src_label,
-            sink_span: e.sink_span,
-            sink_label: e.sink_label,
-        }));
+        let edges: Vec<LineageEdge> = self
+            .edges
+            .into_iter()
+            .map(|e| LineageEdge {
+                op: e.op,
+                src_span: e.src.span,
+                src_label: e.src_label,
+                sink_span: e.sink_span,
+                sink_label: e.sink_label,
+            })
+            .collect();
         edges.into()
     }
 }
@@ -1066,54 +963,14 @@ impl<'a> Checker<'a> {
         }
     }
 
-    /// Renders the edge at a *combined* flow-log index: replayed seed
-    /// edges are already rendered text (their label indices resolve
-    /// through the active lattice, which the snapshot pinned equal),
-    /// live edges render from their borrowed AST as usual.
-    fn render_edge_at(&self, ix: usize) -> FlowEdge {
-        let sl = self.log.seed_len();
-        if ix < sl {
-            let e = &self.log.seed.as_ref().expect("ix < seed_len implies a seed").0.edges[ix];
-            FlowEdge {
-                op: e.op,
-                source: FlowNode::new(e.src_text.to_string(), self.name(e.src_label), e.src_span),
-                sink: FlowNode::new(e.sink_text.to_string(), self.name(e.sink_label), e.sink_span),
-            }
-        } else {
-            self.render_edge(&self.log.edges[ix - sl])
-        }
-    }
-
     /// Traces a violating expression's keys back through the log and
     /// renders the predecessor path oldest-first.
     fn trace_rendered(&self, keys: &[u64]) -> Vec<FlowEdge> {
-        self.log.trace_indices(keys).iter().map(|&ix| self.render_edge_at(ix)).collect()
-    }
-
-    /// Renders the live flow log into an owned [`SeedEdges`] for prefix
-    /// snapshots (cold collecting runs only — the AST the edges borrow
-    /// is still in hand here).
-    fn rendered_seed(&self) -> crate::prefix::SeedEdges {
-        debug_assert!(self.log.seed.is_none(), "collecting runs start from no seed");
-        crate::prefix::SeedEdges {
-            edges: self
-                .log
-                .edges
-                .iter()
-                .map(|e| crate::prefix::OwnedEdge {
-                    op: e.op,
-                    src_text: expr_to_string(e.src).into(),
-                    src_label: e.src_label,
-                    src_span: e.src.span,
-                    sink_text: self.render_sink(e.sink).into(),
-                    sink_label: e.sink_label,
-                    sink_span: e.sink_span,
-                })
-                .collect(),
-            sink_keys: self.log.sink_keys.clone(),
-            src_keys: self.log.src_keys.clone(),
-            src_ranges: self.log.src_ranges.clone(),
-        }
+        self.log
+            .trace_indices(keys)
+            .iter()
+            .map(|&ix| self.render_edge(&self.log.edges[ix]))
+            .collect()
     }
 
     /// Emits a flow diagnostic with the violating edge's explanation path

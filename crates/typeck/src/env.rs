@@ -367,7 +367,7 @@ impl ScopedEnv {
     /// index and type id lie below the given tier boundaries (see
     /// [`TypeDefs::within_tiers`]). At item boundaries the checker has
     /// popped every nested scope, so the first conjunct always holds for
-    /// prefix snapshots — it is asserted, not assumed.
+    /// a checked-prelude state — it is asserted, not assumed.
     #[must_use]
     pub fn within_tiers(&self, max_sym: usize, max_ty: usize) -> bool {
         self.scopes.len() == 1

@@ -1,169 +1,112 @@
-//! Item-granular prefix snapshots: content-hashed checkpoints of the
-//! checker's carried state after each top-level item.
+//! The item memo: each `control`'s verdict, keyed by the checker state
+//! before it and its own bytes, so an edit re-checks only what it touched.
 //!
-//! Every item boundary of a submission has an FNV chain hash of the
-//! source up to it (see [`p4bid_syntax::item_segments`]). Snapshots are
-//! pay-on-reuse: a clean cold check records a [`PrefixEntry`] at a
-//! boundary only if that boundary's chain was *sighted* before by the
-//! same cache, and every cold check sights all of its chains. So the
-//! first submission of a prefix costs one table write per boundary, the
-//! second snapshots it, and the third resumes from it. When a program is
-//! resubmitted with an edit near the end, the session probes the deepest
-//! matching boundary and re-checks only the suffix — an edit to the last
-//! control of a 64-item program re-checks one item, not 64. A program
-//! seen once, the common case of a compile loop, never pays for a
-//! snapshot.
+//! A `control` leaves Δ/Γ/the signatures exactly as it found them
+//! (`control_decl` pops its scopes and truncates the signature log), and
+//! its lineage traces stop at its own first flow edge. So its diagnostics
+//! are a function of two things: the state the items before it built, and
+//! its own text. The state is in turn a function of the core's options,
+//! the program's `lattice` declarations and the bytes of every earlier
+//! non-control item (controls in between change nothing). A
+//! [`Submission`] collects those bytes into one *state text*; each control
+//! is keyed by the hash of the state text before it and of its own bytes.
 //!
-//! The sighting table is a fixed array of chains, allocated on first use
-//! and sized from the cache bound; a cap of zero disables it along with
-//! the cache. It is four-way set-associative (bucket = chain % buckets)
-//! rather than direct-mapped: with four slots per cache entry, a
-//! direct-mapped table loses about one chain in eight to a slot
-//! collision while a cache's worth of chains is live, and a four-way
-//! table loses well under one in a hundred. A full bucket
-//! forgets its oldest sighting, which only delays a snapshot by one
-//! submission.
+//! An entry stores the control's bytes, the state text it was checked
+//! under, and its diagnostics with every span made relative to the item's
+//! first byte. A probe compares both texts, so a 64-bit key collision can
+//! cause a miss, never a wrong verdict; a hit rebases the spans with one
+//! add each. The memo holds no interner or pool ids, so an entry recorded
+//! by one session serves every session of the core, before and after any
+//! refreeze.
 //!
-//! # Soundness
+//! Entries are pay-on-reuse. Every check *sights* the keys of the controls
+//! it checks, and records a control only if its key had been sighted
+//! before: the first submission of a control costs one table write, the
+//! second records it, the third reuses it. The sighting table is a fixed
+//! array, allocated on first use and sized from the memo bound; a bound of
+//! zero disables it along with the memo. It is four-way set-associative
+//! (bucket = key % buckets) rather than direct-mapped: with four slots per
+//! entry, a direct-mapped table loses about one key in eight to a slot
+//! collision while a memo's worth of keys is live, and a four-way table
+//! loses well under one in a hundred. A full bucket forgets its oldest
+//! sighting, which only delays a record by one submission.
 //!
-//! Sightings only decide whether a snapshot is *taken*. Whether one is
-//! *used* is decided by three rules, which keep a snapshot hit
-//! byte-identical to a cold check:
-//!
-//! * **Byte re-verification.** The chain hash is only a locator; a probe
-//!   compares the stored prefix bytes against the submitted source, so a
-//!   64-bit collision can cause a miss, never a wrong resume.
-//! * **Lattice pinning.** Entries store the lattice they were checked
-//!   under and only match a submission resolving to an equal lattice.
-//!   The session resolves the lattice *conservatively* before probing
-//!   (`quick_lattice`); any doubt falls back to the cold path.
-//! * **Tier purity.** Entries are only inserted when every interner/pool
-//!   handle in the snapshot lies in the shared frozen segment
-//!   ([`CheckerState::within_tiers`](crate::checker::CheckerState)), so a
-//!   snapshot taken by one worker is valid in every session over the
-//!   same frozen base — and survives an overlay refreeze, which keeps
-//!   frozen ids stable by construction.
-//!
-//! Failed runs never insert (mirroring the serve verdict cache's refusal
-//! of transient verdicts): checkpoints at sighted boundaries are
-//! collected during the run but discarded unless the run ends with zero
-//! diagnostics, so a panic or timeout mid-check cannot poison the
-//! snapshot tree.
+//! Two more rules keep a hit byte-identical to a cold check: a run cut by
+//! its deadline (or one that panicked, which never reaches the recording
+//! step) records nothing, and neither does a control with a diagnostic
+//! span outside its own bytes (a dummy span, say), which a rebase could
+//! not move.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use p4bid_ast::fnv;
 use p4bid_ast::span::Span;
-use p4bid_ast::surface::Item;
-use p4bid_lattice::{Label, Lattice};
+use p4bid_syntax::{ByteItem, ItemHead};
 
-use crate::checker::{CheckerState, TypedControl};
-use crate::lineage::{FlowOp, LineageEdge};
+use crate::diag::Diagnostic;
 
-/// One replayed lineage edge: the rendered, owned form of a
-/// `PendingEdge`, carried inside prefix snapshots so resumed runs can
-/// still explain violations whose origins lie in the (un-re-checked)
-/// prefix. Labels stay as lattice indices — the entry's pinned lattice
-/// resolves them to names at render time.
-#[derive(Debug, Clone)]
-pub(crate) struct OwnedEdge {
-    pub(crate) op: FlowOp,
-    pub(crate) src_text: Box<str>,
-    pub(crate) src_label: Label,
-    pub(crate) src_span: Span,
-    pub(crate) sink_text: Box<str>,
-    pub(crate) sink_label: Label,
-    pub(crate) sink_span: Span,
+/// The memo's view of one submission: per item, its memo key and the
+/// length of the state text before it (controls only).
+#[derive(Debug)]
+pub(crate) struct Submission {
+    /// The bytes of every `lattice` item, then of every non-control item
+    /// in order, each followed by a NUL (which no item that checks can
+    /// contain, so the concatenation is unambiguous).
+    pub(crate) state: Arc<str>,
+    /// Per item: `Some((key, state_len))` for a control.
+    pub(crate) keys: Vec<Option<(u64, u32)>>,
 }
 
-impl OwnedEdge {
-    pub(crate) fn lineage_edge(&self) -> LineageEdge {
-        LineageEdge {
-            op: self.op,
-            src_span: self.src_span,
-            src_label: self.src_label,
-            sink_span: self.sink_span,
-            sink_label: self.sink_label,
+impl Submission {
+    /// Keys the items of `source` (as split by
+    /// [`split_items`](p4bid_syntax::split_items)).
+    pub(crate) fn new(source: &str, items: &[ByteItem]) -> Self {
+        let bytes_of = |item: &ByteItem| &source[item.start as usize..item.end as usize];
+        let mut state = String::new();
+        // A lattice declaration anywhere sets the lattice of every item.
+        for item in items.iter().filter(|i| i.head == ItemHead::Lattice) {
+            state.push_str(bytes_of(item));
+            state.push('\0');
         }
+        state.push('\0');
+        let mut state_hash = fnv::hash(state.as_bytes());
+        let keys = items
+            .iter()
+            .map(|item| {
+                let text = bytes_of(item);
+                if item.head == ItemHead::Control {
+                    let key = fnv::bytes(fnv::byte(state_hash, 0xff), text.as_bytes());
+                    Some((key, state.len() as u32))
+                } else {
+                    state.push_str(text);
+                    state.push('\0');
+                    state_hash = fnv::byte(fnv::bytes(state_hash, text.as_bytes()), 0);
+                    None
+                }
+            })
+            .collect();
+        Submission { state: state.into(), keys }
     }
 }
 
-/// The full flow log of one clean cold run, rendered to owned edges with
-/// its structural trace keys intact. Every checkpoint of that run shares
-/// one `Arc<SeedEdges>` and remembers how many leading edges belong to
-/// its prefix (`edges_len`), so storage stays linear in the run.
-#[derive(Debug, Default)]
-pub(crate) struct SeedEdges {
-    pub(crate) edges: Vec<OwnedEdge>,
-    pub(crate) sink_keys: Vec<u64>,
-    pub(crate) src_keys: Vec<u64>,
-    pub(crate) src_ranges: Vec<(u32, u32)>,
-}
-
-impl SeedEdges {
-    pub(crate) fn src_keys_of(&self, ix: usize) -> &[u64] {
-        let (start, len) = self.src_ranges[ix];
-        &self.src_keys[start as usize..(start as usize + len as usize)]
-    }
-}
-
-/// One prefix checkpoint: everything needed to restart a check after
-/// `items` top-level items as if they had just been checked.
-#[derive(Debug, Clone)]
-pub(crate) struct PrefixEntry {
-    /// The lattice the prefix was checked under (equality-matched).
-    pub(crate) lattice: Lattice,
-    /// The exact prefix bytes (chain hashes only locate; bytes decide).
-    pub(crate) prefix: Arc<str>,
-    /// Number of top-level items the snapshot covers.
-    pub(crate) items: u32,
-    /// Δ/Γ/signatures after those items.
-    pub(crate) state: CheckerState,
-    /// The prefix's surface AST (shared across the run's checkpoints),
-    /// re-used to assemble the resumed `TypedProgram` without re-parsing.
-    pub(crate) items_ast: Arc<Vec<Item>>,
-    /// The run's checked controls; the first `controls_len` belong to
-    /// this prefix.
-    pub(crate) controls: Arc<Vec<TypedControl>>,
-    pub(crate) controls_len: u32,
-    /// The run's rendered flow log; the first `edges_len` edges belong
-    /// to this prefix and seed the resumed run's lineage.
-    pub(crate) seed: Arc<SeedEdges>,
-    pub(crate) edges_len: u32,
+/// One recorded control.
+#[derive(Debug)]
+struct Entry {
+    /// The state text of the submission it was recorded from; the first
+    /// `state_len` bytes are the state before the control.
+    state: Arc<str>,
+    state_len: u32,
+    /// The control's exact bytes (keys only locate; bytes decide).
+    bytes: Box<str>,
+    /// Its diagnostics, spans relative to the item's first byte.
+    diags: Vec<Diagnostic>,
     /// LRU stamp (touched on hit).
     stamp: u64,
 }
 
-impl PrefixEntry {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        lattice: Lattice,
-        prefix: Arc<str>,
-        items: u32,
-        state: CheckerState,
-        items_ast: Arc<Vec<Item>>,
-        controls: Arc<Vec<TypedControl>>,
-        controls_len: u32,
-        seed: Arc<SeedEdges>,
-        edges_len: u32,
-    ) -> Self {
-        PrefixEntry {
-            lattice,
-            prefix,
-            items,
-            state,
-            items_ast,
-            controls,
-            controls_len,
-            seed,
-            edges_len,
-            stamp: 0,
-        }
-    }
-}
-
-/// Slots of the sighting table of a cache bounded at `cap` entries: four
-/// per entry, at most 8192 (64 KB of chains).
+/// Slots of the sighting table of a memo bounded at `cap` entries: four
+/// per entry, at most 8192 (64 KB of keys).
 pub(crate) fn sighting_slots(cap: usize) -> usize {
     cap.saturating_mul(SIGHTING_WAYS).min(8192)
 }
@@ -171,31 +114,29 @@ pub(crate) fn sighting_slots(cap: usize) -> usize {
 /// Slots per sighting-table bucket.
 const SIGHTING_WAYS: usize = 4;
 
-/// Bounded chain-hash-keyed store of [`PrefixEntry`]s with touch-on-hit
-/// LRU eviction (O(n) min-scan, like the serve verdict cache), plus the
-/// sighting table that gates what is worth storing. A cap of zero
-/// disables both.
+/// Bounded store of recorded controls with touch-on-hit LRU eviction
+/// (O(n) min-scan, like the serve verdict cache), plus the sighting table
+/// that gates what is worth recording. A cap of zero disables both.
 #[derive(Debug)]
-pub(crate) struct PrefixCache {
+pub(crate) struct ItemMemo {
     cap: usize,
-    len: usize,
     clock: u64,
-    map: HashMap<u64, Vec<PrefixEntry>>,
-    /// Sighted chains in buckets of `SIGHTING_WAYS`, newest first;
-    /// empty until the first sighting. A zero slot reads as a sighting
-    /// of chain 0, which at worst snapshots one prefix early.
+    map: HashMap<u64, Entry>,
+    /// Sighted keys in buckets of `SIGHTING_WAYS`, newest first; empty
+    /// until the first sighting. A zero slot reads as a sighting of key
+    /// 0, which at worst records one control a submission early.
     sighted: Vec<u64>,
 }
 
-impl PrefixCache {
+impl ItemMemo {
     pub(crate) fn new(cap: usize) -> Self {
-        PrefixCache { cap, len: 0, clock: 0, map: HashMap::new(), sighted: Vec::new() }
+        ItemMemo { cap, clock: 0, map: HashMap::new(), sighted: Vec::new() }
     }
 
-    /// Records `chain` as sighted and says whether it was already: the
-    /// pay-on-reuse rule snapshots a boundary only on a `true`. Always
-    /// `false` (and allocation-free) when the cache is disabled.
-    pub(crate) fn sight(&mut self, chain: u64) -> bool {
+    /// Records `key` as sighted and says whether it was already: the
+    /// pay-on-reuse rule records a control only on a `true`. Always
+    /// `false` (and allocation-free) when the memo is disabled.
+    pub(crate) fn sight(&mut self, key: u64) -> bool {
         if self.cap == 0 {
             return false;
         }
@@ -203,65 +144,82 @@ impl PrefixCache {
             self.sighted = vec![0; sighting_slots(self.cap)];
         }
         let buckets = (self.sighted.len() / SIGHTING_WAYS) as u64;
-        let start = (chain % buckets) as usize * SIGHTING_WAYS;
+        let start = (key % buckets) as usize * SIGHTING_WAYS;
         let bucket = &mut self.sighted[start..start + SIGHTING_WAYS];
-        if bucket.contains(&chain) {
+        if bucket.contains(&key) {
             return true;
         }
         bucket.copy_within(..SIGHTING_WAYS - 1, 1);
-        bucket[0] = chain;
+        bucket[0] = key;
         false
     }
 
-    /// Looks up a snapshot for the given chain hash covering exactly
-    /// `items` top-level items, verifying the lattice and the prefix
-    /// bytes. Touches the entry's LRU stamp and clones it out (cheap:
-    /// pooled ids and `Arc` bumps).
+    /// The diagnostics recorded for a control with these bytes under this
+    /// state text, rebased to start at byte `at`. Touches the entry.
     pub(crate) fn probe(
         &mut self,
-        chain: u64,
-        lattice: &Lattice,
-        prefix: &str,
-        items: u32,
-    ) -> Option<PrefixEntry> {
+        key: u64,
+        state: &str,
+        bytes: &str,
+        at: u32,
+    ) -> Option<Vec<Diagnostic>> {
         if self.cap == 0 {
             return None;
         }
         self.clock += 1;
-        let bucket = self.map.get_mut(&chain)?;
-        let entry = bucket
-            .iter_mut()
-            .find(|e| e.items == items && e.lattice == *lattice && *e.prefix == *prefix)?;
+        let entry = self.map.get_mut(&key)?;
+        if *entry.bytes != *bytes || entry.state[..entry.state_len as usize] != *state {
+            return None;
+        }
         entry.stamp = self.clock;
-        Some(entry.clone())
+        Some(
+            entry
+                .diags
+                .iter()
+                .map(|d| rebase(d, |s| Span::new(s.start + at, s.end + at)))
+                .collect(),
+        )
     }
 
-    /// Inserts a snapshot under its chain hash, replacing any entry with
-    /// the same identity and evicting the least-recently-used entry when
-    /// over capacity. Callers enforce the soundness rules (tier purity,
-    /// clean-run-only) *before* inserting.
-    pub(crate) fn insert(&mut self, chain: u64, mut entry: PrefixEntry) {
-        if self.cap == 0 {
-            return;
+    /// Records a control checked under `state[..state_len]` at bytes
+    /// `start..end` of `source`, unless a diagnostic points outside it.
+    /// Replaces any entry under the same key and evicts the least recently
+    /// used past the cap. Returns whether it recorded.
+    pub(crate) fn record(
+        &mut self,
+        key: u64,
+        (state, state_len): (&Arc<str>, u32),
+        source: &str,
+        (start, end): (u32, u32),
+        diags: &[Diagnostic],
+    ) -> bool {
+        let inside = |s: &Span| !s.is_dummy() && s.start >= start && s.end <= end;
+        let all_inside = diags.iter().all(|d| {
+            inside(&d.span)
+                && d.lineage.iter().all(|e| inside(&e.source.span) && inside(&e.sink.span))
+        });
+        if self.cap == 0 || !all_inside {
+            return false;
         }
         self.clock += 1;
-        entry.stamp = self.clock;
-        let bucket = self.map.entry(chain).or_default();
-        if let Some(old) = bucket.iter_mut().find(|e| {
-            e.items == entry.items && e.lattice == entry.lattice && e.prefix == entry.prefix
-        }) {
-            *old = entry;
-            return;
-        }
-        bucket.push(entry);
-        self.len += 1;
-        if self.len > self.cap {
+        let entry = Entry {
+            state: Arc::clone(state),
+            state_len,
+            bytes: source[start as usize..end as usize].into(),
+            diags: diags
+                .iter()
+                .map(|d| rebase(d, |s| Span::new(s.start - start, s.end - start)))
+                .collect(),
+            stamp: self.clock,
+        };
+        if self.map.insert(key, entry).is_none() && self.map.len() > self.cap {
             self.evict_lru();
         }
+        true
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.len
+        self.map.len()
     }
 
     /// Slots the sighting table holds (0 until its first use).
@@ -271,110 +229,112 @@ impl PrefixCache {
     }
 
     fn evict_lru(&mut self) {
-        let oldest = self
-            .map
-            .iter()
-            .flat_map(|(chain, bucket)| bucket.iter().map(|e| (e.stamp, *chain)))
-            .min()
-            .map(|(_, chain)| chain);
-        let Some(chain) = oldest else { return };
-        let bucket = self.map.get_mut(&chain).expect("bucket of the LRU entry exists");
-        let ix = bucket
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.stamp)
-            .map(|(ix, _)| ix)
-            .expect("LRU bucket is non-empty");
-        bucket.remove(ix);
-        if bucket.is_empty() {
-            self.map.remove(&chain);
+        let oldest = self.map.iter().min_by_key(|(_, e)| e.stamp).map(|(key, _)| *key);
+        if let Some(key) = oldest {
+            self.map.remove(&key);
         }
-        self.len -= 1;
     }
+}
+
+/// A copy of `d` with every span (its own and its lineage path's) moved.
+fn rebase(d: &Diagnostic, by: impl Fn(Span) -> Span) -> Diagnostic {
+    let mut d = d.clone();
+    d.span = by(d.span);
+    for edge in &mut d.lineage {
+        edge.source.span = by(edge.source.span);
+        edge.sink.span = by(edge.sink.span);
+    }
+    d
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diag::DiagCode;
 
-    fn entry(lat: Lattice, prefix: &str, items: u32) -> PrefixEntry {
-        PrefixEntry::new(
-            lat,
-            prefix.into(),
-            items,
-            CheckerState::empty(),
-            Arc::new(Vec::new()),
-            Arc::new(Vec::new()),
-            0,
-            Arc::new(SeedEdges::default()),
-            0,
-        )
+    const STATE: &str = "lattice { lo < hi; }\0\0typedef bit<8> t;\0";
+
+    fn record(m: &mut ItemMemo, key: u64, bytes: &str) -> bool {
+        let state: Arc<str> = STATE.into();
+        let diag = Diagnostic::new(DiagCode::ExplicitFlow, "leak", Span::new(10, 11));
+        let source = format!("{:10}{bytes}", "");
+        m.record(key, (&state, STATE.len() as u32), &source, (10, source.len() as u32), &[diag])
     }
 
     #[test]
     fn probe_verifies_bytes_lattice_and_depth() {
-        let mut c = PrefixCache::new(8);
-        let lat = Lattice::two_point();
-        c.insert(7, entry(lat.clone(), "typedef bit<8> t;", 1));
-        assert!(c.probe(7, &lat, "typedef bit<8> t;", 1).is_some());
-        // Same chain, different bytes: a collision misses instead of lying.
-        assert!(c.probe(7, &lat, "typedef bit<9> u;", 1).is_none());
-        // Different depth under the same chain misses.
-        assert!(c.probe(7, &lat, "typedef bit<8> t;", 2).is_none());
-        // Different lattice misses.
-        let diamond = Lattice::from_order(&["bot", "top"], &[("bot", "top")]).unwrap();
-        assert!(c.probe(7, &diamond, "typedef bit<8> t;", 1).is_none());
-        // Unknown chain misses.
-        assert!(c.probe(8, &lat, "typedef bit<8> t;", 1).is_none());
+        let mut m = ItemMemo::new(8);
+        assert!(record(&mut m, 7, "control C() { apply { } }"));
+        let hit = m.probe(7, STATE, "control C() { apply { } }", 100).expect("hit");
+        assert_eq!(hit[0].span, Span::new(100, 101), "spans rebase to the new position");
+        // Same key, different bytes: a collision misses instead of lying.
+        assert!(m.probe(7, STATE, "control D() { apply { } }", 100).is_none());
+        // A shorter state (an item fewer before it) misses.
+        assert!(m.probe(7, &STATE[..STATE.len() - 1], "control C() { apply { } }", 0).is_none());
+        // A different lattice declaration misses.
+        let other = STATE.replace("lo < hi", "a < b");
+        assert!(m.probe(7, &other, "control C() { apply { } }", 0).is_none());
+        // An unknown key misses.
+        assert!(m.probe(8, STATE, "control C() { apply { } }", 0).is_none());
+    }
+
+    #[test]
+    fn spans_outside_the_item_are_never_recorded() {
+        let mut m = ItemMemo::new(8);
+        let state: Arc<str> = STATE.into();
+        let len = STATE.len() as u32;
+        let src = "typedef bit<8> t; control C() { apply { } }";
+        let at = |span| [Diagnostic::new(DiagCode::Timeout, "late", span)];
+        assert!(!m.record(1, (&state, len), src, (18, 43), &at(Span::dummy())));
+        assert!(!m.record(1, (&state, len), src, (18, 43), &at(Span::new(0, 7))));
+        assert!(m.record(1, (&state, len), src, (18, 43), &at(Span::new(18, 25))));
+        assert_eq!(m.len(), 1);
     }
 
     #[test]
     fn lru_evicts_the_coldest_entry() {
-        let mut c = PrefixCache::new(2);
-        let lat = Lattice::two_point();
-        c.insert(1, entry(lat.clone(), "a", 1));
-        c.insert(2, entry(lat.clone(), "b", 1));
+        let mut m = ItemMemo::new(2);
+        record(&mut m, 1, "a");
+        record(&mut m, 2, "b");
         // Touch 1 so 2 is coldest, then overflow.
-        assert!(c.probe(1, &lat, "a", 1).is_some());
-        c.insert(3, entry(lat.clone(), "c", 1));
-        assert_eq!(c.len(), 2);
-        assert!(c.probe(2, &lat, "b", 1).is_none(), "coldest entry was evicted");
-        assert!(c.probe(1, &lat, "a", 1).is_some());
-        assert!(c.probe(3, &lat, "c", 1).is_some());
+        assert!(m.probe(1, STATE, "a", 0).is_some());
+        record(&mut m, 3, "c");
+        assert_eq!(m.len(), 2);
+        assert!(m.probe(2, STATE, "b", 0).is_none(), "coldest entry was evicted");
+        assert!(m.probe(1, STATE, "a", 0).is_some());
+        assert!(m.probe(3, STATE, "c", 0).is_some());
     }
 
     #[test]
     fn reinsert_replaces_in_place() {
-        let mut c = PrefixCache::new(4);
-        let lat = Lattice::two_point();
-        c.insert(1, entry(lat.clone(), "a", 1));
-        c.insert(1, entry(lat.clone(), "a", 1));
-        assert_eq!(c.len(), 1);
+        let mut m = ItemMemo::new(4);
+        record(&mut m, 1, "a");
+        record(&mut m, 1, "a");
+        assert_eq!(m.len(), 1);
     }
 
     #[test]
     fn cap_zero_disables() {
-        let mut c = PrefixCache::new(0);
-        let lat = Lattice::two_point();
-        c.insert(1, entry(lat.clone(), "a", 1));
-        assert_eq!(c.len(), 0);
-        assert!(c.probe(1, &lat, "a", 1).is_none());
+        let mut m = ItemMemo::new(0);
+        assert!(!record(&mut m, 1, "a"));
+        assert_eq!(m.len(), 0);
+        assert!(m.probe(1, STATE, "a", 0).is_none());
         // Cap 0 sights nothing and never allocates the table.
-        assert!(!c.sight(9));
-        assert!(!c.sight(9));
-        assert_eq!(c.sighting_len(), 0);
+        assert!(!m.sight(9));
+        assert!(!m.sight(9));
+        assert_eq!(m.sighting_len(), 0);
     }
 
     #[test]
     fn sighting_table_stays_fixed_and_bounded() {
-        let mut c = PrefixCache::new(2);
-        assert_eq!(c.sighting_len(), 0, "allocated on first use, not at construction");
-        assert!(!c.sight(42));
-        assert!(c.sight(42), "sighted from its second appearance");
-        for chain in 1..=1000 {
-            c.sight(chain);
+        let mut m = ItemMemo::new(2);
+        assert_eq!(m.sighting_len(), 0, "allocated on first use, not at construction");
+        assert!(!m.sight(42));
+        assert!(m.sight(42), "sighted from its second appearance");
+        for key in 1..=1000 {
+            m.sight(key);
         }
-        assert_eq!(c.sighting_len(), sighting_slots(2), "more chains than slots: no growth");
+        assert_eq!(m.sighting_len(), sighting_slots(2), "more keys than slots: no growth");
         assert_eq!(sighting_slots(2), 8);
         assert_eq!(sighting_slots(crate::session::DEFAULT_PREFIX_CACHE_CAP), 4096);
         assert_eq!(sighting_slots(usize::MAX), 8192, "never above 64 KB");
@@ -382,19 +342,50 @@ mod tests {
 
     #[test]
     fn a_full_bucket_only_delays_a_sighting() {
-        // Cap 2: two buckets of four, so even chains share bucket 0.
-        let mut c = PrefixCache::new(2);
-        assert!(!c.sight(2));
+        // Cap 2: two buckets of four, so even keys share bucket 0.
+        let mut m = ItemMemo::new(2);
+        assert!(!m.sight(2));
         for other in [4, 6, 8] {
-            assert!(!c.sight(other));
+            assert!(!m.sight(other));
         }
-        assert!(c.sight(2), "four chains fit one bucket");
-        assert!(!c.sight(1), "the odd bucket is separate");
-        // A fifth chain in the bucket pushes out the oldest, 2…
-        assert!(!c.sight(10));
+        assert!(m.sight(2), "four keys fit one bucket");
+        assert!(!m.sight(1), "the odd bucket is separate");
+        // A fifth key in the bucket pushes out the oldest, 2…
+        assert!(!m.sight(10));
         // …so 2's next appearance counts as a first one, and the one
         // after that is sighted again.
-        assert!(!c.sight(2));
-        assert!(c.sight(2));
+        assert!(!m.sight(2));
+        assert!(m.sight(2));
+    }
+
+    #[test]
+    fn controls_key_by_the_state_before_them_and_their_bytes() {
+        let keyed = |src: &str| {
+            let items = p4bid_syntax::split_items(src).expect("splits");
+            Submission::new(src, &items)
+        };
+        let a =
+            keyed("header h { bit<8> f; }\ncontrol A() { apply { } }\ncontrol B() { apply { } }");
+        // Moving the controls or editing one leaves the other's key alone.
+        let b = keyed(
+            "header h { bit<8> f; }\n\n\ncontrol A() { apply { } }\ncontrol B() { apply { } }",
+        );
+        let c = keyed(
+            "header h { bit<8> f; }\ncontrol A() { apply { x; } }\ncontrol B() { apply { } }",
+        );
+        assert_eq!(a.keys[2], b.keys[2]);
+        assert_eq!(a.keys[2], c.keys[2]);
+        assert_ne!(a.keys[1], c.keys[1]);
+        assert_eq!(a.keys[0], None, "only controls are keyed");
+        // A changed header, or a lattice declared after the controls,
+        // changes every control's key.
+        let d =
+            keyed("header h { bit<9> f; }\ncontrol A() { apply { } }\ncontrol B() { apply { } }");
+        let e = keyed("header h { bit<8> f; }\ncontrol A() { apply { } }\ncontrol B() { apply { } }\nlattice { a < b; }");
+        for other in [&d, &e] {
+            assert_ne!(a.keys[1], other.keys[1]);
+            assert_ne!(a.keys[2], other.keys[2]);
+        }
+        assert_eq!(&a.state[..], "\0header h { bit<8> f; }\0");
     }
 }

@@ -20,6 +20,14 @@
 //! identical to the one-shot entry points and to cold sessions (the
 //! conformance and determinism suites assert this).
 //!
+//! Every session of a core also shares the core's *item memo* (the
+//! `prefix` module): each `control`'s diagnostics, keyed by the
+//! declarations before it and its own bytes. [`CheckerSession::verdict`],
+//! the entry the batch, serve and topo drivers use, answers controls seen
+//! before from the memo, so an edit re-checks only the items it touched;
+//! [`CheckerSession::check`] is the cold reference that returns the typed
+//! program, and feeds the memo without reading it.
+//!
 //! # Examples
 //!
 //! ```
@@ -40,41 +48,40 @@
 //! ```
 
 use crate::checker::{
-    check_items, check_items_run, control_within_tiers, lattice_from_decl, resolve_default_pc,
-    resolve_lattice, CheckOptions, CheckerState, ProgramView, ResumeSeed, TypedProgram,
+    check_items, resolve_default_pc, resolve_lattice, walk_items, CheckOptions, CheckerState,
+    ProgramView, Step, TypedProgram, Walk,
 };
 use crate::diag::{DiagCode, Diagnostic};
-use crate::prefix::{PrefixCache, PrefixEntry};
+use crate::prefix::{ItemMemo, Submission};
 use crate::prelude_arc;
 use p4bid_ast::pool::{CtxOverlay, FrozenTyCtx, SharedTyCtx, TyCtx};
-use p4bid_ast::surface::Program;
+use p4bid_ast::surface::{Item, Program};
 use p4bid_lattice::Lattice;
-use p4bid_syntax::{ItemSeg, Token, TokenKind};
+use p4bid_syntax::{ByteItem, ItemHead};
 use std::rc::Rc;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Default bound on the shared prefix-snapshot cache (entries, across all
-/// sessions of one core), which also sizes its sighting table.
-/// Overridden by `--prefix-cache-cap`; `0` disables prefix snapshotting
-/// entirely.
+/// Default bound on the shared item memo (entries, across all sessions of
+/// one core), which also sizes its sighting table. Overridden by
+/// `--prefix-cache-cap`; `0` disables the memo entirely.
 pub const DEFAULT_PREFIX_CACHE_CAP: usize = 1024;
 
 /// Locks a mutex, riding through poisoning: the protected caches are
-/// always structurally valid (a poisoned run simply never inserted), and
+/// always structurally valid (a poisoned run simply never recorded), and
 /// panic-isolated drivers keep other workers running after a crash.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// State shared by every session of one core (and carried across
-/// refreezes, whose id-stability keeps the contents valid): the prefix
-/// snapshot cache with its sighting table, and the publish-once table of
-/// checked-prelude states for program-supplied lattices.
+/// refreezes): the item memo with its sighting table, which holds no
+/// interner ids, and the publish-once table of checked-prelude states for
+/// program-supplied lattices, whose frozen ids a refreeze keeps stable.
 #[derive(Debug)]
 struct CoreShared {
-    /// Prefix cache bound (`0` disables; fixed at construction).
-    prefix_cap: usize,
-    prefix: Mutex<PrefixCache>,
+    /// Item memo bound (`0` disables; fixed at construction).
+    memo_cap: usize,
+    memo: Mutex<ItemMemo>,
     /// Checked-prelude states for lattices first seen after the freeze,
     /// published once by whichever worker builds them first (only
     /// frozen-pure states are publishable; the rest stay session-local
@@ -85,8 +92,8 @@ struct CoreShared {
 impl CoreShared {
     fn new(cap: usize) -> Self {
         CoreShared {
-            prefix_cap: cap,
-            prefix: Mutex::new(PrefixCache::new(cap)),
+            memo_cap: cap,
+            memo: Mutex::new(ItemMemo::new(cap)),
             lattice_states: Mutex::new(Vec::new()),
         }
     }
@@ -136,7 +143,7 @@ pub struct CheckerSession {
     /// The cross-session shared caches (private to this session when
     /// cold; shared with every sibling on the shared-core path).
     shared: Arc<CoreShared>,
-    /// Prefix-snapshot counters (per session, summed by
+    /// Item-memo counters (per session, summed by
     /// [`SessionStats::absorb`]).
     prefix_hits: u64,
     prefix_misses: u64,
@@ -171,9 +178,9 @@ impl CheckerSession {
         }
     }
 
-    /// Replaces the session's prefix-snapshot cache with a fresh one of
-    /// the given bound (`0` disables prefix snapshotting), builder-style.
-    /// Call before any checking: the cache starts empty.
+    /// Replaces the session's item memo with a fresh one of the given
+    /// bound (`0` disables it), builder-style. Call before any checking:
+    /// the memo starts empty.
     #[must_use]
     pub fn with_prefix_cache_cap(mut self, cap: usize) -> Self {
         self.shared = Arc::new(CoreShared::new(cap));
@@ -242,8 +249,8 @@ impl CheckerSession {
             ctx: Arc::new(ctx.freeze()),
             prelude: self.prelude,
             states: self.states,
-            // Carried over: root-tier ids become frozen ids verbatim, so
-            // any prefix snapshots this session took stay valid.
+            // Carried over: the memo holds no ids, and root-tier ids
+            // become frozen ids verbatim for the lattice-state table.
             shared: self.shared,
         }
     }
@@ -299,6 +306,11 @@ impl CheckerSession {
     /// Parses and checks one program, with the prelude available — the
     /// session-reuse equivalent of [`check_source`](crate::check_source).
     ///
+    /// This is the cold reference path: it checks every item and returns
+    /// the typed program. It never reads the item memo, but it sights and
+    /// records its controls exactly as a [`verdict`](CheckerSession::verdict)
+    /// that missed every item would.
+    ///
     /// # Errors
     ///
     /// Returns parser errors (as a single [`DiagCode::Malformed`]
@@ -310,265 +322,188 @@ impl CheckerSession {
             self.deadline = None;
             return Err(vec![d]);
         }
-        let malformed = |e: &p4bid_syntax::ParseError| {
-            vec![Diagnostic::new(DiagCode::Malformed, e.message().to_string(), e.span())]
-        };
-        if self.shared.prefix_cap == 0 {
-            // Prefix snapshotting off: the classic lex+parse+check path.
-            let user = match p4bid_syntax::parse(source) {
-                Ok(user) => user,
-                Err(e) => {
-                    // An armed deadline is per-check: don't leak it into
-                    // the next program when this one dies in the parser.
-                    self.deadline = None;
-                    return Err(malformed(&e));
+        let mut plan = self.plan(source);
+        if let Some(plan) = &mut plan {
+            let mut memo = lock(&self.shared.memo);
+            for (record, key) in plan.record.iter_mut().zip(&plan.sub.keys) {
+                if let Some((key, _)) = key {
+                    *record = memo.sight(*key);
+                    self.prefix_misses += 1;
                 }
-            };
-            return self.check_cold(user, source, &[], &[]);
+            }
         }
-        let tokens = match p4bid_syntax::lex(source) {
-            Ok(t) => t,
-            Err(e) => {
-                self.deadline = None;
-                return Err(malformed(&e));
-            }
+        self.check_whole(source, plan)
+    }
+
+    /// Checks one program for its verdict alone: the entry the batch,
+    /// serve, watch and topo drivers use, which report diagnostics and
+    /// never look at a [`TypedProgram`].
+    ///
+    /// Controls the item memo has seen under the same state before are
+    /// answered from it without being lexed, parsed or checked; every
+    /// other item is, one lex and parse per run of consecutive misses.
+    /// Whenever the byte split of the source is in doubt — it does not
+    /// split, a run does not parse, or a run's parse disagrees with the
+    /// split — the whole source goes down the [`check`](CheckerSession::check)
+    /// path instead. The verdict and diagnostics are byte-identical to
+    /// `check`'s either way.
+    ///
+    /// # Errors
+    ///
+    /// As [`check`](CheckerSession::check).
+    pub fn verdict(&mut self, source: &str) -> Result<(), Vec<Diagnostic>> {
+        if let Some(d) = crate::oversized_diag(source, &self.opts) {
+            self.deadline = None;
+            return Err(vec![d]);
+        }
+        let Some(mut plan) = self.plan(source) else {
+            return self.check_whole(source, None).map(drop);
         };
-        let segs = p4bid_syntax::item_segments(source, &tokens);
-        let sighted = match self.probe(source, &tokens, &segs) {
-            Ok((lattice, entry)) => {
-                return self.resume_with(source, &tokens, &segs, lattice, entry)
+        let mut reused: Vec<Option<Vec<Diagnostic>>> = Vec::with_capacity(plan.items.len());
+        {
+            let mut memo = lock(&self.shared.memo);
+            for ((item, key), record) in plan.items.iter().zip(&plan.sub.keys).zip(&mut plan.record)
+            {
+                let hit = key.and_then(|(key, len)| {
+                    let bytes = &source[item.start as usize..item.end as usize];
+                    let hit = memo.probe(key, &plan.sub.state[..len as usize], bytes, item.start);
+                    if hit.is_none() {
+                        *record = memo.sight(key);
+                    }
+                    hit
+                });
+                reused.push(hit);
             }
-            Err(sighted) => sighted,
+        }
+        let controls = plan.sub.keys.iter().flatten().count() as u64;
+        let Some(parsed) = parse_misses(source, &plan.items, &reused) else {
+            self.prefix_misses += controls;
+            return self.check_whole(source, Some(plan)).map(drop);
         };
-        self.prefix_misses += 1;
-        let user = match p4bid_syntax::parse_tokens(source, &tokens) {
-            Ok(user) => user,
-            Err(e) => {
-                self.deadline = None;
-                return Err(malformed(&e));
-            }
+        let hits = reused.iter().flatten().count() as u64;
+        self.prefix_hits += hits;
+        self.prefix_items_saved += hits;
+        self.prefix_misses += controls - hits;
+
+        let deadline = self.deadline.take().or_else(|| self.opts.deadline_from_now());
+        let lattice = resolve_lattice(&parsed, &self.opts)?;
+        let default_pc = resolve_default_pc(&lattice, &self.opts)?;
+        let state = CheckerState::clone(&*self.prelude_state(&lattice)?);
+        let mut misses = parsed.items.iter();
+        let steps = reused.into_iter().map(|hit| match hit {
+            Some(diags) => Step::Reuse(diags),
+            None => Step::Check(misses.next().expect("one parsed item per miss")),
+        });
+        let walk = {
+            let mut ctx = self.ctx.borrow_mut();
+            walk_items(steps, &lattice, &self.opts, default_pc, &mut ctx, state, deadline)
         };
-        self.check_cold(user, source, &segs, &sighted)
+        self.record(source, &plan, &walk);
+        if walk.diags.is_empty() {
+            Ok(())
+        } else {
+            Err(walk.diags)
+        }
     }
 
     /// Checks an already-parsed user program against the session prelude.
-    /// (No prefix snapshots are taken or used on this path: the chain
-    /// hash is derived from source bytes, which a pre-parsed program no
-    /// longer has.)
+    /// (The item memo is neither read nor fed on this path: its keys are
+    /// source bytes, which a pre-parsed program no longer has.)
     ///
     /// # Errors
     ///
     /// Returns the full list of type/flow errors.
     pub fn check_parsed(&mut self, user: Program) -> Result<TypedProgram, Vec<Diagnostic>> {
-        self.check_cold(user, "", &[], &[])
+        self.check_user(user, "", None)
     }
 
-    /// The cold check path: full run over all user items. It collects a
-    /// checkpoint at item boundary `d` only if `sighted[d]` — the
-    /// boundary's chain was sighted before this check, so the prefix is
-    /// being reused — and only when the splitter's segmentation aligns
-    /// with the parse (one segment per item). A program seen for the
-    /// first time clones no state and renders no flow log.
-    fn check_cold(
+    /// The memo's plan for a source: its byte-split items and their keys,
+    /// or `None` when the memo is disabled or the source does not split.
+    fn plan(&self, source: &str) -> Option<Plan> {
+        if self.shared.memo_cap == 0 {
+            return None;
+        }
+        let items = p4bid_syntax::split_items(source)?;
+        let sub = Submission::new(source, &items);
+        let record = vec![false; items.len()];
+        Some(Plan { items, sub, record })
+    }
+
+    /// Parses and checks the whole source, then records the controls
+    /// `plan` marks if the parse agrees with its split.
+    fn check_whole(
+        &mut self,
+        source: &str,
+        plan: Option<Plan>,
+    ) -> Result<TypedProgram, Vec<Diagnostic>> {
+        match p4bid_syntax::parse(source) {
+            Ok(user) => self.check_user(user, source, plan),
+            Err(e) => {
+                // An armed deadline is per-check: don't leak it into the
+                // next program when this one dies in the parser.
+                self.deadline = None;
+                Err(vec![malformed(&e)])
+            }
+        }
+    }
+
+    /// The cold check path: walks every user item and assembles the typed
+    /// program.
+    fn check_user(
         &mut self,
         user: Program,
         source: &str,
-        segs: &[ItemSeg],
-        sighted: &[bool],
+        plan: Option<Plan>,
     ) -> Result<TypedProgram, Vec<Diagnostic>> {
         let deadline = self.deadline.take().or_else(|| self.opts.deadline_from_now());
         let lattice = resolve_lattice(&user, &self.opts)?;
         let default_pc = resolve_default_pc(&lattice, &self.opts)?;
         let state = CheckerState::clone(&*self.prelude_state(&lattice)?);
-        let collect = if segs.len() == user.items.len() { sighted } else { &[] };
-
-        let out = {
+        let walk = {
             let mut ctx = self.ctx.borrow_mut();
-            check_items_run(
-                &user.items,
-                &lattice,
-                &self.opts,
-                default_pc,
-                &mut ctx,
-                state,
-                deadline,
-                None,
-                collect,
-            )?
+            let steps = user.items.iter().map(Step::Check);
+            walk_items(steps, &lattice, &self.opts, default_pc, &mut ctx, state, deadline)
         };
-
+        if let Some(plan) = plan.filter(|p| aligned(&p.items, &user.items)) {
+            self.record(source, &plan, &walk);
+        }
+        if !walk.diags.is_empty() {
+            return Err(walk.diags);
+        }
         // The interpreter needs the prelude definitions in the program
         // body, exactly as `check_source` includes them; the view shares
-        // them (and the user items) instead of deep-copying.
-        let (items, controls) = if let Some(seed) = out.seed_edges {
-            let items = Arc::new(user.items);
-            let controls = Arc::new(out.controls);
-            let seed = Arc::new(seed);
-            self.insert_checkpoints(
-                source,
-                segs,
-                &lattice,
-                &items,
-                &controls,
-                &seed,
-                out.checkpoints,
-            );
-            (items, (*controls).clone())
-        } else {
-            (Arc::new(user.items), out.controls)
-        };
-        let items_len = items.len();
+        // them instead of deep-copying.
         Ok(TypedProgram {
             lattice,
-            defs: out.state.defs,
-            controls,
-            program: ProgramView::new(Arc::clone(&self.prelude), items, items_len, Vec::new()),
+            defs: walk.state.defs,
+            controls: walk.controls,
+            program: ProgramView::new(Arc::clone(&self.prelude), user.items),
             ctx: Rc::clone(&self.ctx),
-            lineage: out.lineage,
+            lineage: walk.lineage,
         })
     }
 
-    /// Probes for the deepest matching prefix snapshot. On a miss it
-    /// sights every boundary's chain under the same lock and returns, per
-    /// boundary, whether that chain had been sighted before — the set of
-    /// boundaries the cold check should snapshot. The probe itself is
-    /// skipped when the lattice cannot be pre-resolved conservatively.
-    fn probe(
-        &mut self,
-        source: &str,
-        tokens: &[Token],
-        segs: &[ItemSeg],
-    ) -> Result<(Lattice, PrefixEntry), Vec<bool>> {
-        if segs.is_empty() {
-            return Err(Vec::new());
+    /// Records the controls `plan` marks (missed, and sighted before this
+    /// check) with the diagnostics the walk gave them. A walk cut by its
+    /// deadline records nothing.
+    fn record(&mut self, source: &str, plan: &Plan, walk: &Walk) {
+        if walk.timed_out || !plan.record.contains(&true) {
+            return;
         }
-        let lattice = self.quick_lattice(source, tokens, segs);
-        let mut cache = lock(&self.shared.prefix);
-        let entry = lattice.as_ref().and_then(|lattice| {
-            (0..segs.len()).rev().find_map(|d| {
-                cache.probe(
-                    segs[d].chain,
-                    lattice,
-                    &source[..segs[d].byte_end as usize],
-                    (d + 1) as u32,
-                )
-            })
-        });
-        match (lattice, entry) {
-            (Some(lattice), Some(entry)) => {
-                drop(cache);
-                self.prefix_hits += 1;
-                self.prefix_items_saved += u64::from(entry.items);
-                Ok((lattice, entry))
+        let mut memo = lock(&self.shared.memo);
+        for (i, item) in plan.items.iter().enumerate() {
+            let Some((key, len)) = plan.sub.keys[i].filter(|_| plan.record[i]) else { continue };
+            let diags = &walk.diags[if i == 0 { 0 } else { walk.ends[i - 1] }..walk.ends[i]];
+            if memo.record(key, (&plan.sub.state, len), source, (item.start, item.end), diags) {
+                self.prefix_inserts += 1;
             }
-            _ => Err(segs.iter().map(|s| cache.sight(s.chain)).collect()),
         }
     }
 
-    /// Completes a snapshot hit: parses and checks only the suffix past
-    /// the snapshot's item boundary, seeding the run with the snapshot's
-    /// state, controls, and rendered flow log so verdicts, diagnostics,
-    /// and lineage come out byte-identical to a cold check.
-    fn resume_with(
-        &mut self,
-        source: &str,
-        tokens: &[Token],
-        segs: &[ItemSeg],
-        lattice: Lattice,
-        entry: PrefixEntry,
-    ) -> Result<TypedProgram, Vec<Diagnostic>> {
-        let seg = &segs[entry.items as usize - 1];
-        // Item boundaries are statement boundaries of a known-parseable
-        // prefix, and the parser carries no cross-item state, so parsing
-        // the suffix tokens reproduces the tail of a full parse exactly
-        // (spans are absolute into the same `source`).
-        let suffix = match p4bid_syntax::parse_tokens(source, &tokens[seg.token_end as usize..]) {
-            Ok(p) => p,
-            Err(e) => {
-                self.deadline = None;
-                return Err(vec![Diagnostic::new(
-                    DiagCode::Malformed,
-                    e.message().to_string(),
-                    e.span(),
-                )]);
-            }
-        };
-        let deadline = self.deadline.take().or_else(|| self.opts.deadline_from_now());
-        let default_pc = resolve_default_pc(&lattice, &self.opts)?;
-        let resume = ResumeSeed {
-            seed: Arc::clone(&entry.seed),
-            edges_len: entry.edges_len,
-            controls: Arc::clone(&entry.controls),
-            controls_len: entry.controls_len,
-        };
-        let out = {
-            let mut ctx = self.ctx.borrow_mut();
-            check_items_run(
-                &suffix.items,
-                &lattice,
-                &self.opts,
-                default_pc,
-                &mut ctx,
-                entry.state,
-                deadline,
-                Some(resume),
-                &[],
-            )?
-        };
-        // O(suffix) assembly: the prefix AST is the snapshot's `Arc`,
-        // never deep-copied — the point of resuming.
-        Ok(TypedProgram {
-            lattice,
-            defs: out.state.defs,
-            controls: out.controls,
-            program: ProgramView::new(
-                Arc::clone(&self.prelude),
-                Arc::clone(&entry.items_ast),
-                entry.items as usize,
-                suffix.items,
-            ),
-            ctx: Rc::clone(&self.ctx),
-            lineage: out.lineage,
-        })
-    }
-
-    /// Conservatively resolves the lattice a submission will check under
-    /// *without parsing it* — the prefix-cache key needs it up front.
-    /// Mirrors [`resolve_lattice`]: the options override wins; otherwise
-    /// a `lattice { … }` declaration can only be a top-level item, so the
-    /// first token of the first segment decides. Any situation the quick
-    /// scan cannot settle byte-for-byte (a declaration past the first
-    /// item, a malformed declaration) returns `None` and the cold path
-    /// decides.
-    fn quick_lattice(&self, source: &str, tokens: &[Token], segs: &[ItemSeg]) -> Option<Lattice> {
-        if let Some(l) = &self.opts.lattice {
-            return Some(l.clone());
-        }
-        let word_at = |tok_ix: usize| -> &str {
-            let t = &tokens[tok_ix];
-            if matches!(t.kind, TokenKind::Ident) {
-                &source[t.span.start as usize..t.span.end as usize]
-            } else {
-                ""
-            }
-        };
-        for i in 1..segs.len() {
-            if word_at(segs[i - 1].token_end as usize) == "lattice" {
-                return None;
-            }
-        }
-        if word_at(0) == "lattice" {
-            let decl = p4bid_syntax::parse_lattice_decl(source, tokens).ok()?;
-            lattice_from_decl(&decl).ok()
-        } else {
-            Some(Lattice::two_point())
-        }
-    }
-
-    /// The tier boundaries a snapshot's handles must lie below to be
-    /// valid beyond this session: the frozen segment sizes on the
-    /// shared-core path, unbounded for a root-tier session (whose cache
-    /// is private, and whose ids survive [`freeze`](CheckerSession::freeze)
+    /// The tier boundaries a lattice state's handles must lie below to be
+    /// publishable to the core: the frozen segment sizes on the
+    /// shared-core path, unbounded for a root-tier session (whose table is
+    /// private, and whose ids survive [`freeze`](CheckerSession::freeze)
     /// verbatim).
     fn tier_limits(&self) -> (usize, usize) {
         let ctx = self.ctx.borrow();
@@ -578,53 +513,6 @@ impl CheckerSession {
             (usize::MAX, usize::MAX)
         } else {
             (frozen_syms, frozen_types)
-        }
-    }
-
-    /// Records the checkpoints of a clean, aligned cold run — one per
-    /// boundary whose chain was sighted before — into the shared prefix
-    /// cache. Only tier-pure checkpoints are inserted (state append-only
-    /// ⟹ purity is prefix-monotone, so the scan stops at the first
-    /// impure one); failed and timed-out runs never reach here, which is
-    /// what keeps panics and transient verdicts from poisoning the
-    /// snapshot tree.
-    #[allow(clippy::too_many_arguments)]
-    fn insert_checkpoints(
-        &mut self,
-        source: &str,
-        segs: &[ItemSeg],
-        lattice: &Lattice,
-        items: &Arc<Vec<p4bid_ast::surface::Item>>,
-        controls: &Arc<Vec<crate::TypedControl>>,
-        seed: &Arc<crate::prefix::SeedEdges>,
-        checkpoints: Vec<crate::checker::RunCheckpoint>,
-    ) {
-        let (max_sym, max_ty) = self.tier_limits();
-        let mut cache = lock(&self.shared.prefix);
-        for cp in checkpoints {
-            if !cp.state.within_tiers(max_sym, max_ty)
-                || !controls[..cp.controls_len as usize]
-                    .iter()
-                    .all(|c| control_within_tiers(c, max_sym, max_ty))
-            {
-                break;
-            }
-            let seg = &segs[cp.items_done as usize - 1];
-            cache.insert(
-                seg.chain,
-                PrefixEntry::new(
-                    lattice.clone(),
-                    source[..seg.byte_end as usize].into(),
-                    cp.items_done,
-                    cp.state,
-                    Arc::clone(items),
-                    Arc::clone(controls),
-                    cp.controls_len,
-                    Arc::clone(seed),
-                    cp.edges_len,
-                ),
-            );
-            self.prefix_inserts += 1;
         }
     }
 
@@ -681,6 +569,68 @@ impl CheckerSession {
     }
 }
 
+/// The item memo's view of one submission (see [`CheckerSession::verdict`]).
+struct Plan {
+    items: Vec<ByteItem>,
+    sub: Submission,
+    /// Per item: record it after the walk (a control that missed and
+    /// whose key had been sighted before).
+    record: Vec<bool>,
+}
+
+/// The single diagnostic a parse error becomes.
+fn malformed(e: &p4bid_syntax::ParseError) -> Diagnostic {
+    Diagnostic::new(DiagCode::Malformed, e.message().to_string(), e.span())
+}
+
+/// Lexes and parses each run of consecutive items without a memo answer,
+/// returning their items in order, or `None` when a run does not lex,
+/// does not parse, or parses into items other than the split's.
+fn parse_misses(
+    source: &str,
+    items: &[ByteItem],
+    reused: &[Option<Vec<Diagnostic>>],
+) -> Option<Program> {
+    let mut parsed = Vec::new();
+    let mut i = 0;
+    while i < items.len() {
+        if reused[i].is_some() {
+            i += 1;
+            continue;
+        }
+        let run = i;
+        while i < items.len() && reused[i].is_none() {
+            i += 1;
+        }
+        let range = items[run].start as usize..items[i - 1].end as usize;
+        let tokens = p4bid_syntax::lex_range(source, range).ok()?;
+        let program = p4bid_syntax::parse_tokens(source, &tokens).ok()?;
+        if !aligned(&items[run..i], &program.items) {
+            return None;
+        }
+        parsed.extend(program.items);
+    }
+    Some(Program { items: parsed })
+}
+
+/// Whether parsed items coincide with byte-split ones: as many, the same
+/// ones controls, and ending where the split ends them (for the items
+/// whose AST records a span).
+fn aligned(split: &[ByteItem], parsed: &[Item]) -> bool {
+    split.len() == parsed.len()
+        && split.iter().zip(parsed).all(|(s, p)| {
+            let end = match p {
+                Item::Lattice(l) => Some(l.span.end),
+                Item::Function(f) => Some(f.span.end),
+                Item::Action(a) => Some(a.span.end),
+                Item::Control(c) => Some(c.span.end),
+                Item::Type(_) => None,
+            };
+            (s.head == ItemHead::Control) == matches!(p, Item::Control(_))
+                && end.is_none_or(|end| end == s.end)
+        })
+}
+
 /// What one worker session learned, harvested by
 /// [`CheckerSession::into_harvest`] for [`SharedSessionCore::refreeze`]:
 /// the overlay interner/pool tables plus any checked-prelude states the
@@ -710,7 +660,7 @@ pub struct SharedSessionCore {
     /// Checked-prelude snapshots frozen with the core, shared by handle.
     /// Every `Symbol` and `TyId` inside points into the frozen segment.
     states: Vec<(Lattice, Arc<CheckerState>)>,
-    /// The cross-session caches (prefix snapshots, publish-once lattice
+    /// The cross-session caches (the item memo, publish-once lattice
     /// states), shared by every session of this core and carried across
     /// refreezes.
     shared: Arc<CoreShared>,
@@ -723,23 +673,23 @@ impl SharedSessionCore {
         CheckerSession::new(opts).freeze()
     }
 
-    /// Builds a core whose shared prefix-snapshot cache holds at most
-    /// `cap` entries (`0` disables prefix snapshotting).
+    /// Builds a core whose shared item memo holds at most `cap` entries
+    /// (`0` disables it).
     #[must_use]
     pub fn with_prefix_cache_cap(opts: CheckOptions, cap: usize) -> Self {
         CheckerSession::new(opts).with_prefix_cache_cap(cap).freeze()
     }
 
-    /// The bound of this core's shared prefix-snapshot cache.
+    /// The bound of this core's shared item memo.
     #[must_use]
     pub fn prefix_cache_cap(&self) -> usize {
-        self.shared.prefix_cap
+        self.shared.memo_cap
     }
 
-    /// Number of prefix snapshots currently held by this core's cache.
+    /// Number of controls currently held by this core's item memo.
     #[must_use]
     pub fn prefix_cache_len(&self) -> usize {
-        lock(&self.shared.prefix).len()
+        lock(&self.shared.memo).len()
     }
 
     /// The options every session cloned off this core checks under.
@@ -785,10 +735,9 @@ impl SharedSessionCore {
     /// ids remapped), and harvested checked-prelude states for new
     /// lattices are remapped and adopted (first harvest wins per
     /// lattice). Existing frozen ids are preserved verbatim, so the
-    /// shared caches — prefix snapshots included — stay valid and are
-    /// carried over: frequently seen program-local symbols and types now
-    /// start warm in every worker, and snapshots taken by one worker
-    /// serve them all.
+    /// published lattice states stay valid, and the item memo (which holds
+    /// no ids) is carried over as it is: frequently seen program-local
+    /// symbols and types now start warm in every worker.
     #[must_use]
     pub fn refreeze(&self, harvests: Vec<SessionHarvest>) -> SharedSessionCore {
         let mut overlays = Vec::with_capacity(harvests.len());
@@ -838,13 +787,18 @@ pub struct SessionStats {
     pub ty_intern_calls: u64,
     /// `push_label` calls answered by the `(TyId, Label)` memo.
     pub push_cache_hits: u64,
-    /// Checks served from a prefix snapshot (suffix-only re-check).
+    /// `control` items the item memo answered (not lexed, parsed or
+    /// checked).
     pub prefix_hits: u64,
-    /// Checks that consulted the prefix cache and fell through cold.
+    /// `control` items the memo could not answer, so they were checked
+    /// (every control of a [`CheckerSession::check`], which never reads
+    /// the memo).
     pub prefix_misses: u64,
-    /// Prefix snapshots recorded by this session's clean cold runs.
+    /// Controls recorded into the memo by this session's checks.
     pub prefix_inserts: u64,
-    /// Top-level items whose re-check a prefix snapshot skipped.
+    /// Top-level items whose lex, parse and check the memo skipped. Only
+    /// controls are memoized, so this equals `prefix_hits`; it stays for
+    /// the ledgers that read it.
     pub prefix_items_saved: u64,
     /// Program-lattice prelude states adopted from the publish-once
     /// shared table instead of being rebuilt.
@@ -1045,96 +999,70 @@ mod tests {
         assert!(errs.iter().any(|d| d.code == DiagCode::UnknownLabel), "{errs:?}");
     }
 
-    /// Cold sessions are root-tier, so every snapshot is tier-pure and
-    /// the private prefix cache engages immediately: handy for pinning
-    /// resume ≡ cold equivalence without a refreeze in the loop.
+    /// Checks `src` twice (the first check sights its controls, the
+    /// second records them) so later submissions can reuse them.
+    fn record_twice(session: &mut CheckerSession, src: &str) {
+        let _ = session.check(src);
+        let _ = session.check(src);
+    }
+
+    /// Asserts that a verdict matches a check of `src` with the memo
+    /// disabled: same acceptance, same diagnostics byte for byte.
+    fn assert_same_as_cold(got: Result<(), Vec<Diagnostic>>, src: &str) {
+        let cold = CheckerSession::new(CheckOptions::ifc()).with_prefix_cache_cap(0).check(src);
+        match (got, cold) {
+            (Ok(()), Ok(_)) => {}
+            (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}"), "{src}"),
+            (a, b) => panic!("verdicts diverge on {src}: {a:?} vs {b:?}"),
+        }
+    }
+
     #[test]
     fn prefix_resume_matches_cold_check_bytes() {
         let base = "typedef bit<8> octet;\n\
                     header h_t { <octet, high> secret; <octet, low> public; }\n\
                     function octet idf(in octet x) { return x; }\n\
                     control C(inout h_t h) { apply { h.public = idf(h.public); } }\n";
-        // One accepting and one leaking final control, plus an edited
-        // middle item (which invalidates deeper snapshots).
+        // One accepting and two leaking final controls: `C` is reused
+        // every time, `D` only when its bytes were recorded.
         let tails = [
             "control D(inout h_t h) { apply { h.public = h.public + 8w1; } }",
             "control D(inout h_t h) { apply { h.public = h.secret; } }",
             "control D(inout h_t h, inout <bit<8>, low> out_b) { apply { out_b = idf(h.secret); } }",
         ];
         let mut warm = CheckerSession::new(CheckOptions::ifc());
-        let first = format!("{base}{}", tails[0]);
-        // Snapshots are pay-on-reuse: the first check only sights the
-        // chains, the second snapshots every boundary.
-        warm.check(&first).expect("accepts");
-        warm.check(&first).expect("accepts");
-        assert!(warm.stats().prefix_inserts >= 4, "sighted run snapshots every item boundary");
+        record_twice(&mut warm, &format!("{base}{}", tails[0]));
+        assert_eq!(warm.stats().prefix_inserts, 2, "both controls recorded");
         for tail in tails {
             let src = format!("{base}{tail}");
-            let mut cold = CheckerSession::new(CheckOptions::ifc()).with_prefix_cache_cap(0);
-            let a = warm.check(&src);
-            let b = cold.check(&src);
-            match (a, b) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.program, b.program, "{tail}");
-                    assert_eq!(a.controls, b.controls, "{tail}");
-                    assert_eq!(format!("{:?}", a.lineage), format!("{:?}", b.lineage), "{tail}");
-                }
-                (Err(a), Err(b)) => {
-                    assert_eq!(format!("{a:?}"), format!("{b:?}"), "{tail}");
-                }
-                (a, b) => panic!("verdicts diverge on {tail}: {a:?} vs {b:?}"),
-            }
+            assert_same_as_cold(warm.verdict(&src), &src);
         }
         let stats = warm.stats();
-        assert!(stats.prefix_hits >= 3, "every resubmission resumed: {stats:?}");
-        // Each resumed check skipped the 4 unchanged prefix items.
-        assert!(stats.prefix_items_saved >= 12, "{stats:?}");
+        assert_eq!((stats.prefix_hits, stats.prefix_items_saved), (4, 4), "{stats:?}");
+        // The two unseen tails missed, and were sighted for next time.
+        assert_eq!(stats.prefix_misses, 4 + 2, "{stats:?}");
     }
 
     #[test]
     fn prefix_resume_replays_lineage_seed_edges() {
-        // The violation's origin lies in the *prefix* (the `h.secret`
-        // read flows through `tmp`), so the explanation path of the
-        // resumed run must replay seeded edges byte-identically.
-        let prefix = "control C(inout <bit<8>, high> h, inout <bit<8>, low> l) {\n\
-                      apply { }\n\
-                      }\n";
-        let leak = "control D(inout <bit<8>, high> h2, inout <bit<8>, low> l2) {\n\
-                    apply { l2 = h2; }\n\
-                    }";
-        let src = format!("{prefix}{leak}");
+        // Both controls' diagnostics come from the memo once recorded.
+        // `D`'s explanation path is its own flows only (a trace never
+        // reaches into an earlier item), so the reused lineage lands at
+        // the rebased positions byte-identically to a cold check.
+        let src = "control C(inout <bit<8>, high> h, inout <bit<8>, low> l) {\n\
+                   apply { <bit<8>, high> t = h; h = t; }\n\
+                   }\n\
+                   control D(inout <bit<8>, high> h, inout <bit<8>, low> l) {\n\
+                   apply { <bit<8>, high> t = h; l = t; }\n\
+                   }";
         let mut warm = CheckerSession::new(CheckOptions::ifc());
-        let ok = format!("{prefix}control D(inout bit<8> x) {{ apply {{ }} }}");
-        // The first check sights the prefix, the second snapshots it.
-        warm.check(&ok).expect("accepts");
-        warm.check(&ok).expect("accepts");
-        let resumed = warm.check(&src).unwrap_err();
-        assert_eq!(warm.stats().prefix_hits, 1);
-        let cold = CheckerSession::new(CheckOptions::ifc())
-            .with_prefix_cache_cap(0)
-            .check(&src)
-            .unwrap_err();
-        assert_eq!(format!("{resumed:?}"), format!("{cold:?}"));
-    }
-
-    /// Asserts that `got` matches a check of `src` with prefix snapshots
-    /// disabled: same program, lineage, controls and diagnostics (the
-    /// controls by their id-free fields, so sessions on different tiers
-    /// compare).
-    fn assert_same_as_cold(got: Result<TypedProgram, Vec<Diagnostic>>, src: &str) {
-        let cold = CheckerSession::new(CheckOptions::ifc()).with_prefix_cache_cap(0).check(src);
-        let controls = |p: &TypedProgram| {
-            p.controls.iter().map(|c| (c.name.clone(), c.pc, c.tables.clone())).collect::<Vec<_>>()
-        };
-        match (got, cold) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a.program, b.program, "{src}");
-                assert_eq!(controls(&a), controls(&b), "{src}");
-                assert_eq!(format!("{:?}", a.lineage), format!("{:?}", b.lineage), "{src}");
-            }
-            (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}"), "{src}"),
-            (a, b) => panic!("verdicts diverge on {src}: {a:?} vs {b:?}"),
-        }
+        record_twice(&mut warm, src);
+        let moved = format!("// moved down\n\n{src}");
+        let reused = warm.verdict(&moved);
+        assert_eq!(warm.stats().prefix_hits, 2);
+        let errs = reused.clone().unwrap_err();
+        assert_eq!(errs[0].lineage.len(), 2, "`h` --init--> `t` --assign--> `l`: {errs:?}");
+        assert_same_as_cold(reused, &moved);
     }
 
     #[test]
@@ -1147,41 +1075,13 @@ mod tests {
         s.check(src).expect("accepts");
         let first = s.stats();
         assert_eq!((first.prefix_misses, first.prefix_inserts), (1, 0), "unseen: {first:?}");
-        assert_eq!(lock(&s.shared.prefix).len(), 0);
+        assert_eq!(lock(&s.shared.memo).len(), 0);
         s.check(src).expect("accepts");
-        assert_eq!(s.stats().prefix_inserts, 4, "one snapshot per sighted boundary");
-        let resumed = s.check(src);
+        assert_eq!(s.stats().prefix_inserts, 1, "the control is recorded on its second sighting");
+        let reused = s.verdict(src);
         let third = s.stats();
-        assert_eq!((third.prefix_hits, third.prefix_items_saved, third.prefix_inserts), (1, 4, 4));
-        assert_same_as_cold(resumed, src);
-    }
-
-    #[test]
-    fn a_run_renders_its_seed_only_with_a_checkpoint() {
-        let src = "header h_t { <bit<8>, high> f; }\n\
-                   control C(inout h_t h, inout <bit<8>, high> g) { apply { g = h.f; } }";
-        let user = p4bid_syntax::parse(src).expect("parses");
-        let mut s = CheckerSession::new(CheckOptions::ifc());
-        let lattice = Lattice::two_point();
-        let default_pc = resolve_default_pc(&lattice, &s.opts).expect("default pc");
-        let state = s.prelude_state(&lattice).expect("prelude checks");
-        for (collect, taken) in [(&[][..], 0), (&[false, false], 0), (&[false, true], 1)] {
-            let out = check_items_run(
-                &user.items,
-                &lattice,
-                &s.opts,
-                default_pc,
-                &mut s.ctx.borrow_mut(),
-                CheckerState::clone(&state),
-                None,
-                None,
-                collect,
-            )
-            .expect("accepts");
-            assert_eq!(out.checkpoints.len(), taken, "{collect:?}");
-            assert_eq!(out.seed_edges.is_some(), taken > 0, "{collect:?}");
-            assert!(!out.lineage.edges().is_empty(), "the run has flow edges to render");
-        }
+        assert_eq!((third.prefix_hits, third.prefix_items_saved, third.prefix_inserts), (1, 1, 1));
+        assert_same_as_cold(reused, src);
     }
 
     #[test]
@@ -1192,22 +1092,16 @@ mod tests {
         s.check(src).expect("accepts");
         assert_eq!(s.stats().prefix_inserts, 0);
         let core2 = core.refreeze(vec![s.into_harvest().expect("harvests")]);
-        // A copy whose chain differs from byte 0 was never sighted, so it
-        // snapshots nothing yet, though all its names are frozen now…
-        let mut fresh = core2.session();
-        let spaced = format!(" {src}");
-        fresh.check(&spaced).expect("accepts");
-        assert_eq!(fresh.stats().prefix_inserts, 0, "{:?}", fresh.stats());
-        fresh.check(&spaced).expect("accepts");
-        assert_eq!(fresh.stats().prefix_inserts, 2, "its own second check snapshots");
-        // …while the source sighted before the refreeze snapshots now.
+        // The memo and its sightings survive the refreeze…
         let mut s2 = core2.session();
         s2.check(src).expect("accepts");
-        assert_eq!(s2.stats().prefix_inserts, 2, "{:?}", s2.stats());
+        assert_eq!(s2.stats().prefix_inserts, 1, "{:?}", s2.stats());
+        // …and a sibling reuses the control, at whatever position.
         let mut s3 = core2.session();
-        let resumed = s3.check(src);
+        let spaced = format!("\n\n  {src}");
+        let reused = s3.verdict(&spaced);
         assert_eq!(s3.stats().prefix_hits, 1);
-        assert_same_as_cold(resumed, src);
+        assert_same_as_cold(reused, &spaced);
     }
 
     #[test]
@@ -1224,61 +1118,88 @@ mod tests {
         s.check(a).expect("accepts");
         assert_eq!(s.stats().prefix_inserts, 0, "a's sighting was pushed out");
         s.check(a).expect("accepts");
-        assert_eq!(s.stats().prefix_inserts, 1, "one submission later, a snapshots");
-        let resumed = s.check(a);
+        assert_eq!(s.stats().prefix_inserts, 1, "one submission later, a is recorded");
+        let reused = s.verdict(a);
         assert_eq!(s.stats().prefix_hits, 1);
-        assert_same_as_cold(resumed, a);
+        assert_same_as_cold(reused, a);
     }
 
     #[test]
     fn timed_out_runs_never_insert_snapshots() {
         let src = "typedef bit<8> octet;\ncontrol C(inout octet x) { apply { x = x + 8w1; } }";
+        let expired = || Some(std::time::Instant::now() - std::time::Duration::from_millis(1));
         let mut session = CheckerSession::new(CheckOptions::ifc());
-        session.set_deadline(Some(std::time::Instant::now() - std::time::Duration::from_millis(1)));
-        let errs = session.check(src).unwrap_err();
+        session.check(src).expect("accepts");
+        // The second sighting would record, but the run timed out.
+        session.set_deadline(expired());
+        let errs = session.verdict(src).unwrap_err();
         assert!(errs.iter().any(|d| d.code == DiagCode::Timeout));
         assert_eq!(session.stats().prefix_inserts, 0, "transient runs are refused");
-        // The resubmission finds nothing to resume from…
-        session.check(src).expect("accepts unguarded");
-        assert_eq!(session.stats().prefix_hits, 0);
-        // …but inserts now, so a third round resumes.
-        session.check(src).expect("accepts");
+        // The resubmission finds nothing to reuse, but records…
+        session.verdict(src).expect("accepts unguarded");
+        assert_eq!((session.stats().prefix_hits, session.stats().prefix_inserts), (0, 1));
+        // …so a third round reuses it.
+        session.verdict(src).expect("accepts");
         assert_eq!(session.stats().prefix_hits, 1);
     }
 
     #[test]
     fn failing_runs_never_insert_snapshots() {
+        // A leak is a verdict like any other: its control is recorded
+        // with its diagnostic. A run that does not parse records nothing,
+        // though its well-formed control was sighted twice.
         let mut session = CheckerSession::new(CheckOptions::ifc());
         let leak = "typedef bit<8> octet;\n\
                     control C(inout <octet, low> l, inout <octet, high> h) { apply { l = h; } }";
-        session.check(leak).unwrap_err();
-        assert_eq!(session.stats().prefix_inserts, 0, "failed runs leave no snapshots");
+        record_twice(&mut session, leak);
+        assert_eq!(session.stats().prefix_inserts, 1);
+        let broken = format!("{leak}\ncontrol D(inout octet x) {{ apply {{ x = ; }} }}");
+        record_twice(&mut session, &broken);
+        session.verdict(&broken).unwrap_err();
+        let stats = session.stats();
+        assert_eq!(stats.prefix_inserts, 1, "the malformed runs recorded nothing: {stats:?}");
+        assert_eq!(stats.prefix_hits, 0, "a hit before a malformed item is not taken: {stats:?}");
+        assert_same_as_cold(session.verdict(&broken), &broken);
     }
 
     #[test]
-    fn core_sessions_insert_only_tier_pure_snapshots() {
-        // A fresh core's frozen segment knows nothing about the user
-        // program's names, so its snapshots are impure and refused…
+    fn core_sessions_share_memo_entries_without_a_refreeze() {
+        // The memo holds no interner ids, so a fresh core's sessions
+        // record user controls at once, and siblings reuse them.
         let core = SharedSessionCore::new(CheckOptions::ifc());
-        let src = "typedef bit<8> octet;\ncontrol C(inout octet x) { apply { x = x + 8w1; } }";
+        let src = "typedef bit<8> octet;\n\
+                   control C(inout octet x) { apply { x = x + 8w1; } }\n\
+                   control D(inout octet x) { apply { x = x + 8w2; } }";
         let mut s = core.session();
-        s.check(src).expect("accepts");
-        assert_eq!(s.stats().prefix_inserts, 0, "overlay handles are not publishable");
-        // …until a refreeze promotes those names into the frozen segment.
-        let harvest = s.into_harvest().expect("sole owner harvests");
-        let core2 = core.refreeze(vec![harvest]);
-        let mut s2 = core2.session();
-        s2.check(src).expect("accepts");
-        let stats = s2.stats();
-        assert!(stats.prefix_inserts >= 2, "promoted names snapshot cleanly: {stats:?}");
-        assert_eq!((stats.overlay_syms, stats.overlay_types), (0, 0), "fully warm resubmission");
-        // A sibling session of the same core resumes from s2's snapshots.
-        let mut s3 = core2.session();
-        let edited = src.replace("x + 8w1", "x + 8w2");
-        s3.check(&edited).expect("accepts");
+        record_twice(&mut s, src);
+        assert_eq!(s.stats().prefix_inserts, 2, "{:?}", s.stats());
+        assert_eq!(core.prefix_cache_len(), 2);
+        let mut s3 = core.session();
+        let edited = src.replace("x + 8w2", "x + 8w3");
+        s3.verdict(&edited).expect("accepts");
         let stats3 = s3.stats();
-        assert_eq!(stats3.prefix_hits, 1, "cross-session snapshot hit: {stats3:?}");
+        assert_eq!((stats3.prefix_hits, stats3.prefix_misses), (1, 1), "{stats3:?}");
         assert_eq!(stats3.prefix_items_saved, 1);
+    }
+
+    #[test]
+    fn the_memo_stays_within_its_cap_over_a_long_edit_stream() {
+        let core = SharedSessionCore::with_prefix_cache_cap(CheckOptions::ifc(), 8);
+        let mut s = core.session();
+        for edit in 0..200 {
+            let src = format!(
+                "header h_t {{ <bit<8>, low> f; }}\n\
+                 control Keep(inout h_t h) {{ apply {{ h.f = h.f + 8w1; }} }}\n\
+                 control Edit(inout h_t h) {{ apply {{ h.f = h.f + 8w{}; }} }}",
+                edit % 256
+            );
+            record_twice(&mut s, &src);
+            assert_same_as_cold(s.verdict(&src), &src);
+            assert!(core.prefix_cache_len() <= 8, "edit {edit}: {}", core.prefix_cache_len());
+        }
+        let stats = s.stats();
+        assert_eq!(stats.prefix_hits, 2 * 200, "both controls of every edit reused: {stats:?}");
+        assert_eq!(core.prefix_cache_len(), 8);
     }
 
     #[test]
@@ -1287,8 +1208,7 @@ mod tests {
         // *indices* coincide with the warm lattice's), so its prelude
         // state is tier-pure and publishable: the first worker builds
         // it, every sibling adopts it from the shared table. The prefix
-        // cache is disabled so the table is exercised in isolation (a
-        // snapshot hit past the lattice decl would otherwise subsume it).
+        // memo is disabled so the table is exercised in isolation.
         let core = SharedSessionCore::with_prefix_cache_cap(CheckOptions::ifc(), 0);
         let chain = "lattice { lo < hi; }\n\
                      control C(inout <bit<8>, hi> a) { apply { a = a + 8w1; } }";
@@ -1333,19 +1253,20 @@ mod tests {
         let src = "control C(inout bit<8> x) { apply { } }";
         s.check(src).expect("accepts");
         s.check(src).expect("accepts");
+        s.verdict(src).expect("accepts");
         let stats = s.stats();
         assert_eq!((stats.prefix_hits, stats.prefix_misses, stats.prefix_inserts), (0, 0, 0));
         assert_eq!(core.prefix_cache_len(), 0);
-        assert_eq!(lock(&core.shared.prefix).sighting_len(), 0, "cap 0 sights nothing");
+        assert_eq!(lock(&core.shared.memo).sighting_len(), 0, "cap 0 sights nothing");
     }
 
     #[test]
     fn the_sighting_table_is_allocated_on_first_use() {
         let core = SharedSessionCore::new(CheckOptions::ifc());
-        assert_eq!(lock(&core.shared.prefix).sighting_len(), 0, "building a core allocates none");
+        assert_eq!(lock(&core.shared.memo).sighting_len(), 0, "building a core allocates none");
         core.session().check("control C(inout bit<8> x) { apply { } }").expect("accepts");
         let slots = crate::prefix::sighting_slots(DEFAULT_PREFIX_CACHE_CAP);
-        assert_eq!(lock(&core.shared.prefix).sighting_len(), slots);
+        assert_eq!(lock(&core.shared.memo).sighting_len(), slots);
     }
 
     #[test]

@@ -102,3 +102,17 @@ fn accepted_programs_keep_their_lineage_graph() {
     let base = check_source(src, &CheckOptions::base()).unwrap();
     assert!(base.lineage.edges().is_empty());
 }
+
+#[test]
+fn lineage_never_crosses_a_control_boundary() {
+    // `A` writes its own parameter `s`; `B`'s `s` is another variable, so
+    // `B`'s leak must not be explained through `A`'s assignment.
+    let src = "header h_t { <bit<8>, high> f; <bit<8>, low> g; }\n\
+               struct hs { h_t h; }\n\
+               control A(inout hs s) { apply { s.h.f = s.h.f + 8w1; } }\n\
+               control B(inout hs s) { apply { s.h.g = s.h.f; } }";
+    let errs = check_source(src, &CheckOptions::ifc()).unwrap_err();
+    assert_eq!(errs.len(), 1, "{errs:?}");
+    assert_eq!(errs[0].code, DiagCode::ExplicitFlow);
+    assert_eq!(errs[0].lineage_chain().unwrap(), "`s.h.f` (high) --assign--> `s.h.g` (low)");
+}

@@ -86,12 +86,13 @@ proptest! {
         prop_assert_eq!(&a, &again, "a reused session agrees with itself");
     }
 
-    /// Prefix-snapshot resume is invisible: a warm session that already
-    /// checked a related program (seeding the snapshot tree) answers a
-    /// second program exactly like a cold session with the cache disabled
-    /// — verdicts, diagnostics, and typed output all byte-identical. The
-    /// generator builds both programs from a shared pool of valid items so
-    /// common prefixes (and thus snapshot hits) are frequent.
+    /// The item memo is invisible: a warm session that already checked a
+    /// related program twice (recording its controls) answers a second
+    /// program exactly like a cold session with the memo disabled —
+    /// verdicts and diagnostics byte-identical through `verdict`, typed
+    /// output identical through `check`. The generator builds both
+    /// programs from a shared pool of items (one of them malformed) so
+    /// shared controls, and thus memo hits, are frequent.
     #[test]
     fn prefix_resume_matches_cold_check(
         base in proptest::collection::vec(0usize..8, 1..7),
@@ -165,10 +166,14 @@ proptest! {
         };
         let mut warm = CheckerSession::new(CheckOptions::ifc());
         let _ = warm.check(&first);
+        let _ = warm.check(&first);
+        let verdict = warm.verdict(&second).map_err(|d| format!("{d:?}"));
         let warm_out = project(&warm.check(&second));
         let mut cold = CheckerSession::new(CheckOptions::ifc()).with_prefix_cache_cap(0);
-        let cold_out = project(&cold.check(&second));
-        prop_assert_eq!(warm_out, cold_out, "snapshot resume must be semantically invisible");
+        let cold_result = cold.check(&second);
+        let cold_verdict = cold_result.as_ref().map(|_| ()).map_err(|d| format!("{d:?}"));
+        prop_assert_eq!(verdict, cold_verdict, "memo answers must be invisible");
+        prop_assert_eq!(warm_out, project(&cold_result), "the warm cold path must match too");
     }
 
     /// The resource guards stay total too: a byte cap and an (unexpired)
