@@ -1,31 +1,10 @@
 //! The `p4bid` command-line tool.
 //!
-//! ```text
-//! p4bid check FILE [--base|--permissive] [--pc LABEL]   typecheck a program
-//! p4bid batch DIR|--synthetic N [--jobs J] [--json] [--policy FILE] [--stats|--stats-json]
-//!                                                       check a whole corpus in parallel
-//! p4bid serve [--socket PATH] [--jobs J] [--json] [--policy FILE] [--max-epochs N]
-//!             [--refresh-every N] [--max-epoch N] [--max-pending N] [--shed]
-//!             [--max-line BYTES] [--cache-cap N] [--prefix-cache-cap N]
-//!                                                       streaming ingest daemon (NDJSON feed)
-//! p4bid watch DIR [--interval-ms MS] [--jobs J] [--json] [--policy FILE] [--max-epochs N]
-//!                                                       watch a directory, re-check on change
-//! p4bid topo MANIFEST [--jobs J] [--json] [--watch] [--interval-ms MS] [--max-epochs N]
-//!                                                       fixpoint-check a switch topology
-//!
-//! `check`/`batch`/`serve`/`watch`/`topo` all take the resource guards
-//! `--max-source-bytes N` and `--check-timeout-ms MS`; `serve`/`watch`
-//! drain gracefully on SIGTERM/SIGINT.
-//! p4bid matrix                                          §5 case-study accept/reject matrix
-//! p4bid table1 [ITERS]                                  regenerate Table 1 (default 20 iterations)
-//! p4bid ni FILE --control NAME [--runs N] [--observe L] empirical non-interference check
-//! p4bid corpus [NAME] [--insecure|--unannotated]        list or print corpus programs
-//! p4bid fuzz [N] [--safe-bias F] [--jobs J] [--stats|--stats-json]
-//!                                                       soundness fuzzing over N random programs
-//! ```
-//!
-//! See `docs/CLI.md` for the full reference (exit codes, report schemas,
-//! environment knobs).
+//! Each subcommand's positional argument and flags are declared once, in
+//! [`COMMANDS`]. One parser reads that table, and so does the usage text;
+//! a flag a subcommand does not declare is refused (exit 2) before any
+//! work. See `docs/CLI.md` for the synopsis and the full reference (exit
+//! codes, report schemas, environment knobs).
 
 use p4bid::batch::{check_batch_with_policy, synthetic_corpus, BatchInput, BatchStats};
 use p4bid::fuzz::{run_fuzz, SeedOutcome};
@@ -37,87 +16,193 @@ use p4bid::serve::{run_feed, run_watch, DirScanner, IngestLimits, ServeEngine, S
 use p4bid::{check, render_diagnostics, CheckOptions, PolicyPack};
 use std::process::ExitCode;
 
+/// One subcommand: its name, its positional synopsis and its flags.
+struct Command {
+    name: &'static str,
+    /// `FILE` is required, `[N]` optional, and `DIR|--synthetic N` takes
+    /// either the positional or the flag; empty means no positional.
+    args: &'static str,
+    /// `--json` is a switch, `--jobs J` takes a value, and
+    /// `--base|--permissive` names alternatives, at most one of them given.
+    flags: &'static [&'static str],
+    run: fn(&Args) -> ExitCode,
+}
+
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "check", args: "FILE", run: cmd_check, flags: &[
+        "--base|--permissive", "--pc LABEL", "--max-source-bytes N", "--check-timeout-ms MS",
+    ] },
+    Command { name: "batch", args: "DIR|--synthetic N", run: cmd_batch, flags: &[
+        "--jobs J", "--json", "--policy FILE", "--stats|--stats-json", "--base|--permissive",
+        "--pc LABEL", "--prefix-cache-cap N", "--max-source-bytes N", "--check-timeout-ms MS",
+    ] },
+    Command { name: "serve", args: "", run: cmd_serve, flags: &[
+        "--socket PATH", "--jobs J", "--json", "--policy FILE", "--stats|--stats-json",
+        "--max-epochs N", "--refresh-every N", "--max-epoch N", "--max-pending N", "--shed",
+        "--max-line BYTES", "--cache-cap N", "--prefix-cache-cap N", "--base|--permissive",
+        "--pc LABEL", "--max-source-bytes N", "--check-timeout-ms MS",
+    ] },
+    Command { name: "watch", args: "DIR", run: cmd_watch, flags: &[
+        "--interval-ms MS", "--jobs J", "--json", "--policy FILE", "--stats|--stats-json",
+        "--max-epochs N", "--refresh-every N", "--cache-cap N", "--prefix-cache-cap N",
+        "--base|--permissive", "--pc LABEL", "--max-source-bytes N", "--check-timeout-ms MS",
+    ] },
+    Command { name: "topo", args: "MANIFEST", run: cmd_topo, flags: &[
+        "--jobs J", "--json", "--stats|--stats-json", "--watch", "--interval-ms MS",
+        "--max-epochs N", "--base|--permissive", "--pc LABEL", "--max-source-bytes N",
+        "--check-timeout-ms MS",
+    ] },
+    Command { name: "matrix", args: "", run: cmd_matrix, flags: &[] },
+    Command { name: "table1", args: "[ITERS]", run: cmd_table1, flags: &[] },
+    Command { name: "ni", args: "FILE", run: cmd_ni, flags: &[
+        "--control NAME", "--runs N", "--observe LABEL",
+    ] },
+    Command { name: "corpus", args: "[NAME]", run: cmd_corpus, flags: &[
+        "--insecure|--unannotated",
+    ] },
+    Command { name: "fuzz", args: "[N]", run: cmd_fuzz, flags: &[
+        "--safe-bias F", "--jobs J", "--stats|--stats-json",
+    ] },
+];
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("check") => cmd_check(&args[1..]),
-        Some("batch") => cmd_batch(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("watch") => cmd_watch(&args[1..]),
-        Some("topo") => cmd_topo(&args[1..]),
-        Some("matrix") => {
-            print!("{}", render_matrix(&case_study_matrix()));
-            ExitCode::SUCCESS
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Some(cmd) = argv.first().and_then(|name| COMMANDS.iter().find(|c| c.name == name)) else {
+        if let Some(name) = argv.first() {
+            eprintln!("error: unknown subcommand `{name}`");
         }
-        Some("table1") => {
-            let iters = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(20u32);
-            print!("{}", render_table1(&measure_table1(iters)));
-            ExitCode::SUCCESS
+        eprintln!("usage:");
+        for line in usage().lines() {
+            eprintln!("  {line}");
         }
-        Some("ni") => cmd_ni(&args[1..]),
-        Some("corpus") => cmd_corpus(&args[1..]),
-        Some("fuzz") => cmd_fuzz(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage:\n  p4bid check FILE [--base|--permissive] [--pc LABEL] [--max-source-bytes N] [--check-timeout-ms MS]\n  \
-                 p4bid batch DIR|--synthetic N [--jobs J] [--json] [--policy FILE] [--stats|--stats-json] [--base|--permissive] [--pc LABEL] [--prefix-cache-cap N] [--max-source-bytes N] [--check-timeout-ms MS]\n  \
-                 p4bid serve [--socket PATH] [--jobs J] [--json] [--policy FILE] [--stats|--stats-json] [--max-epochs N] [--refresh-every N] [--max-epoch N] [--max-pending N] [--shed] [--max-line BYTES] [--cache-cap N] [--prefix-cache-cap N] [--max-source-bytes N] [--check-timeout-ms MS]\n  \
-                 p4bid watch DIR [--interval-ms MS] [--jobs J] [--json] [--policy FILE] [--stats|--stats-json] [--max-epochs N] [--refresh-every N] [--cache-cap N] [--prefix-cache-cap N] [--max-source-bytes N] [--check-timeout-ms MS]\n  \
-                 p4bid topo MANIFEST [--jobs J] [--json] [--stats|--stats-json] [--watch] [--interval-ms MS] [--max-epochs N] [--base|--permissive] [--max-source-bytes N] [--check-timeout-ms MS]\n  \
-                 p4bid matrix\n  p4bid table1 [ITERS]\n  \
-                 p4bid ni FILE --control NAME [--runs N] [--observe LABEL]\n  \
-                 p4bid corpus [NAME] [--insecure|--unannotated]\n  \
-                 p4bid fuzz [N] [--safe-bias F] [--jobs J] [--stats|--stats-json]"
-            );
+        return ExitCode::from(2);
+    };
+    match parse(cmd, &argv[1..]) {
+        Ok(args) => (cmd.run)(&args),
+        Err(e) => {
+            eprintln!("error: `p4bid {}` {e}", cmd.name);
             ExitCode::from(2)
         }
     }
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
+/// Every subcommand's synopsis, generated from [`COMMANDS`] and wrapped
+/// at 72 columns; `docs/CLI.md` carries the same text.
+fn usage() -> String {
+    let mut out = String::new();
+    for cmd in COMMANDS {
+        let mut line = format!("p4bid {} {}", cmd.name, cmd.args).trim_end().to_string();
+        for flag in cmd.flags {
+            let piece = format!(" [{flag}]");
+            if line.len() + piece.len() > 72 {
+                out.push_str(&line);
+                out.push('\n');
+                line = " ".repeat(11);
+            }
+            line.push_str(&piece);
+        }
+        out.push_str(&line);
+        out.push('\n');
+    }
+    out
 }
 
-/// Every flag that consumes the following argument as its value, across
-/// all subcommands. Needed to tell a positional argument apart from a
-/// flag value (`p4bid batch --jobs 2 DIR` must find `DIR`, not `2`).
-const VALUE_FLAGS: [&str; 19] = [
-    "--pc",
-    "--policy",
-    "--jobs",
-    "--synthetic",
-    "--runs",
-    "--observe",
-    "--control",
-    "--safe-bias",
-    "--socket",
-    "--max-epochs",
-    "--refresh-every",
-    "--interval-ms",
-    "--max-epoch",
-    "--max-pending",
-    "--max-line",
-    "--cache-cap",
-    "--prefix-cache-cap",
-    "--max-source-bytes",
-    "--check-timeout-ms",
-];
+/// A parsed command line: the positional argument, keyed by its
+/// metavariable (`FILE`, `N`, …), and every flag given, keyed by name
+/// (a switch's value is empty). Required positionals are always present,
+/// and every numeric value parses.
+struct Args(Vec<(&'static str, String)>);
 
-/// The first positional (non-flag, non-flag-value) argument.
-fn positional(args: &[String]) -> Option<&str> {
-    let mut skip_next = false;
-    for a in args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a.starts_with("--") {
-            skip_next = VALUE_FLAGS.contains(&a.as_str());
-            continue;
-        }
-        return Some(a);
+impl Args {
+    fn value(&self, key: &str) -> Option<&str> {
+        self.0.iter().find(|(k, _)| *k == key).map(|(_, v)| v.as_str())
     }
-    None
+
+    fn has(&self, key: &str) -> bool {
+        self.value(key).is_some()
+    }
+
+    fn num<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
+        self.value(key).and_then(|v| v.parse().ok())
+    }
+}
+
+/// Checks a value against its metavariable: counts, sizes and durations
+/// are non-negative integers, `F` is a number, anything else is text.
+/// Names what the value should have been when it is not.
+fn check_value(metavar: &str, value: &str) -> Result<(), &'static str> {
+    match metavar {
+        "N" | "J" | "MS" | "BYTES" if value.parse::<u64>().is_err() => {
+            Err("a non-negative integer")
+        }
+        "ITERS" if value.parse::<u32>().is_err() => Err("a non-negative integer"),
+        "F" if value.parse::<f64>().is_err() => Err("a number"),
+        _ => Ok(()),
+    }
+}
+
+/// Reads `argv` against `cmd`'s row of [`COMMANDS`], or says what is wrong
+/// with it: an undeclared flag, a missing or malformed value, two flags of
+/// one group, a second positional, or a missing required one.
+fn parse(cmd: &'static Command, argv: &[String]) -> Result<Args, String> {
+    // `DIR|--synthetic N`: the flag after the bar stands in for the positional.
+    let (positional, alt) = match cmd.args.find("|--") {
+        Some(i) => (&cmd.args[..i], Some(&cmd.args[i + 1..])),
+        None => (cmd.args, None),
+    };
+    let metavar = positional.trim_start_matches('[').trim_end_matches(']');
+    let mut args = Args(Vec::new());
+    let mut rest = argv.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            if metavar.is_empty() {
+                return Err(format!("takes no positional argument, got `{arg}`"));
+            }
+            if args.has(metavar) {
+                return Err(format!("takes one {metavar}, got a second one `{arg}`"));
+            }
+            check_value(metavar, arg)
+                .map_err(|want| format!("needs {want} for {metavar}, got `{arg}`"))?;
+            args.0.push((metavar, arg.clone()));
+            continue;
+        }
+        let found = cmd.flags.iter().copied().chain(alt).find_map(|spec| {
+            let (group, value) = spec.split_once(' ').map_or((spec, None), |(g, m)| (g, Some(m)));
+            group.split('|').find(|f| *f == *arg).map(|flag| (group, flag, value))
+        });
+        let Some((group, flag, value_metavar)) = found else {
+            return Err(format!("does not take `{arg}`"));
+        };
+        if let Some((prev, _)) = args.0.iter().find(|(k, _)| group.split('|').any(|f| f == *k)) {
+            return Err(if *prev == flag {
+                format!("takes `{flag}` once")
+            } else {
+                format!("takes `{prev}` or `{flag}`, not both")
+            });
+        }
+        let value = match value_metavar {
+            None => String::new(),
+            Some(m) => {
+                let Some(v) = rest.next().filter(|v| !v.starts_with("--")) else {
+                    return Err(format!("needs a value {m} after `{flag}`"));
+                };
+                check_value(m, v)
+                    .map_err(|want| format!("needs {want} for `{flag}`, got `{v}`"))?;
+                v.clone()
+            }
+        };
+        args.0.push((flag, value));
+    }
+    let alt_flag = alt.and_then(|a| a.split(' ').next()).filter(|f| args.has(f));
+    if let Some(flag) = alt_flag.filter(|_| args.has(metavar)) {
+        return Err(format!("takes {metavar} or `{flag}`, not both"));
+    }
+    // A bare positional (`FILE`, not `[N]`) is required.
+    if positional.starts_with(char::is_uppercase) && alt_flag.is_none() && !args.has(metavar) {
+        return Err(format!("needs {}", cmd.args));
+    }
+    Ok(args)
 }
 
 fn read_source(path: &str) -> Result<String, ExitCode> {
@@ -127,19 +212,12 @@ fn read_source(path: &str) -> Result<String, ExitCode> {
     })
 }
 
-fn cmd_check(args: &[String]) -> ExitCode {
-    let Some(path) = positional(args) else {
-        eprintln!("error: `p4bid check` needs a file");
-        return ExitCode::from(2);
-    };
-    let source = match read_source(path) {
+fn cmd_check(args: &Args) -> ExitCode {
+    let source = match read_source(args.value("FILE").expect("parse requires FILE")) {
         Ok(s) => s,
         Err(code) => return code,
     };
-    let Ok(opts) = check_options(args) else {
-        return ExitCode::from(2);
-    };
-    match check(&source, &opts) {
+    match check(&source, &check_options(args)) {
         Ok(typed) => {
             println!(
                 "ok: {} control block(s) typecheck under lattice {}",
@@ -156,43 +234,32 @@ fn cmd_check(args: &[String]) -> ExitCode {
     }
 }
 
-/// Mode/pc and resource-guard flags shared by `check`, `batch`,
-/// `serve`, and `watch`: `--max-source-bytes N` rejects larger programs
+/// Mode/pc and resource-guard flags shared by `check`, `batch`, `serve`,
+/// `watch`, and `topo`: `--max-source-bytes N` rejects larger programs
 /// before parsing (E-OVERSIZED), `--check-timeout-ms MS` bounds each
 /// program's wall-clock check (E-TIMEOUT); `0` disables either guard
 /// (the default).
-fn check_options(args: &[String]) -> Result<CheckOptions, ()> {
-    let mut opts = if args.iter().any(|a| a == "--base") {
+fn check_options(args: &Args) -> CheckOptions {
+    let mode = if args.has("--base") {
         CheckOptions::base()
-    } else if args.iter().any(|a| a == "--permissive") {
+    } else if args.has("--permissive") {
         CheckOptions::permissive()
     } else {
         CheckOptions::ifc()
     };
-    if let Some(pc) = flag_value(args, "--pc") {
-        opts = opts.with_pc(pc);
+    CheckOptions {
+        pc: args.value("--pc").map(str::to_string),
+        max_source_bytes: args.num("--max-source-bytes").unwrap_or(0),
+        check_timeout_ms: args.num("--check-timeout-ms").unwrap_or(0),
+        ..mode
     }
-    if let Some(n) = u64_flag(args, "--max-source-bytes")? {
-        opts = opts.with_max_source_bytes(n);
-    }
-    if let Some(n) = u64_flag(args, "--check-timeout-ms")? {
-        opts = opts.with_check_timeout_ms(n);
-    }
-    Ok(opts)
 }
 
-fn cmd_batch(args: &[String]) -> ExitCode {
-    let inputs = if let Some(n) = flag_value(args, "--synthetic") {
-        let Ok(n) = n.parse::<usize>() else {
-            eprintln!("error: `--synthetic` needs a program count, got `{n}`");
-            return ExitCode::from(2);
-        };
+fn cmd_batch(args: &Args) -> ExitCode {
+    let inputs = if let Some(n) = args.num("--synthetic") {
         synthetic_corpus(n)
     } else {
-        let Some(dir) = positional(args) else {
-            eprintln!("error: `p4bid batch` needs a directory or `--synthetic N`");
-            return ExitCode::from(2);
-        };
+        let dir = args.value("DIR").expect("parse requires DIR");
         let entries = match std::fs::read_dir(dir) {
             Ok(entries) => entries,
             Err(e) => {
@@ -226,20 +293,18 @@ fn cmd_batch(args: &[String]) -> ExitCode {
         inputs
     };
 
-    let (Ok(jobs), Ok(policy), Ok(opts), Ok(prefix_cap)) =
-        (parse_jobs(args), policy_pack(args), check_options(args), prefix_cache_cap(args))
-    else {
+    let (Ok(jobs), Ok(policy)) = (parse_jobs(args), policy_pack(args)) else {
         return ExitCode::from(2);
     };
 
     let start = std::time::Instant::now();
-    let core = p4bid::SharedSessionCore::with_prefix_cache_cap(opts, prefix_cap);
+    let core = session_core(args);
     let report = match &policy {
         Some(pack) => check_batch_with_policy(&inputs, &core, pack, jobs),
         None => p4bid::batch::check_batch_with_core(&inputs, &core, jobs),
     };
     let elapsed = start.elapsed();
-    if args.iter().any(|a| a == "--json") {
+    if args.has("--json") {
         print!("{}", report.to_json());
     } else {
         print!("{}", report.render_table());
@@ -263,53 +328,37 @@ fn cmd_batch(args: &[String]) -> ExitCode {
     }
 }
 
-/// `--jobs J` shared by `batch`, `serve`, and `watch`: absent means one
-/// worker per core, explicit values must be positive.
-fn parse_jobs(args: &[String]) -> Result<usize, ()> {
-    match flag_value(args, "--jobs") {
+/// `--jobs J` shared by `batch`, `serve`, `watch`, and `topo`: absent
+/// means one worker per core, explicit values must be positive.
+fn parse_jobs(args: &Args) -> Result<usize, ()> {
+    match args.num("--jobs") {
         None => Ok(0),
-        Some(j) => match j.parse::<usize>() {
-            Ok(j) if j >= 1 => Ok(j),
-            _ => {
-                eprintln!("error: `--jobs` needs a positive worker count, got `{j}`");
-                Err(())
-            }
-        },
-    }
-}
-
-/// An optional non-negative integer flag value.
-fn u64_flag(args: &[String], flag: &str) -> Result<Option<u64>, ()> {
-    match flag_value(args, flag) {
-        None => Ok(None),
-        Some(v) => match v.parse::<u64>() {
-            Ok(n) => Ok(Some(n)),
-            Err(_) => {
-                eprintln!("error: `{flag}` needs a non-negative integer, got `{v}`");
-                Err(())
-            }
-        },
+        Some(j) if j >= 1 => Ok(j),
+        Some(j) => {
+            eprintln!("error: `--jobs` needs a positive worker count, got `{j}`");
+            Err(())
+        }
     }
 }
 
 /// `--stats` / `--stats-json` on stderr, shared by `batch`, `serve`,
-/// `watch`, and `fuzz`. `epochs` and `ops` (front-door/verdict-cache
+/// `watch`, `topo`, and `fuzz`. `epochs` and `ops` (front-door/verdict-cache
 /// counters) are set by the serve loops, whose counters are cumulative
 /// across epochs.
 fn print_stats(
-    args: &[String],
+    args: &Args,
     stats: &BatchStats,
     command: &str,
     epochs: Option<u64>,
     ops: Option<&p4bid::serve::ServeOps>,
 ) {
-    if args.iter().any(|a| a == "--stats") {
+    if args.has("--stats") {
         eprint!("{}", stats.render_text());
         if let Some(ops) = ops {
             eprint!("{}", ops.render_text());
         }
     }
-    if args.iter().any(|a| a == "--stats-json") {
+    if args.has("--stats-json") {
         eprint!("{}", stats.render_json(command, epochs, ops));
     }
 }
@@ -317,7 +366,7 @@ fn print_stats(
 /// Shared tail of `serve`/`watch`: stats, the final summary line, and the
 /// exit code (0 all accepted, 1 any reject, 2 ingest error).
 fn finish_serve(
-    args: &[String],
+    args: &Args,
     engine: &ServeEngine,
     result: std::io::Result<ServeSummary>,
     command: &str,
@@ -359,47 +408,39 @@ fn finish_serve(
     }
 }
 
-/// The ingest-bound flags shared by the serve front door: `--max-epoch`
+/// The ingest-bound flags of the serve front door: `--max-epoch`
 /// (epoch size), `--max-pending` + `--shed` (backpressure), `--max-line`
 /// (request-line byte cap).
-fn ingest_limits(args: &[String]) -> Result<IngestLimits, ()> {
-    let mut limits = IngestLimits::default();
-    if let Some(n) = u64_flag(args, "--max-epoch")? {
-        limits.max_epoch = n as usize;
+fn ingest_limits(args: &Args) -> Result<IngestLimits, ()> {
+    let defaults = IngestLimits::default();
+    let limits = IngestLimits {
+        max_line: args.num("--max-line").unwrap_or(defaults.max_line),
+        max_epoch: args.num("--max-epoch").unwrap_or(defaults.max_epoch),
+        max_pending: args.num("--max-pending").unwrap_or(defaults.max_pending),
+        shed: args.has("--shed"),
+    };
+    if limits.max_line == 0 {
+        eprintln!("error: `--max-line` needs a positive byte count");
+        return Err(());
     }
-    if let Some(n) = u64_flag(args, "--max-pending")? {
-        limits.max_pending = n as usize;
-    }
-    if let Some(n) = u64_flag(args, "--max-line")? {
-        if n == 0 {
-            eprintln!("error: `--max-line` needs a positive byte count");
-            return Err(());
-        }
-        limits.max_line = n as usize;
-    }
-    limits.shed = args.iter().any(|a| a == "--shed");
     Ok(limits)
 }
 
-/// `--cache-cap N`: verdict-cache capacity (default 1024, `0` disables).
-fn cache_cap(args: &[String]) -> Result<usize, ()> {
-    Ok(u64_flag(args, "--cache-cap")?.map_or(1024, |n| n as usize))
-}
-
-/// `--prefix-cache-cap N`: item-memo capacity shared by the engine's
+/// The checker core of `batch`, `serve`, and `watch`: the checker options
+/// and `--prefix-cache-cap N`, the item-memo capacity shared by the
 /// worker sessions (default [`p4bid::DEFAULT_PREFIX_CACHE_CAP`], `0`
 /// disables incremental re-checking); it also sizes the table of
 /// sighted controls that decides which ones get recorded.
-fn prefix_cache_cap(args: &[String]) -> Result<usize, ()> {
-    Ok(u64_flag(args, "--prefix-cache-cap")?
-        .map_or(p4bid::DEFAULT_PREFIX_CACHE_CAP, |n| n as usize))
+fn session_core(args: &Args) -> p4bid::SharedSessionCore {
+    let cap = args.num("--prefix-cache-cap").unwrap_or(p4bid::DEFAULT_PREFIX_CACHE_CAP);
+    p4bid::SharedSessionCore::with_prefix_cache_cap(check_options(args), cap)
 }
 
 /// `--policy FILE`: a per-program policy pack (see `docs/CLI.md`),
 /// shared by `batch`, `serve`, and `watch`. A malformed or unreadable
 /// pack is a usage error (exit 2).
-fn policy_pack(args: &[String]) -> Result<Option<PolicyPack>, ()> {
-    match flag_value(args, "--policy") {
+fn policy_pack(args: &Args) -> Result<Option<PolicyPack>, ()> {
+    match args.value("--policy") {
         None => Ok(None),
         Some(path) => match PolicyPack::load(std::path::Path::new(path)) {
             Ok(pack) => Ok(Some(pack)),
@@ -411,32 +452,27 @@ fn policy_pack(args: &[String]) -> Result<Option<PolicyPack>, ()> {
     }
 }
 
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let (Ok(jobs), Ok(max_epochs), Ok(refresh_every), Ok(limits), Ok(cache), Ok(policy), Ok(opts)) = (
-        parse_jobs(args),
-        u64_flag(args, "--max-epochs"),
-        u64_flag(args, "--refresh-every"),
-        ingest_limits(args),
-        cache_cap(args),
-        policy_pack(args),
-        check_options(args),
-    ) else {
+/// The engine `serve` and `watch` both run: `--jobs`, `--policy`, the
+/// session core, `--refresh-every`, and `--cache-cap N` (verdict-cache
+/// capacity, default 1024, `0` disables).
+fn serve_engine(args: &Args) -> Result<ServeEngine, ()> {
+    let (jobs, policy) = (parse_jobs(args)?, policy_pack(args)?);
+    Ok(ServeEngine::with_core(session_core(args), jobs)
+        .with_refresh_every(args.num("--refresh-every"))
+        .with_cache(args.num("--cache-cap").unwrap_or(1024))
+        .with_policy(policy))
+}
+
+fn cmd_serve(args: &Args) -> ExitCode {
+    let (Ok(limits), Ok(mut engine)) = (ingest_limits(args), serve_engine(args)) else {
         return ExitCode::from(2);
     };
-    let Ok(prefix_cap) = prefix_cache_cap(args) else {
-        return ExitCode::from(2);
-    };
-    let json = args.iter().any(|a| a == "--json");
-    let core = p4bid::SharedSessionCore::with_prefix_cache_cap(opts, prefix_cap);
-    let mut engine = ServeEngine::with_core(core, jobs)
-        .with_refresh_every(refresh_every)
-        .with_cache(cache)
-        .with_policy(policy);
+    let (json, max_epochs) = (args.has("--json"), args.num("--max-epochs"));
     // SIGTERM/SIGINT become a graceful drain: pending work is flushed as
     // the final epoch(s), stats and the summary line still print, and
     // the socket file is unlinked.
     p4bid::serve::install_drain_handler();
-    let result = if let Some(socket) = flag_value(args, "--socket") {
+    let result = if let Some(socket) = args.value("--socket") {
         #[cfg(unix)]
         {
             // `Stderr` (not the lock) — the reader threads share it, and
@@ -471,44 +507,15 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     finish_serve(args, &engine, result, "serve")
 }
 
-fn cmd_watch(args: &[String]) -> ExitCode {
-    let Some(dir) = positional(args) else {
-        eprintln!("error: `p4bid watch` needs a directory");
+fn cmd_watch(args: &Args) -> ExitCode {
+    let Ok(mut engine) = serve_engine(args) else {
         return ExitCode::from(2);
     };
-    let (
-        Ok(jobs),
-        Ok(max_epochs),
-        Ok(refresh_every),
-        Ok(interval_ms),
-        Ok(cache),
-        Ok(policy),
-        Ok(opts),
-    ) = (
-        parse_jobs(args),
-        u64_flag(args, "--max-epochs"),
-        u64_flag(args, "--refresh-every"),
-        u64_flag(args, "--interval-ms"),
-        cache_cap(args),
-        policy_pack(args),
-        check_options(args),
-    )
-    else {
-        return ExitCode::from(2);
-    };
+    let dir = args.value("DIR").expect("parse requires DIR");
     if !std::path::Path::new(dir).is_dir() {
         eprintln!("error: cannot watch `{dir}`: not a directory");
         return ExitCode::from(2);
     }
-    let Ok(prefix_cap) = prefix_cache_cap(args) else {
-        return ExitCode::from(2);
-    };
-    let json = args.iter().any(|a| a == "--json");
-    let core = p4bid::SharedSessionCore::with_prefix_cache_cap(opts, prefix_cap);
-    let mut engine = ServeEngine::with_core(core, jobs)
-        .with_refresh_every(refresh_every)
-        .with_cache(cache)
-        .with_policy(policy);
     p4bid::serve::install_drain_handler();
     let mut scanner = DirScanner::new(dir);
     let result = run_watch(
@@ -516,27 +523,19 @@ fn cmd_watch(args: &[String]) -> ExitCode {
         &mut scanner,
         &mut std::io::stdout().lock(),
         &mut std::io::stderr().lock(),
-        json,
-        max_epochs,
-        std::time::Duration::from_millis(interval_ms.unwrap_or(500)),
+        args.has("--json"),
+        args.num("--max-epochs"),
+        std::time::Duration::from_millis(args.num("--interval-ms").unwrap_or(500)),
     );
     finish_serve(args, &engine, result, "watch")
 }
 
-fn cmd_topo(args: &[String]) -> ExitCode {
-    let Some(path) = positional(args) else {
-        eprintln!("error: `p4bid topo` needs a manifest file");
+fn cmd_topo(args: &Args) -> ExitCode {
+    let Ok(jobs) = parse_jobs(args) else {
         return ExitCode::from(2);
     };
-    let (Ok(jobs), Ok(opts), Ok(max_epochs), Ok(interval_ms)) = (
-        parse_jobs(args),
-        check_options(args),
-        u64_flag(args, "--max-epochs"),
-        u64_flag(args, "--interval-ms"),
-    ) else {
-        return ExitCode::from(2);
-    };
-    let manifest_path = std::path::Path::new(path);
+    let manifest_path =
+        std::path::Path::new(args.value("MANIFEST").expect("parse requires MANIFEST"));
     let topo = match p4bid::topo::Topology::load(manifest_path) {
         Ok(t) => t,
         Err(e) => {
@@ -544,9 +543,9 @@ fn cmd_topo(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let json = args.iter().any(|a| a == "--json");
-    let mut engine = p4bid::topo::TopoEngine::new(topo, opts, jobs);
-    if args.iter().any(|a| a == "--watch") {
+    let json = args.has("--json");
+    let mut engine = p4bid::topo::TopoEngine::new(topo, check_options(args), jobs);
+    if args.has("--watch") {
         p4bid::serve::install_drain_handler();
         let result = p4bid::topo::run_topo_watch(
             &mut engine,
@@ -554,8 +553,8 @@ fn cmd_topo(args: &[String]) -> ExitCode {
             &mut std::io::stdout().lock(),
             &mut std::io::stderr().lock(),
             json,
-            max_epochs,
-            std::time::Duration::from_millis(interval_ms.unwrap_or(500)),
+            args.num("--max-epochs"),
+            std::time::Duration::from_millis(args.num("--interval-ms").unwrap_or(500)),
         );
         print_stats(args, &engine.cumulative_stats(), "topo", Some(engine.epochs()), None);
         match result {
@@ -599,12 +598,18 @@ fn cmd_topo(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_ni(args: &[String]) -> ExitCode {
-    let Some(path) = positional(args) else {
-        eprintln!("error: `p4bid ni` needs a file");
-        return ExitCode::from(2);
-    };
-    let source = match read_source(path) {
+fn cmd_matrix(_: &Args) -> ExitCode {
+    print!("{}", render_matrix(&case_study_matrix()));
+    ExitCode::SUCCESS
+}
+
+fn cmd_table1(args: &Args) -> ExitCode {
+    print!("{}", render_table1(&measure_table1(args.num("ITERS").unwrap_or(20))));
+    ExitCode::SUCCESS
+}
+
+fn cmd_ni(args: &Args) -> ExitCode {
+    let source = match read_source(args.value("FILE").expect("parse requires FILE")) {
         Ok(s) => s,
         Err(code) => return code,
     };
@@ -616,7 +621,7 @@ fn cmd_ni(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let control = match flag_value(args, "--control") {
+    let control = match args.value("--control") {
         Some(c) => c.to_string(),
         None => match typed.controls.first() {
             Some(c) => c.name.clone(),
@@ -627,10 +632,10 @@ fn cmd_ni(args: &[String]) -> ExitCode {
         },
     };
     let mut config = NiConfig::default();
-    if let Some(runs) = flag_value(args, "--runs").and_then(|s| s.parse().ok()) {
+    if let Some(runs) = args.num("--runs") {
         config = config.with_runs(runs);
     }
-    if let Some(observe) = flag_value(args, "--observe") {
+    if let Some(observe) = args.value("--observe") {
         config = config.observing(observe);
     }
     let cp = p4bid::interp::ControlPlane::new();
@@ -650,9 +655,8 @@ fn cmd_ni(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_corpus(args: &[String]) -> ExitCode {
-    let name = positional(args);
-    match name {
+fn cmd_corpus(args: &Args) -> ExitCode {
+    match args.value("NAME") {
         None => {
             for cs in p4bid::corpus::case_studies() {
                 println!("{:<10} {:<28} {}", cs.name, cs.section, cs.description);
@@ -661,9 +665,9 @@ fn cmd_corpus(args: &[String]) -> ExitCode {
         }
         Some(name) => match p4bid::corpus::case_study(name) {
             Some(cs) => {
-                if args.iter().any(|a| a == "--insecure") {
+                if args.has("--insecure") {
                     print!("{}", cs.insecure);
-                } else if args.iter().any(|a| a == "--unannotated") {
+                } else if args.has("--unannotated") {
                     print!("{}", unannotated_source(&cs));
                 } else {
                     print!("{}", cs.secure);
@@ -678,22 +682,14 @@ fn cmd_corpus(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_fuzz(args: &[String]) -> ExitCode {
-    let n: u64 = positional(args).and_then(|s| s.parse().ok()).unwrap_or(200);
+fn cmd_fuzz(args: &Args) -> ExitCode {
+    let n: u64 = args.num("N").unwrap_or(200);
     let mut cfg = GenConfig::default();
-    if let Some(bias) = flag_value(args, "--safe-bias").and_then(|s| s.parse().ok()) {
+    if let Some(bias) = args.num("--safe-bias") {
         cfg = cfg.with_safe_bias(bias);
     }
-    let jobs = match flag_value(args, "--jobs") {
-        None => 1, // serial remains the default; `--jobs 0` = one per core
-        Some(j) => match j.parse::<usize>() {
-            Ok(j) => j,
-            Err(_) => {
-                eprintln!("error: `--jobs` needs a worker count, got `{j}`");
-                return ExitCode::from(2);
-            }
-        },
-    };
+    // Serial remains the default; `--jobs 0` = one per core.
+    let jobs = args.num("--jobs").unwrap_or(1);
     let ni_cfg = NiConfig::default().with_runs(30);
     let report = run_fuzz(n, &cfg, &ni_cfg, jobs);
     print_stats(args, &report.stats, "fuzz", None, None);

@@ -129,53 +129,32 @@ impl PolicyPack {
     /// security boundary and never degrades to defaults silently).
     pub fn parse(text: &str) -> Result<Self, PolicyError> {
         let mut rules: Vec<PolicyRule> = Vec::new();
-        for (ix, raw) in text.lines().enumerate() {
-            let lineno = ix + 1;
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if let Some(header) = line.strip_prefix('[') {
-                let Some(glob) = header.strip_suffix(']') else {
-                    return Err(PolicyError::at(
-                        lineno,
-                        format!("unterminated section header `{line}`"),
-                    ));
-                };
-                let glob = glob.trim();
-                if glob.is_empty() {
-                    return Err(PolicyError::at(lineno, "empty glob in section header"));
+        read_flat(text, PolicyError::at, |_, line| {
+            let (key, value) = match line {
+                FlatLine::Section("") => return Err("empty glob in section header".into()),
+                FlatLine::Section(glob) => {
+                    rules.push(PolicyRule::new(glob));
+                    return Ok(());
                 }
-                rules.push(PolicyRule::new(glob));
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(PolicyError::at(
-                    lineno,
-                    format!("expected `key = value`, found `{line}`"),
-                ));
+                FlatLine::Entry(key, value) => (key, value),
             };
             let Some(rule) = rules.last_mut() else {
-                return Err(PolicyError::at(lineno, "`key = value` before any `[glob]` section"));
+                return Err("`key = value` before any `[glob]` section".into());
             };
-            let key = key.trim();
-            let value = unquote(value.trim());
             match key {
-                "lattice" => rule.lattice = Some(parse_lattice(value, lineno)?),
+                "lattice" => rule.lattice = Some(parse_lattice(value)?),
                 "pc" => rule.pc = Some(value.to_string()),
-                "declassify" => rule.declassify = Some(parse_bool(value, lineno)?),
-                "lineage" => rule.lineage = Some(parse_bool(value, lineno)?),
+                "declassify" => rule.declassify = Some(parse_bool(value)?),
+                "lineage" => rule.lineage = Some(parse_bool(value)?),
                 other => {
-                    return Err(PolicyError::at(
-                        lineno,
-                        format!(
-                            "unknown key `{other}` (expected `lattice`, `pc`, `declassify`, \
-                             or `lineage`)"
-                        ),
+                    return Err(format!(
+                        "unknown key `{other}` (expected `lattice`, `pc`, `declassify`, \
+                         or `lineage`)"
                     ));
                 }
             }
-        }
+            Ok(())
+        })?;
         Ok(PolicyPack { rules })
     }
 
@@ -220,22 +199,62 @@ impl PolicyPack {
     }
 }
 
-pub(crate) fn unquote(s: &str) -> &str {
+/// One meaningful line of the flat format policy packs and topology
+/// manifests share.
+pub(crate) enum FlatLine<'a> {
+    /// A `[header]` line: the text between the brackets, trimmed.
+    Section(&'a str),
+    /// A `key = value` line: the key trimmed, the value trimmed and
+    /// unquoted.
+    Entry(&'a str, &'a str),
+}
+
+/// Reads the flat format line by line: skips blank and `#` lines, splits
+/// `[header]` and `key = value` lines, and hands each one to `line` with
+/// its 1-based number. The first error, the reader's or `line`'s, stops
+/// the read and is reported at its line through `error`.
+pub(crate) fn read_flat<E>(
+    text: &str,
+    error: impl Fn(usize, String) -> E,
+    mut line: impl FnMut(usize, FlatLine<'_>) -> Result<(), String>,
+) -> Result<(), E> {
+    for (ix, raw) in text.lines().enumerate() {
+        let lineno = ix + 1;
+        let trimmed = raw.trim();
+        let parsed = if trimmed.is_empty() || trimmed.starts_with('#') {
+            continue;
+        } else if let Some(header) = trimmed.strip_prefix('[') {
+            match header.strip_suffix(']') {
+                Some(header) => Ok(FlatLine::Section(header.trim())),
+                None => Err(format!("unterminated section header `{trimmed}`")),
+            }
+        } else {
+            match trimmed.split_once('=') {
+                Some((key, value)) => Ok(FlatLine::Entry(key.trim(), unquote(value.trim()))),
+                None => Err(format!("expected `key = value`, found `{trimmed}`")),
+            }
+        };
+        parsed.and_then(|parsed| line(lineno, parsed)).map_err(|e| error(lineno, e))?;
+    }
+    Ok(())
+}
+
+fn unquote(s: &str) -> &str {
     s.strip_prefix('"').and_then(|s| s.strip_suffix('"')).unwrap_or(s)
 }
 
-pub(crate) fn parse_bool(s: &str, line: usize) -> Result<bool, PolicyError> {
+pub(crate) fn parse_bool(s: &str) -> Result<bool, String> {
     match s {
         "true" => Ok(true),
         "false" => Ok(false),
-        other => Err(PolicyError::at(line, format!("expected `true` or `false`, found `{other}`"))),
+        other => Err(format!("expected `true` or `false`, found `{other}`")),
     }
 }
 
 /// Parses a lattice value: a named shorthand or a `lo < hi; …` order
 /// expression (element names in first-appearance order). Shared with the
 /// topology manifest parser, which speaks the same flat format.
-pub(crate) fn parse_lattice(s: &str, line: usize) -> Result<Lattice, PolicyError> {
+pub(crate) fn parse_lattice(s: &str) -> Result<Lattice, String> {
     match s {
         "two-point" => return Ok(Lattice::two_point()),
         "diamond" => return Ok(Lattice::diamond()),
@@ -245,14 +264,11 @@ pub(crate) fn parse_lattice(s: &str, line: usize) -> Result<Lattice, PolicyError
     let mut order: Vec<(String, String)> = Vec::new();
     for pair in s.split(';') {
         let Some((lo, hi)) = pair.split_once('<') else {
-            return Err(PolicyError::at(
-                line,
-                format!("expected a `lo < hi` pair, found `{}`", pair.trim()),
-            ));
+            return Err(format!("expected a `lo < hi` pair, found `{}`", pair.trim()));
         };
         let (lo, hi) = (lo.trim().to_string(), hi.trim().to_string());
         if lo.is_empty() || hi.is_empty() {
-            return Err(PolicyError::at(line, "empty label name in lattice order"));
+            return Err("empty label name in lattice order".into());
         }
         for n in [&lo, &hi] {
             if !names.contains(n) {
@@ -261,8 +277,7 @@ pub(crate) fn parse_lattice(s: &str, line: usize) -> Result<Lattice, PolicyError
         }
         order.push((lo, hi));
     }
-    Lattice::from_order(&names, &order)
-        .map_err(|e| PolicyError::at(line, format!("invalid lattice: {e}")))
+    Lattice::from_order(&names, &order).map_err(|e| format!("invalid lattice: {e}"))
 }
 
 /// Matches `name` against a glob pattern: `*` any run of characters

@@ -68,7 +68,7 @@
 
 use crate::batch::{BatchReport, BatchStats, ProgramReport};
 use crate::engine::{is_transient, CheckEngine, Submission};
-use crate::policy;
+use crate::policy::{parse_bool, parse_lattice, read_flat, FlatLine};
 use p4bid_lattice::{Label, Lattice};
 use p4bid_typeck::{CheckOptions, DEFAULT_PREFIX_CACHE_CAP};
 use std::fmt;
@@ -175,76 +175,21 @@ impl TopoManifest {
     pub fn parse(text: &str) -> Result<Self, TopoError> {
         let mut m = TopoManifest::default();
         let mut section = Section::Preamble;
-        for (ix, raw) in text.lines().enumerate() {
-            let lineno = ix + 1;
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if let Some(header) = line.strip_prefix('[') {
-                let Some(header) = header.strip_suffix(']') else {
-                    return Err(TopoError::at(
-                        lineno,
-                        format!("unterminated section header `{line}`"),
-                    ));
-                };
-                let header = header.trim();
-                if let Some(name) = header.strip_prefix("switch ") {
-                    let name = name.trim();
-                    if name.is_empty() {
-                        return Err(TopoError::at(lineno, "empty switch name"));
-                    }
-                    m.switches.push(SwitchDecl {
-                        name: name.to_string(),
-                        program: String::new(),
-                        ingress: None,
-                        egress: None,
-                        pc: None,
-                        declassify: None,
-                        lattice: None,
-                        line: lineno,
-                    });
-                    section = Section::Switch(m.switches.len() - 1);
-                } else if let Some(spec) = header.strip_prefix("link ") {
-                    let Some((from, to)) = spec.split_once("->") else {
-                        return Err(TopoError::at(
-                            lineno,
-                            format!("expected `[link sw:port -> sw:port]`, found `[{header}]`"),
-                        ));
-                    };
-                    m.links.push(LinkDecl {
-                        from: parse_endpoint(from, lineno)?,
-                        to: parse_endpoint(to, lineno)?,
-                        contract: None,
-                        line: lineno,
-                    });
-                    section = Section::Link(m.links.len() - 1);
-                } else {
-                    return Err(TopoError::at(
-                        lineno,
-                        format!("unknown section `[{header}]` (expected `switch` or `link`)"),
-                    ));
+        read_flat(text, TopoError::at, |lineno, line| {
+            let (key, value) = match line {
+                FlatLine::Section(header) => {
+                    section = m.open_section(header, lineno)?;
+                    return Ok(());
                 }
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(TopoError::at(
-                    lineno,
-                    format!("expected `key = value`, found `{line}`"),
-                ));
+                FlatLine::Entry(key, value) => (key, value),
             };
-            let key = key.trim();
-            let value = policy::unquote(value.trim());
             match &section {
                 Section::Preamble => match key {
-                    "lattice" => m.lattice = Some(parse_lattice(value, lineno)?),
+                    "lattice" => m.lattice = Some(parse_lattice(value)?),
                     other => {
-                        return Err(TopoError::at(
-                            lineno,
-                            format!(
-                                "unknown topology key `{other}` before the first section \
-                                 (expected `lattice`)"
-                            ),
+                        return Err(format!(
+                            "unknown topology key `{other}` before the first section \
+                             (expected `lattice`)"
                         ));
                     }
                 },
@@ -255,15 +200,12 @@ impl TopoManifest {
                         "ingress" => sw.ingress = Some(value.to_string()),
                         "egress" => sw.egress = Some(value.to_string()),
                         "pc" => sw.pc = Some(value.to_string()),
-                        "declassify" => sw.declassify = Some(parse_bool(value, lineno)?),
-                        "lattice" => sw.lattice = Some(parse_lattice(value, lineno)?),
+                        "declassify" => sw.declassify = Some(parse_bool(value)?),
+                        "lattice" => sw.lattice = Some(parse_lattice(value)?),
                         other => {
-                            return Err(TopoError::at(
-                                lineno,
-                                format!(
-                                    "unknown switch key `{other}` (expected `program`, \
-                                     `ingress`, `egress`, `pc`, `declassify`, or `lattice`)"
-                                ),
+                            return Err(format!(
+                                "unknown switch key `{other}` (expected `program`, \
+                                 `ingress`, `egress`, `pc`, `declassify`, or `lattice`)"
                             ));
                         }
                     }
@@ -271,14 +213,12 @@ impl TopoManifest {
                 Section::Link(i) => match key {
                     "contract" => m.links[*i].contract = Some(value.to_string()),
                     other => {
-                        return Err(TopoError::at(
-                            lineno,
-                            format!("unknown link key `{other}` (expected `contract`)"),
-                        ));
+                        return Err(format!("unknown link key `{other}` (expected `contract`)"));
                     }
                 },
             }
-        }
+            Ok(())
+        })?;
         for sw in &m.switches {
             if sw.program.is_empty() {
                 return Err(TopoError::at(
@@ -288,6 +228,41 @@ impl TopoManifest {
             }
         }
         Ok(m)
+    }
+
+    /// Starts the `[switch NAME]` or `[link sw:port -> sw:port]` section
+    /// declared on line `lineno`.
+    fn open_section(&mut self, header: &str, lineno: usize) -> Result<Section, String> {
+        if let Some(name) = header.strip_prefix("switch ") {
+            let name = name.trim();
+            if name.is_empty() {
+                return Err("empty switch name".into());
+            }
+            self.switches.push(SwitchDecl {
+                name: name.to_string(),
+                program: String::new(),
+                ingress: None,
+                egress: None,
+                pc: None,
+                declassify: None,
+                lattice: None,
+                line: lineno,
+            });
+            Ok(Section::Switch(self.switches.len() - 1))
+        } else if let Some(spec) = header.strip_prefix("link ") {
+            let Some((from, to)) = spec.split_once("->") else {
+                return Err(format!("expected `[link sw:port -> sw:port]`, found `[{header}]`"));
+            };
+            self.links.push(LinkDecl {
+                from: parse_endpoint(from)?,
+                to: parse_endpoint(to)?,
+                contract: None,
+                line: lineno,
+            });
+            Ok(Section::Link(self.links.len() - 1))
+        } else {
+            Err(format!("unknown section `[{header}]` (expected `switch` or `link`)"))
+        }
     }
 
     /// Loads and parses a manifest file.
@@ -337,24 +312,14 @@ impl TopoManifest {
 }
 
 /// Splits one `sw:port` endpoint.
-fn parse_endpoint(s: &str, line: usize) -> Result<(String, String), TopoError> {
+fn parse_endpoint(s: &str) -> Result<(String, String), String> {
     let s = s.trim();
-    let Some((sw, port)) = s.split_once(':') else {
-        return Err(TopoError::at(line, format!("expected `switch:port`, found `{s}`")));
-    };
-    let (sw, port) = (sw.trim(), port.trim());
-    if sw.is_empty() || port.is_empty() {
-        return Err(TopoError::at(line, format!("expected `switch:port`, found `{s}`")));
+    match s.split_once(':').map(|(sw, port)| (sw.trim(), port.trim())) {
+        Some((sw, port)) if !sw.is_empty() && !port.is_empty() => {
+            Ok((sw.to_string(), port.to_string()))
+        }
+        _ => Err(format!("expected `switch:port`, found `{s}`")),
     }
-    Ok((sw.to_string(), port.to_string()))
-}
-
-fn parse_bool(s: &str, line: usize) -> Result<bool, TopoError> {
-    policy::parse_bool(s, line).map_err(|e| TopoError::at(e.line, e.message))
-}
-
-fn parse_lattice(s: &str, line: usize) -> Result<Lattice, TopoError> {
-    policy::parse_lattice(s, line).map_err(|e| TopoError::at(e.line, e.message))
 }
 
 /// One switch of a resolved [`Topology`]: the declaration plus its loaded

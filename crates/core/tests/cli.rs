@@ -467,3 +467,133 @@ fn corpus_output_round_trips_through_check() {
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     let _ = std::fs::remove_file(path);
 }
+
+// ---------------------------------------------------------------------
+// The flag table: every subcommand takes exactly the flags its row
+// declares, and anything else exits 2 before any work, with nothing on
+// stdout and one `error:` line naming the subcommand and the argument.
+// ---------------------------------------------------------------------
+
+/// Asserts the refusal shape: exit 2, empty stdout, and an `error:`
+/// line naming the subcommand and each of `names`.
+fn refused(args: &[&str], names: &[&str]) {
+    let out = p4bid(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?}: nothing on stdout");
+    let line = stderr.lines().find(|l| l.starts_with("error: ")).unwrap_or_else(|| {
+        panic!("{args:?}: no error line in {stderr}");
+    });
+    let subcommand = format!("`p4bid {}`", args[0]);
+    for name in std::iter::once(subcommand.as_str()).chain(names.iter().copied()) {
+        assert!(line.contains(name), "{args:?}: {name} missing from {line}");
+    }
+}
+
+/// A program with a `low` write in its body: accepted at the default
+/// `pc`, rejected with `E-IMPLICIT-FLOW` at `pc = high`.
+const LOW_WRITE: &str = "control C(inout <bit<8>, low> l) { apply { l = 8w1; } }";
+
+#[test]
+fn flag_a_subcommand_does_not_take_is_refused() {
+    let path = write_temp("undeclared", LOW_WRITE);
+    let file = path.to_str().unwrap();
+    refused(&["check", file, "--pc=high"], &["`--pc=high`"]);
+    refused(&["topo", file, "--policy", "p.policy"], &["`--policy`"]);
+    refused(&["batch", "--synthetic", "2", "--polcy", "p.policy"], &["`--polcy`"]);
+    refused(&["matrix", "--json"], &["`--json`"]);
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn value_flag_without_its_value_is_refused() {
+    let path = write_temp("no-value", LOW_WRITE);
+    let file = path.to_str().unwrap();
+    refused(&["check", file, "--pc"], &["`--pc`"]);
+    refused(&["check", file, "--pc", "--base"], &["`--pc`"]);
+    refused(&["batch", "--synthetic"], &["`--synthetic`"]);
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn unparsable_numbers_are_refused_not_defaulted() {
+    let path = write_temp("bad-number", LOW_WRITE);
+    let file = path.to_str().unwrap();
+    refused(&["table1", "abc"], &["ITERS", "`abc`"]);
+    refused(&["fuzz", "abc"], &["N", "`abc`"]);
+    refused(&["ni", file, "--runs", "lots"], &["`--runs`", "`lots`"]);
+    refused(&["fuzz", "--safe-bias", "high"], &["`--safe-bias`", "`high`"]);
+    refused(&["serve", "--max-line", "-1"], &["`--max-line`", "`-1`"]);
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn two_flags_of_one_group_are_refused() {
+    let path = write_temp("group", LOW_WRITE);
+    let file = path.to_str().unwrap();
+    refused(&["check", file, "--base", "--permissive"], &["`--base`", "`--permissive`"]);
+    refused(&["corpus", "cache", "--unannotated", "--insecure"], &["`--insecure`"]);
+    refused(&["fuzz", "5", "--stats", "--stats-json"], &["`--stats-json`"]);
+    refused(&["batch", "--synthetic", "2", "--jobs", "1", "--jobs", "2"], &["`--jobs`"]);
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn a_second_positional_is_refused() {
+    let path = write_temp("second", LOW_WRITE);
+    let file = path.to_str().unwrap();
+    refused(&["check", file, file], &["FILE"]);
+    refused(&["fuzz", "5", "6"], &["`6`"]);
+    refused(&["serve", "stray"], &["`stray`"]);
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn dir_together_with_synthetic_is_refused() {
+    let dir = batch_dir("dir-and-synthetic", &[("a.p4", BATCH_OK)]);
+    refused(&["batch", dir.to_str().unwrap(), "--synthetic", "3"], &["DIR", "`--synthetic`"]);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn misspelled_policy_flag_no_longer_accepts_a_quarantined_leak() {
+    // `--polcy` used to be dropped without a word, so the quarantine rule
+    // never applied and the run exited 0.
+    let dir = batch_dir("polcy", &[("quarantine-1.p4", LOW_WRITE)]);
+    let policy = dir.join("quarantine.policy");
+    std::fs::write(&policy, "[quarantine-*]\npc = \"high\"\n").unwrap();
+    let (dir_s, policy_s) = (dir.to_str().unwrap(), policy.to_str().unwrap());
+    let applied = p4bid(&["batch", dir_s, "--policy", policy_s]);
+    assert_eq!(applied.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&applied.stdout).contains("E-IMPLICIT-FLOW"));
+    refused(&["batch", dir_s, "--polcy", policy_s], &["`--polcy`"]);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn pc_equals_form_no_longer_checks_at_bottom() {
+    // `--pc=high` used to be dropped, checking at ⊥ and exiting 0.
+    let path = write_temp("pc-equals", LOW_WRITE);
+    let file = path.to_str().unwrap();
+    let applied = p4bid(&["check", file, "--pc", "high"]);
+    assert_eq!(applied.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&applied.stderr).contains("E-IMPLICIT-FLOW"));
+    refused(&["check", file, "--pc=high"], &["`--pc=high`"]);
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn docs_synopsis_is_the_generated_usage() {
+    let docs = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/CLI.md"))
+        .expect("docs/CLI.md");
+    let fence = docs.split("```text\n").nth(1).and_then(|s| s.split("```").next()).unwrap();
+    let out = p4bid(&[]);
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 usage");
+    let usage: String = stderr
+        .strip_prefix("usage:\n")
+        .unwrap_or_else(|| panic!("usage header: {stderr}"))
+        .lines()
+        .map(|l| format!("{}\n", l.strip_prefix("  ").unwrap_or(l)))
+        .collect();
+    assert_eq!(fence, usage, "regenerate the synopsis in docs/CLI.md from `p4bid`");
+}
