@@ -18,10 +18,10 @@
 //! * [`pretty`] — a pretty-printer inverse to the parser;
 //! * [`intern`] — string interning ([`intern::Symbol`]/[`intern::Interner`])
 //!   backing the typechecker's `Vec`-indexed environments;
-//! * [`fnv`] — the workspace's one 64-bit FNV-1a implementation, shared by
-//!   the serve verdict cache, the directory scanner's content hash, and
-//!   the flow-lineage structural trace keys (the unit tests pin its exact
-//!   values).
+//! * [`hash`] — the workspace's two 64-bit hashes: FNV-1a, for hashes
+//!   that decide alone or whose values are pinned, and a word-at-a-time
+//!   content hash for locators whose every hit is re-verified (the verdict
+//!   cache and the item memo).
 //!
 //! # Examples
 //!
@@ -41,7 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fnv;
+pub mod hash;
 pub mod intern;
 pub mod pool;
 pub mod pretty;

@@ -616,7 +616,7 @@ fn check_one(session: &mut CheckerSession, index: usize, input: &BatchInput) -> 
     // Arm the wall-clock deadline before the fault hook so injected
     // slowness (`P4BID_FAULTS=…:slow=…`) deterministically exercises the
     // `--check-timeout-ms` path; key injected faults on the program's
-    // content hash so the same program faults identically regardless of
+    // FNV-1a hash so the same program faults identically regardless of
     // which worker picks it up.
     let deadline = session.options().deadline_from_now();
     session.set_deadline(deadline);

@@ -14,6 +14,7 @@ use p4bid::report::{
 };
 use p4bid::serve::{run_feed, run_watch, DirScanner, IngestLimits, ServeEngine, ServeSummary};
 use p4bid::{check, render_diagnostics, CheckOptions, PolicyPack};
+use std::ffi::OsString;
 use std::process::ExitCode;
 
 /// One subcommand: its name, its positional synopsis and its flags.
@@ -67,7 +68,13 @@ const COMMANDS: &[Command] = &[
 ];
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let argv: Vec<String> = match std::env::args_os().skip(1).map(OsString::into_string).collect() {
+        Ok(argv) => argv,
+        Err(arg) => {
+            eprintln!("error: argument `{}` is not UTF-8", arg.to_string_lossy());
+            return ExitCode::from(2);
+        }
+    };
     let Some(cmd) = argv.first().and_then(|name| COMMANDS.iter().find(|c| c.name == name)) else {
         if let Some(name) = argv.first() {
             eprintln!("error: unknown subcommand `{name}`");

@@ -136,7 +136,7 @@ impl CheckEngine {
         let mut checked = 0;
         for s in subs {
             let key = self.cache.enabled().then(|| VerdictKey {
-                content: p4bid_ast::fnv::hash(s.source.as_bytes()),
+                content: p4bid_ast::hash::content(0, s.source.as_bytes()),
                 opts: self.cells[s.cell].fp,
             });
             if let Some(key) = key {
@@ -290,13 +290,14 @@ pub(crate) fn options_fingerprint(opts: &CheckOptions) -> u64 {
     // cap-determined), so they partition the cache like any other option.
     bytes.extend_from_slice(&max_source_bytes.to_le_bytes());
     bytes.extend_from_slice(&check_timeout_ms.to_le_bytes());
-    p4bid_ast::fnv::hash(&bytes)
+    p4bid_ast::hash::fnv1a(&bytes)
 }
 
-/// Key of one verdict-cache entry: the FNV-1a hash of the program text
-/// plus the [`options_fingerprint`] of its cell. The 64-bit content hash is
-/// only a *locator*: every hit re-verifies the stored body byte-for-byte,
-/// so a collision costs one miss, never a replayed wrong verdict.
+/// Key of one verdict-cache entry: the content hash
+/// ([`p4bid_ast::hash::content`], seed 0) of the program text plus the
+/// [`options_fingerprint`] of its cell. The 64-bit content hash is only a
+/// *locator*: every hit re-verifies the stored body byte-for-byte, so a
+/// collision costs one miss, never a replayed wrong verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct VerdictKey {
     pub content: u64,

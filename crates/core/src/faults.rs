@@ -23,8 +23,8 @@
 //!
 //! **Determinism is the whole point.** Each decision is a pure function of
 //! `(seed, site, key)` — no RNG state, no call counters — where the key is
-//! the *content hash* of the program for check-path faults and the *path
-//! hash* for scanner faults. The same program therefore panics (or
+//! the FNV-1a hash of the program's text for check-path faults and the
+//! *path hash* for scanner faults. The same program therefore panics (or
 //! doesn't) regardless of which worker picks it up, how many jobs run, or
 //! how work was stolen — which is exactly what lets the chaos suite assert
 //! byte-identical reports across `--jobs 1/2/8` with faults enabled.
@@ -149,20 +149,20 @@ pub fn fires(site: Site, key: u64) -> bool {
     plan().is_some_and(|p| p.fires(site, key))
 }
 
-/// Runs the check-path faults for the program `source`, keyed on its
-/// content hash: sleeps if a slow-check fault fires, then panics if a
-/// worker-panic fault fires. Called by the batch/serve/fuzz checks *inside*
-/// the worker pool's panic boundary, after the per-program deadline is
-/// armed (so injected slowness deterministically exercises
-/// `--check-timeout-ms`). The hash is O(source), so it is taken only when
-/// a plan is loaded.
+/// Runs the check-path faults for the program `source`, keyed on the
+/// FNV-1a hash of its text: sleeps if a slow-check fault fires, then
+/// panics if a worker-panic fault fires. Called by the batch/serve/fuzz
+/// checks *inside* the worker pool's panic boundary, after the
+/// per-program deadline is armed (so injected slowness deterministically
+/// exercises `--check-timeout-ms`). The hash is O(source), so it is taken
+/// only when a plan is loaded.
 ///
 /// # Panics
 ///
 /// Panics deliberately when a `panic=` fault fires for `source`.
 pub fn check_faults(source: &str) {
     let Some(p) = plan() else { return };
-    let key = p4bid_ast::fnv::hash(source.as_bytes());
+    let key = p4bid_ast::hash::fnv1a(source.as_bytes());
     if p.fires(Site::SlowCheck, key) {
         std::thread::sleep(Duration::from_millis(p.slow_ms));
     }

@@ -43,7 +43,7 @@
 //! on every exit path.
 //!
 //! The engine can carry a **verdict cache** ([`ServeEngine::with_cache`])
-//! keyed by `(FNV-1a content hash, CheckOptions fingerprint)`: a
+//! keyed by `(content hash, CheckOptions fingerprint)`: a
 //! resubmitted body is answered from the cache with a report
 //! byte-identical to a fresh check, and hit/miss/size counters surface
 //! in the `p4bid-stats/5` document ([`ServeOps`]).
@@ -72,7 +72,7 @@
 use crate::batch::{program_json, BatchInput, BatchReport, BatchStats};
 use crate::engine::{CheckEngine, Submission, BASE_CELL};
 use crate::policy::PolicyPack;
-use p4bid_ast::fnv;
+use p4bid_ast::hash;
 use p4bid_typeck::{CheckOptions, SharedSessionCore};
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -816,7 +816,7 @@ impl DirScanner {
             self.reads += 1;
             // Chaos hook: a `scan-eio` fault fails this read, keyed on the
             // file name so the decision is stable across ticks and runs.
-            let name_hash = fnv::hash(name.as_bytes());
+            let name_hash = hash::fnv1a(name.as_bytes());
             let read = if crate::faults::fires(crate::faults::Site::ScanRead, name_hash) {
                 Err(crate::faults::injected_eio(&name))
             } else {
@@ -824,7 +824,7 @@ impl DirScanner {
             };
             match read {
                 Ok(source) => {
-                    let hash = fnv::hash(source.as_bytes());
+                    let hash = hash::fnv1a(source.as_bytes());
                     let same = self.seen.get_mut(&name).filter(|fp| fp.readable && fp.hash == hash);
                     if let Some(fp) = same {
                         // Same content (touched, or re-read inside the
@@ -2322,9 +2322,9 @@ mod tests {
     fn colliding_bodies_never_replay_each_others_verdicts() {
         // Two distinct bodies forced under one 64-bit key: the hash is a
         // locator, not an identity, so the stored source must disagree
-        // and the second body must get a fresh check. (Organic fnv1a
-        // collisions are impractical to construct, so this drives the
-        // cache directly.)
+        // and the second body must get a fresh check. (Organic
+        // collisions of the content hash are impractical to find, so
+        // this drives the cache directly.)
         let mut cache = VerdictCache::new(8);
         let key = VerdictKey { content: 42, opts: 7 };
         let body_a = "control A(inout bit<8> x) { apply { x = x; } }";

@@ -1090,11 +1090,11 @@ pub struct TopoWatchSummary {
 fn watch_fingerprint(manifest_path: &Path, base_dir: &Path, programs: &[String]) -> u64 {
     let mut acc: u64 = 0;
     let mut mix = |path: &Path| {
-        let h = std::fs::read(path).map_or(0, |b| p4bid_ast::fnv::hash(&b));
+        let h = std::fs::read(path).map_or(0, |b| p4bid_ast::hash::fnv1a(&b));
         acc = acc
             .rotate_left(7)
             .wrapping_mul(0x100_0000_01b3)
-            .wrapping_add(h ^ p4bid_ast::fnv::hash(path.to_string_lossy().as_bytes()));
+            .wrapping_add(h ^ p4bid_ast::hash::fnv1a(path.to_string_lossy().as_bytes()));
     };
     mix(manifest_path);
     for p in programs {

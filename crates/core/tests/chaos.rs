@@ -3,7 +3,7 @@
 //!
 //! Every scenario here pins a seed chosen so the splitmix decision is
 //! known in advance — seed `9` at `panic=40` fires for exactly one of the
-//! three corpus programs below (the content hash of `VICTIM`), and seed
+//! three corpus programs below (the FNV-1a hash of `VICTIM`), and seed
 //! `2` at `sock-eio=50` fires for connection id 0 but not 1. The suite
 //! asserts the failure-domain contract end to end: an injected panic
 //! becomes a deterministic `E-INTERNAL` verdict (byte-identical across
@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 const OK: &str = "control C(inout bit<8> x) { apply { x = x + 8w1; } }";
 const LEAK: &str = "control C(inout <bit<8>, low> l, inout <bit<8>, high> h) { apply { l = h; } }";
-/// The program whose content hash fires `panic=40` under seed 9.
+/// The program whose FNV-1a hash fires `panic=40` under seed 9.
 const VICTIM: &str = "control D(inout bit<16> y) { apply { y = y + 16w2; } }";
 
 /// The pinned check-fault plan: panics `VICTIM`, leaves `OK`/`LEAK` alone.
@@ -424,8 +424,8 @@ fn sigterm_stops_a_streaming_connection_and_exits() {
 /// and `--jobs`.
 #[test]
 fn injected_panics_never_poison_the_snapshot_tree() {
-    // The workspace's 64-bit FNV-1a (`p4bid_ast::fnv`) — the key the fault
-    // plan fires on.
+    // The workspace's 64-bit FNV-1a (`p4bid_ast::hash::fnv1a`) — the key
+    // the fault plan fires on.
     fn fnv(bytes: &[u8]) -> u64 {
         bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
@@ -433,7 +433,7 @@ fn injected_panics_never_poison_the_snapshot_tree() {
     }
     let plan = p4bid::faults::FaultPlan::parse(PANIC_FAULTS).expect("pinned plan parses");
     let fires = |src: &str| plan.fires(p4bid::faults::Site::WorkerPanic, fnv(src.as_bytes()));
-    // A comment tail tunes each body's content hash without touching the
+    // A comment tail tunes each body's FNV-1a hash without touching the
     // shared item prefix, so the fault decision is forced per program.
     let tune = |body: String, want: bool| {
         (0u32..20_000)

@@ -582,6 +582,24 @@ fn pc_equals_form_no_longer_checks_at_bottom() {
     let _ = std::fs::remove_file(path);
 }
 
+#[cfg(unix)]
+#[test]
+fn non_utf8_arguments_are_refused() {
+    use std::ffi::OsStr;
+    use std::os::unix::ffi::OsStrExt;
+    let bad = OsStr::from_bytes(b"\xff.p4");
+    let as_file = vec![OsStr::new("check"), bad];
+    let as_jobs = ["batch", "--synthetic", "2", "--jobs"].map(OsStr::new).to_vec();
+    for args in [as_file, [as_jobs, vec![bad]].concat()] {
+        let out = Command::new(env!("CARGO_BIN_EXE_p4bid")).args(&args).output().expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing on stdout");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: ") && stderr.contains("not UTF-8"), "{stderr}");
+    }
+}
+
 #[test]
 fn docs_synopsis_is_the_generated_usage() {
     let docs = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/CLI.md"))

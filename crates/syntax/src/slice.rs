@@ -28,7 +28,7 @@
 //! and including that item.
 
 use crate::lexer::{Token, TokenKind};
-use p4bid_ast::fnv;
+use p4bid_ast::hash;
 
 /// One top-level item segment of a token stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,7 +51,7 @@ pub fn item_segments(source: &str, tokens: &[Token]) -> Vec<ItemSeg> {
     let bytes = source.as_bytes();
     let mut segs = Vec::new();
     let mut depth: u32 = 0;
-    let mut chain = fnv::OFFSET;
+    let mut chain = hash::OFFSET;
     let mut prev_end: usize = 0;
     for (ix, tok) in tokens.iter().enumerate() {
         let boundary = match tok.kind {
@@ -74,7 +74,7 @@ pub fn item_segments(source: &str, tokens: &[Token]) -> Vec<ItemSeg> {
         };
         if boundary {
             let byte_end = tok.span.end as usize;
-            chain = fnv::bytes(chain, &bytes[prev_end..byte_end]);
+            chain = hash::bytes(chain, &bytes[prev_end..byte_end]);
             prev_end = byte_end;
             segs.push(ItemSeg { token_end: (ix + 1) as u32, byte_end: byte_end as u32, chain });
         }
@@ -195,12 +195,12 @@ fn item_head(item: &[u8]) -> ItemHead {
 #[must_use]
 pub fn item_chains(source: &str) -> Vec<u64> {
     let Some(items) = split_items(source) else { return Vec::new() };
-    let mut chain = fnv::OFFSET;
+    let mut chain = hash::OFFSET;
     let mut prev_end = 0;
     items
         .iter()
         .map(|item| {
-            chain = fnv::bytes(chain, &source.as_bytes()[prev_end..item.end as usize]);
+            chain = hash::bytes(chain, &source.as_bytes()[prev_end..item.end as usize]);
             prev_end = item.end as usize;
             chain
         })

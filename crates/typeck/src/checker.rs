@@ -624,7 +624,7 @@ struct GuardCtx<'a> {
 // worst mis-pick one hop of an explanation path, never change a verdict.
 // ----------------------------------------------------------------------
 
-use p4bid_ast::fnv::{byte as fnv_byte, bytes as fnv_bytes, OFFSET as FNV_OFFSET};
+use p4bid_ast::hash::{byte as fnv_byte, bytes as fnv_bytes, OFFSET as FNV_OFFSET};
 
 /// Folds an expression's structure (not its spans) into `h`: two
 /// occurrences of the same written expression hash equal.
