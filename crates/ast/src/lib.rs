@@ -50,6 +50,6 @@ pub mod span;
 pub mod surface;
 
 pub use intern::{Interner, Symbol};
-pub use pool::{CtxOverlay, FrozenTyCtx, IdRemap, SharedTyCtx, TyCtx, TyPool};
+pub use pool::{CtxOverlay, FrozenTyCtx, SharedTyCtx, TyCtx, TyPool};
 pub use sectype::{SecTy, TyId};
 pub use span::{Span, Spanned};

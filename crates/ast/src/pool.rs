@@ -27,6 +27,12 @@
 //! overlay id are never equal, and structurally equal types interned
 //! through one pool always resolve to one id, frozen tier first).
 //!
+//! A frozen segment grows by *refreezing* ([`FrozenTyCtx::refreeze`]): the
+//! names, types and push-memo entries workers interned in their overlays
+//! are merged into a new segment that keeps every old frozen id. That is
+//! all a refreeze promotes; state holding overlay ids is rebuilt over the
+//! new segment, never translated.
+//!
 //! A [`TyCtx`] bundles the pool with the string [`Interner`] whose
 //! [`Symbol`]s key record/header fields; checker sessions share one
 //! `TyCtx` across every program they check (via [`SharedTyCtx`]), so
@@ -570,109 +576,10 @@ pub struct CtxOverlay {
     push_cache: Vec<((u32, TyId, Label), TyId)>,
 }
 
-impl CtxOverlay {
-    /// Whether the overlay interned nothing (a refreeze absorbs it as a
-    /// no-op and its [`IdRemap`] is the identity).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.syms.is_empty() && self.types.is_empty() && self.push_cache.is_empty()
-    }
-
-    /// `(overlay strings, overlay type nodes)` harvested.
-    #[must_use]
-    pub fn sizes(&self) -> (usize, usize) {
-        (self.syms.len(), self.types.len())
-    }
-}
-
-/// A stable id translation table from one worker's overlay tier (over the
-/// *old* frozen generation) into the refrozen root produced by
-/// [`FrozenTyCtx::refreeze`].
-///
-/// Refreezing preserves every old frozen-tier id verbatim, so frozen ids
-/// map to themselves; overlay ids translate through the table by local
-/// position. A remap is only meaningful for handles produced by the one
-/// overlay it was built for — feeding it another overlay's handles returns
-/// garbage (or panics on out-of-range indices).
-#[derive(Debug, Clone)]
-pub struct IdRemap {
-    /// Old frozen interner length (overlay symbol indices start here).
-    base_syms: u32,
-    /// Old frozen pool length (overlay type indices start here).
-    base_types: u32,
-    /// Overlay symbol local position → new root-tier symbol.
-    syms: Vec<Symbol>,
-    /// Overlay type id local position → new root-tier id.
-    types: Vec<TyId>,
-}
-
-impl IdRemap {
-    /// Translates a symbol (frozen-tier symbols map to themselves).
-    #[must_use]
-    pub fn sym(&self, s: Symbol) -> Symbol {
-        if s.is_overlay() {
-            self.syms[s.index() - self.base_syms as usize]
-        } else {
-            s
-        }
-    }
-
-    /// Translates a dense symbol *index*, as used by `Vec`-backed side
-    /// tables indexed by [`Symbol::index`].
-    #[must_use]
-    pub fn sym_index(&self, ix: usize) -> usize {
-        if ix < self.base_syms as usize {
-            ix
-        } else {
-            self.syms[ix - self.base_syms as usize].index()
-        }
-    }
-
-    /// Translates a type id (frozen-tier ids map to themselves).
-    #[must_use]
-    pub fn ty(&self, t: TyId) -> TyId {
-        if t.is_overlay() {
-            self.types[t.index() - self.base_types as usize]
-        } else {
-            t
-        }
-    }
-
-    /// Translates a security type (the label is lattice-relative and
-    /// unaffected by refreezing).
-    #[must_use]
-    pub fn secty(&self, t: SecTy) -> SecTy {
-        SecTy { ty: self.ty(t.ty), label: t.label }
-    }
-
-    /// Translates a function/action type value (parameter names and all
-    /// embedded security types).
-    #[must_use]
-    pub fn fnty(&self, f: &FnTy) -> FnTy {
-        FnTy {
-            params: f
-                .params
-                .iter()
-                .map(|p| FnParam { name: self.sym(p.name), ty: self.secty(p.ty), ..*p })
-                .collect(),
-            pc_fn: f.pc_fn,
-            ret: self.secty(f.ret),
-            is_action: f.is_action,
-        }
-    }
-
-    /// Whether this remap translates nothing (the overlay was empty, so
-    /// every handle maps to itself).
-    #[must_use]
-    pub fn is_identity(&self) -> bool {
-        self.syms.is_empty() && self.types.is_empty()
-    }
-}
-
 /// Rebuilds an overlay node with its child handles translated: frozen-tier
 /// handles are kept, overlay handles resolve through the partial maps
 /// (complete for all children — append order puts children first).
-fn remap_node(
+fn translate_node(
     node: &Ty,
     sym_map: &[Symbol],
     ty_map: &[TyId],
@@ -819,56 +726,49 @@ impl FrozenTyCtx {
     /// root: thaw both segments, re-intern each overlay's strings and type
     /// nodes with child handles translated through the tables built so far
     /// (append order guarantees children precede parents), import the
-    /// remapped push-memo entries, freeze again.
+    /// translated push-memo entries, freeze again.
     ///
     /// Every id of the *old* frozen generation is preserved verbatim in
-    /// the new root — state snapshotted against the old generation in
-    /// frozen-pure form stays valid unchanged. Overlay ids translate
-    /// through the returned [`IdRemap`]s (one per overlay, same order);
-    /// entities duplicated across overlays dedup by hash-consing, so N
-    /// workers that each interned the same program-local types contribute
-    /// one copy.
+    /// the new root, so state built against the old generation in
+    /// frozen-pure form stays valid unchanged. Names and types only an
+    /// overlay held now resolve to frozen ids; entities duplicated across
+    /// overlays dedup by hash-consing, so N workers that each interned
+    /// the same program-local types contribute one copy. Nothing else is
+    /// carried over: state that holds overlay ids is rebuilt against the
+    /// new root, never translated.
     ///
     /// Every overlay must have been layered over *this* frozen generation;
-    /// handles from any other generation make the remap meaningless.
+    /// handles from any other generation would translate to garbage.
     #[must_use]
-    pub fn refreeze(&self, overlays: &[CtxOverlay]) -> (FrozenTyCtx, Vec<IdRemap>) {
+    pub fn refreeze(&self, overlays: &[CtxOverlay]) -> FrozenTyCtx {
         let base_syms = u32::try_from(self.syms.len()).expect("frozen interner fits u32");
         let base_types = u32::try_from(self.types.len()).expect("frozen pool fits u32");
         let mut syms = self.syms.thaw();
         let mut types = self.types.thaw();
-        let mut remaps = Vec::with_capacity(overlays.len());
         for ov in overlays {
             let sym_map: Vec<Symbol> = ov.syms.iter().map(|s| syms.intern(s)).collect();
             let mut ty_map: Vec<TyId> = Vec::with_capacity(ov.types.len());
             for node in &ov.types {
-                let remapped = remap_node(node, &sym_map, &ty_map, base_syms, base_types);
-                ty_map.push(types.intern(remapped));
+                let translated = translate_node(node, &sym_map, &ty_map, base_syms, base_types);
+                ty_map.push(types.intern(translated));
             }
+            let ty =
+                |t: TyId| if t.is_overlay() { ty_map[t.index() - base_types as usize] } else { t };
             // Register the overlay's lattices first, in the overlay's own
             // (deterministic) order, so the root registry order does not
             // depend on memo-entry iteration order.
             for lat in &ov.lattices {
                 let _ = register_lattice(&mut types.lattices, lat);
             }
-            for &((lat_ix, ty, label), pushed) in &ov.push_cache {
+            for &((lat_ix, from, label), pushed) in &ov.push_cache {
                 let root_ix = register_lattice(&mut types.lattices, &ov.lattices[lat_ix as usize]);
-                let ty =
-                    if ty.is_overlay() { ty_map[ty.index() - base_types as usize] } else { ty };
-                let pushed = if pushed.is_overlay() {
-                    ty_map[pushed.index() - base_types as usize]
-                } else {
-                    pushed
-                };
                 // Push results are a pure function of (lattice, type,
                 // label), so colliding imports agree and insertion order
                 // cannot matter.
-                types.push_cache.insert((root_ix, ty, label), pushed);
+                types.push_cache.insert((root_ix, ty(from), label), ty(pushed));
             }
-            remaps.push(IdRemap { base_syms, base_types, syms: sym_map, types: ty_map });
         }
-        let ctx = FrozenTyCtx { syms: Arc::new(syms.freeze()), types: Arc::new(types.freeze()) };
-        (ctx, remaps)
+        FrozenTyCtx { syms: Arc::new(syms.freeze()), types: Arc::new(types.freeze()) }
     }
 }
 
@@ -1144,7 +1044,6 @@ mod tests {
         assert_send_sync::<FrozenTyCtx>();
         fn assert_send<T: Send>() {}
         assert_send::<CtxOverlay>();
-        assert_send::<IdRemap>();
     }
 
     #[test]
@@ -1181,47 +1080,32 @@ mod tests {
             let mut ctx = TyCtx::with_base(&frozen);
             let g = ctx.syms.intern("g");
             let hdr = ctx.types.header(FieldList::new(vec![(g, SecTy::new(bit8, lat.top()))]));
-            (ctx, g, hdr)
+            assert!(g.is_overlay() && hdr.is_overlay());
+            ctx.into_overlay().unwrap()
         };
-        let (ctx_a, ga, ha) = mk();
-        let (ctx_b, gb, hb) = mk();
-        assert!(ga.is_overlay() && ha.is_overlay());
-
-        let overlays = vec![ctx_a.into_overlay().unwrap(), ctx_b.into_overlay().unwrap()];
-        assert_eq!(overlays[0].sizes(), (1, 1));
-        let (refrozen, remaps) = frozen.refreeze(&overlays);
+        let refrozen = Arc::new(frozen.refreeze(&[mk(), mk()]));
 
         // Old frozen ids are preserved verbatim.
         assert_eq!(refrozen.syms.lookup("f"), Some(f));
         assert_eq!(refrozen.types.kind(bit8), &Ty::Bit(8));
-        assert_eq!(remaps[0].sym(f), f, "frozen symbols map to themselves");
-        assert_eq!(remaps[0].ty(bit8), bit8, "frozen ids map to themselves");
 
-        // Overlay entities merged once, now root-tier.
-        let g_new = remaps[0].sym(ga);
-        let h_new = remaps[0].ty(ha);
-        assert!(!g_new.is_overlay() && !h_new.is_overlay());
-        assert_eq!(remaps[1].sym(gb), g_new, "cross-overlay symbol dedup");
-        assert_eq!(remaps[1].ty(hb), h_new, "cross-overlay type dedup");
-        assert_eq!(refrozen.syms.resolve(g_new), "g");
+        // The overlay entities merged once (cross-overlay dedup)…
         assert_eq!(refrozen.syms.len(), frozen.syms.len() + 1);
         assert_eq!(refrozen.types.len(), frozen.types.len() + 1);
-        // The merged node's field is keyed by the *remapped* symbol.
-        let field = refrozen.types.kind(h_new).field(g_new).expect("field survived remap");
-        assert_eq!(field, SecTy::new(bit8, lat.top()));
-        // Dense-index translation for Vec-backed side tables.
-        assert_eq!(remaps[0].sym_index(f.index()), f.index());
-        assert_eq!(remaps[0].sym_index(ga.index()), g_new.index());
 
-        // A fresh overlay over the new root resolves the merged entities
-        // without allocating.
-        let mut worker = TyCtx::with_base(&Arc::new(refrozen));
-        assert_eq!(worker.syms.intern("g"), g_new);
-        assert_eq!(
-            worker.types.header(FieldList::new(vec![(g_new, SecTy::new(bit8, lat.top()))])),
-            h_new
-        );
+        // …and a fresh overlay over the new root resolves them to frozen
+        // ids without allocating.
+        let mut worker = TyCtx::with_base(&refrozen);
+        let g = worker.syms.intern("g");
+        assert!(!g.is_overlay());
+        assert_eq!(refrozen.syms.resolve(g), "g");
+        let hdr = worker.types.header(FieldList::new(vec![(g, SecTy::new(bit8, lat.top()))]));
+        assert!(!hdr.is_overlay());
+        assert_eq!(worker.syms.tier_sizes().1, 0);
         assert_eq!(worker.types.tier_sizes().1, 0);
+        // The merged node's field is keyed by the promoted symbol.
+        let field = refrozen.types.kind(hdr).field(g).expect("field survived the merge");
+        assert_eq!(field, SecTy::new(bit8, lat.top()));
     }
 
     #[test]
@@ -1230,11 +1114,7 @@ mod tests {
         let root = TyCtx::new();
         let frozen = Arc::new(root.freeze());
 
-        let mut ctx = TyCtx::with_base(&frozen);
-        let x = ctx.syms.intern("x");
-        let bit16 = ctx.types.bit(16); // overlay child
-        let stack = ctx.types.stack(SecTy::bottom(bit16, &lat), 4); // overlay parent
-        let fnid = ctx.types.function(FnTy {
+        let fn_of = |x, stack| FnTy {
             params: vec![FnParam {
                 name: x,
                 direction: Direction::In,
@@ -1244,31 +1124,37 @@ mod tests {
             pc_fn: lat.top(),
             ret: SecTy::unit(&lat),
             is_action: false,
-        });
+        };
+        let mut ctx = TyCtx::with_base(&frozen);
+        let x = ctx.syms.intern("x");
+        let bit16 = ctx.types.bit(16); // overlay child
+        let stack = ctx.types.stack(SecTy::bottom(bit16, &lat), 4); // overlay parent
+        let fnid = ctx.types.function(fn_of(x, stack));
+        assert!(fnid.is_overlay());
 
-        let (refrozen, remaps) = frozen.refreeze(&[ctx.into_overlay().unwrap()]);
-        let r = &remaps[0];
-        let (bit16_n, stack_n, fn_n) = (r.ty(bit16), r.ty(stack), r.ty(fnid));
-        assert_eq!(refrozen.types.kind(bit16_n), &Ty::Bit(16));
+        let refrozen = Arc::new(frozen.refreeze(&[ctx.into_overlay().unwrap()]));
+        // Rebuilding the same types over the new root finds every one of
+        // them frozen, children and parents alike.
+        let mut worker = TyCtx::with_base(&refrozen);
+        let x = worker.syms.intern("x");
+        let bit16 = worker.types.bit(16);
+        let stack = worker.types.stack(SecTy::bottom(bit16, &lat), 4);
+        let fnid = worker.types.function(fn_of(x, stack));
+        assert!(![bit16, stack, fnid].iter().any(|t| t.is_overlay()));
+        assert_eq!(worker.types.tier_sizes().1, 0);
         assert_eq!(
-            refrozen.types.kind(stack_n),
-            &Ty::Stack(SecTy::bottom(bit16_n, &lat), 4),
-            "stack element remapped to the new child id"
+            refrozen.types.kind(stack),
+            &Ty::Stack(SecTy::bottom(bit16, &lat), 4),
+            "stack element translated to the promoted child id"
         );
-        match refrozen.types.kind(fn_n) {
+        match refrozen.types.kind(fnid) {
             Ty::Function(ft) => {
-                assert_eq!(ft.params[0].name, r.sym(x));
-                assert_eq!(ft.params[0].ty, SecTy::bottom(stack_n, &lat));
+                assert_eq!(refrozen.syms.resolve(ft.params[0].name), "x");
+                assert_eq!(ft.params[0].ty, SecTy::bottom(stack, &lat));
                 assert_eq!(ft.pc_fn, lat.top());
             }
             other => panic!("expected function, got {other:?}"),
         }
-        // The value-level helper agrees with the node-level remap.
-        let ft = match refrozen.types.kind(fn_n) {
-            Ty::Function(ft) => Arc::clone(ft),
-            _ => unreachable!(),
-        };
-        assert_eq!(&r.fnty(&ft), &*ft, "already-remapped values are fixpoints");
     }
 
     #[test]
@@ -1279,34 +1165,38 @@ mod tests {
         let bit8 = root.types.bit(8);
         let frozen = Arc::new(root.freeze());
 
+        let hdr_of =
+            |pool: &mut TyPool| pool.header(FieldList::new(vec![(f, SecTy::bottom(bit8, &lat))]));
         let mut ctx = TyCtx::with_base(&frozen);
-        let hdr = ctx.types.header(FieldList::new(vec![(f, SecTy::bottom(bit8, &lat))]));
-        let t = SecTy::bottom(hdr, &lat);
-        let pushed = ctx.types.push_label(t, lat.top(), &lat);
+        let hdr = hdr_of(&mut ctx.types);
+        let pushed = ctx.types.push_label(SecTy::bottom(hdr, &lat), lat.top(), &lat);
         assert!(hdr.is_overlay() && pushed.ty.is_overlay());
 
-        let (refrozen, remaps) = frozen.refreeze(&[ctx.into_overlay().unwrap()]);
-        let hdr_n = remaps[0].ty(hdr);
-        let pushed_n = remaps[0].ty(pushed.ty);
-
+        let refrozen = frozen.refreeze(&[ctx.into_overlay().unwrap()]);
         let mut worker = TyPool::with_base(Arc::clone(&refrozen.types));
-        let out = worker.push_label(SecTy::bottom(hdr_n, &lat), lat.top(), &lat);
-        assert_eq!(out.ty, pushed_n, "refrozen memo serves fresh overlays");
-        assert_eq!(worker.push_cache_hits(), 1);
+        let hdr = hdr_of(&mut worker);
+        assert!(!hdr.is_overlay());
+        let out = worker.push_label(SecTy::bottom(hdr, &lat), lat.top(), &lat);
+        assert_eq!(worker.push_cache_hits(), 1, "refrozen memo serves fresh overlays");
+        assert!(!out.ty.is_overlay());
+        assert_eq!(worker.field(out.ty, f).unwrap().label, lat.top());
         assert_eq!(worker.tier_sizes().1, 0, "no overlay allocation at all");
     }
 
     #[test]
     fn empty_overlay_refreezes_to_identity() {
-        let root = TyCtx::new();
+        let mut root = TyCtx::new();
+        let f = root.syms.intern("f");
+        let bit8 = root.types.bit(8);
         let frozen = Arc::new(root.freeze());
         assert!(root_ctx_overlay_is_none(), "root-tier contexts have nothing to harvest");
         let ov = TyCtx::with_base(&frozen).into_overlay().unwrap();
-        assert!(ov.is_empty());
-        let (refrozen, remaps) = frozen.refreeze(&[ov]);
-        assert!(remaps[0].is_identity());
+        let refrozen = frozen.refreeze(&[ov]);
         assert_eq!(refrozen.syms.len(), frozen.syms.len());
         assert_eq!(refrozen.types.len(), frozen.types.len());
+        assert_eq!(refrozen.syms.lookup("f"), Some(f));
+        assert_eq!(refrozen.types.kind(bit8), &Ty::Bit(8));
+        assert_eq!(refrozen.types.push_cache.len(), frozen.types.push_cache.len());
     }
 
     fn root_ctx_overlay_is_none() -> bool {

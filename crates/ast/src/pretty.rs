@@ -28,15 +28,6 @@ pub fn expr_to_string(e: &Expr) -> String {
     out
 }
 
-/// Pretty-prints a single statement.
-#[must_use]
-pub fn stmt_to_string(s: &Stmt) -> String {
-    let mut out = String::new();
-    let mut pr = Printer::new(&mut out);
-    pr.stmt(s);
-    out
-}
-
 struct Printer<'a> {
     out: &'a mut String,
     indent: usize,
@@ -440,7 +431,9 @@ mod tests {
             ),
             sp(),
         );
-        assert_eq!(stmt_to_string(&st), "hdr.ttl = 64;");
+        let mut out = String::new();
+        Printer::new(&mut out).stmt(&st);
+        assert_eq!(out, "hdr.ttl = 64;");
     }
 
     #[test]

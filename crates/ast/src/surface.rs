@@ -160,18 +160,6 @@ impl BinOp {
             BinOp::Or => "||",
         }
     }
-
-    /// Whether the operator produces a `bool` regardless of operand type.
-    #[must_use]
-    pub fn is_comparison(self) -> bool {
-        matches!(self, BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge)
-    }
-
-    /// Whether the operator is the boolean connective `&&`/`||`.
-    #[must_use]
-    pub fn is_logical(self) -> bool {
-        matches!(self, BinOp::And | BinOp::Or)
-    }
 }
 
 impl fmt::Display for BinOp {
@@ -615,11 +603,9 @@ mod tests {
 
     #[test]
     fn binop_classification() {
-        assert!(BinOp::Eq.is_comparison());
-        assert!(!BinOp::Add.is_comparison());
-        assert!(BinOp::And.is_logical());
-        assert!(!BinOp::BitAnd.is_logical());
         assert_eq!(BinOp::Shl.symbol(), "<<");
+        assert_eq!(BinOp::And.to_string(), "&&");
+        assert_eq!(BinOp::BitAnd.to_string(), "&");
     }
 
     #[test]

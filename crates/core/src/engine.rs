@@ -221,8 +221,7 @@ enum Answer {
 /// transient verdict is never cached: a retry of the same body may well
 /// succeed.
 pub(crate) fn is_transient(diagnostics: &[BatchDiagnostic]) -> bool {
-    const FAILURE_DOMAINS: [DiagCode; 3] =
-        [DiagCode::InternalError, DiagCode::Timeout, DiagCode::Oversized];
+    const FAILURE_DOMAINS: [DiagCode; 2] = [DiagCode::InternalError, DiagCode::Timeout];
     diagnostics
         .iter()
         .any(|d| FAILURE_DOMAINS.iter().any(|c| c.is_transient() && d.code == c.ident()))

@@ -422,11 +422,6 @@ impl Lattice {
         self.meet[a.index() * self.len() + b.index()]
     }
 
-    /// Join of an arbitrary collection of labels (`⊥` if empty).
-    pub fn join_all<I: IntoIterator<Item = Label>>(&self, labels: I) -> Label {
-        labels.into_iter().fold(self.bottom, |acc, l| self.join(acc, l))
-    }
-
     /// Meet of an arbitrary collection of labels (`⊤` if empty).
     pub fn meet_all<I: IntoIterator<Item = Label>>(&self, labels: I) -> Label {
         labels.into_iter().fold(self.top, |acc, l| self.meet(acc, l))
@@ -587,9 +582,8 @@ mod tests {
         let lat = Lattice::diamond();
         let a = lat.label("A").unwrap();
         let b = lat.label("B").unwrap();
-        assert_eq!(lat.join_all([a, b]), lat.top());
+        assert_eq!(lat.join(a, b), lat.top());
         assert_eq!(lat.meet_all([a, b]), lat.bottom());
-        assert_eq!(lat.join_all([]), lat.bottom());
         assert_eq!(lat.meet_all([]), lat.top());
     }
 

@@ -16,9 +16,9 @@
 //! finds a concrete [`LeakWitness`] demonstrating the interference.
 
 use crate::lowequiv::{observable_differences, random_value, scramble_unobservable, Difference};
-use p4bid_interp::{run_control, ControlPlane, EvalError, Value};
-use p4bid_lattice::Label;
-use p4bid_typeck::TypedProgram;
+use p4bid_interp::{run_control, ControlOutcome, ControlPlane, EvalError, Value};
+use p4bid_lattice::{Label, Lattice};
+use p4bid_typeck::{TypedControl, TypedProgram};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -158,19 +158,88 @@ pub fn run_pair(
 ) -> Result<PairResult, EvalError> {
     let ctrl =
         typed.control(control).ok_or_else(|| EvalError::UnknownControl(control.to_string()))?;
-    let out_a = run_control(typed, cp, control, args_a)?;
-    let out_b = run_control(typed, cp, control, args_b)?;
+    let run = run_both(typed, cp, ctrl, observe, args_a, args_b)?;
+    Ok((run.differences, (run.a.exited, run.b.exited)))
+}
+
+/// Both runs of one pair and the observable differences between their
+/// final parameter values, each path prefixed by its parameter's name.
+pub(crate) struct PairRun {
+    pub(crate) a: ControlOutcome,
+    pub(crate) b: ControlOutcome,
+    pub(crate) differences: Vec<Difference>,
+}
+
+impl PairRun {
+    /// Whether the pair shows interference: an observable difference, or
+    /// one run exiting while the other continues.
+    pub(crate) fn leaks(&self) -> bool {
+        !self.differences.is_empty() || self.a.exited != self.b.exited
+    }
+
+    /// The leak outcome for this pair, run from `inputs`.
+    pub(crate) fn into_leak(self, inputs: (Vec<Value>, Vec<Value>), run_index: usize) -> NiOutcome {
+        NiOutcome::Leak(Box::new(LeakWitness {
+            inputs,
+            outputs: (self.a.params, self.b.params),
+            differences: self.differences,
+            exited: (self.a.exited, self.b.exited),
+            run_index,
+        }))
+    }
+}
+
+/// Runs `ctrl` on both inputs of a pair and collects the observable
+/// differences of the outputs.
+pub(crate) fn run_both(
+    typed: &TypedProgram,
+    cp: &ControlPlane,
+    ctrl: &TypedControl,
+    observe: Label,
+    args_a: Vec<Value>,
+    args_b: Vec<Value>,
+) -> Result<PairRun, EvalError> {
+    let a = run_control(typed, cp, &ctrl.name, args_a)?;
+    let b = run_control(typed, cp, &ctrl.name, args_b)?;
     let ctx = typed.ctx.borrow();
-    let mut diffs = Vec::new();
-    for (param, ((name, va), (_, vb))) in
-        ctrl.params.iter().zip(out_a.params.iter().zip(out_b.params.iter()))
-    {
+    let mut differences = Vec::new();
+    for (param, ((name, va), (_, vb))) in ctrl.params.iter().zip(a.params.iter().zip(&b.params)) {
         for mut d in observable_differences(&ctx, &typed.lattice, observe, param.ty, va, vb) {
             d.path = if d.path.is_empty() { name.clone() } else { format!("{name}.{}", d.path) };
-            diffs.push(d);
+            differences.push(d);
         }
     }
-    Ok((diffs, (out_a.exited, out_b.exited)))
+    Ok(PairRun { a, b, differences })
+}
+
+/// The observation level a configuration names: the lattice bottom when
+/// it names none.
+pub(crate) fn observation_label(lat: &Lattice, observe: Option<&str>) -> Result<Label, EvalError> {
+    match observe {
+        None => Ok(lat.bottom()),
+        Some(name) => lat.label(name).ok_or_else(|| {
+            EvalError::Internal(format!("observation label `{name}` is not in the lattice"))
+        }),
+    }
+}
+
+/// Draws a random input for `ctrl`, then a low-equivalent partner with
+/// every part not `⊑ observe` scrambled (in that order from `rng`).
+pub(crate) fn low_equivalent_pair(
+    rng: &mut StdRng,
+    typed: &TypedProgram,
+    ctrl: &TypedControl,
+    observe: Label,
+) -> (Vec<Value>, Vec<Value>) {
+    let ctx = typed.ctx.borrow();
+    let args_a: Vec<Value> = ctrl.params.iter().map(|p| random_value(rng, &ctx, p.ty)).collect();
+    let args_b = ctrl
+        .params
+        .iter()
+        .zip(&args_a)
+        .map(|(p, v)| scramble_unobservable(rng, &ctx, &typed.lattice, observe, p.ty, v))
+        .collect();
+    (args_a, args_b)
 }
 
 /// Empirically checks non-interference of a control block (see the module
@@ -188,67 +257,19 @@ pub fn check_non_interference(
     let Some(ctrl) = typed.control(control) else {
         return NiOutcome::Error(EvalError::UnknownControl(control.to_string()));
     };
-    let lat = &typed.lattice;
-    let observe = match &config.observe {
-        None => lat.bottom(),
-        Some(name) => match lat.label(name) {
-            Some(l) => l,
-            None => {
-                return NiOutcome::Error(EvalError::Internal(format!(
-                    "observation label `{name}` is not in the lattice"
-                )));
-            }
-        },
+    let observe = match observation_label(&typed.lattice, config.observe.as_deref()) {
+        Ok(l) => l,
+        Err(e) => return NiOutcome::Error(e),
     };
-
     let mut rng = StdRng::seed_from_u64(config.seed);
     for run_index in 0..config.runs {
-        // Borrow the shared ctx only while building inputs / comparing
-        // outputs; `run_control` takes its own borrows internally.
-        let (args_a, args_b) = {
-            let ctx = typed.ctx.borrow();
-            let args_a: Vec<Value> =
-                ctrl.params.iter().map(|p| random_value(&mut rng, &ctx, p.ty)).collect();
-            let args_b: Vec<Value> = ctrl
-                .params
-                .iter()
-                .zip(&args_a)
-                .map(|(p, v)| scramble_unobservable(&mut rng, &ctx, lat, observe, p.ty, v))
-                .collect();
-            (args_a, args_b)
-        };
-
-        let out_a = match run_control(typed, cp, control, args_a.clone()) {
-            Ok(o) => o,
+        let (args_a, args_b) = low_equivalent_pair(&mut rng, typed, ctrl, observe);
+        let run = match run_both(typed, cp, ctrl, observe, args_a.clone(), args_b.clone()) {
+            Ok(run) => run,
             Err(e) => return NiOutcome::Error(e),
         };
-        let out_b = match run_control(typed, cp, control, args_b.clone()) {
-            Ok(o) => o,
-            Err(e) => return NiOutcome::Error(e),
-        };
-
-        let mut diffs = Vec::new();
-        {
-            let ctx = typed.ctx.borrow();
-            for (param, ((name, va), (_, vb))) in
-                ctrl.params.iter().zip(out_a.params.iter().zip(out_b.params.iter()))
-            {
-                for mut d in observable_differences(&ctx, lat, observe, param.ty, va, vb) {
-                    d.path =
-                        if d.path.is_empty() { name.clone() } else { format!("{name}.{}", d.path) };
-                    diffs.push(d);
-                }
-            }
-        }
-
-        if !diffs.is_empty() || out_a.exited != out_b.exited {
-            return NiOutcome::Leak(Box::new(LeakWitness {
-                inputs: (args_a, args_b),
-                outputs: (out_a.params, out_b.params),
-                differences: diffs,
-                exited: (out_a.exited, out_b.exited),
-                run_index,
-            }));
+        if run.leaks() {
+            return run.into_leak((args_a, args_b), run_index);
         }
     }
     NiOutcome::Holds { runs: config.runs }

@@ -27,9 +27,9 @@
 //! The tests check exactly this, and that one-round-leaky programs also
 //! leak somewhere in the sequence.
 
-use crate::harness::{LeakWitness, NiOutcome};
-use crate::lowequiv::{observable_differences, random_value, scramble_unobservable};
-use p4bid_interp::{run_control, ControlPlane, EvalError, Value};
+use crate::harness::{low_equivalent_pair, observation_label, run_both, NiOutcome};
+use crate::lowequiv::scramble_unobservable;
+use p4bid_interp::{ControlOutcome, ControlPlane, EvalError, Value};
 use p4bid_typeck::TypedProgram;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -115,95 +115,42 @@ pub fn check_sequence_non_interference(
         return NiOutcome::Error(EvalError::UnknownControl(control.to_string()));
     };
     let lat = &typed.lattice;
-    let observe = match &config.observe {
-        None => lat.bottom(),
-        Some(name) => match lat.label(name) {
-            Some(l) => l,
-            None => {
-                return NiOutcome::Error(EvalError::Internal(format!(
-                    "observation label `{name}` is not in the lattice"
-                )));
-            }
-        },
+    let observe = match observation_label(lat, config.observe.as_deref()) {
+        Ok(l) => l,
+        Err(e) => return NiOutcome::Error(e),
     };
 
     let mut rng = StdRng::seed_from_u64(config.seed);
     for trial in 0..config.trials {
-        let (mut args_a, mut args_b) = {
-            let ctx = typed.ctx.borrow();
-            let args_a: Vec<Value> =
-                ctrl.params.iter().map(|p| random_value(&mut rng, &ctx, p.ty)).collect();
-            let args_b: Vec<Value> = ctrl
-                .params
-                .iter()
-                .zip(&args_a)
-                .map(|(p, v)| scramble_unobservable(&mut rng, &ctx, lat, observe, p.ty, v))
-                .collect();
-            (args_a, args_b)
-        };
+        let (mut args_a, mut args_b) = low_equivalent_pair(&mut rng, typed, ctrl, observe);
 
         for round in 0..config.rounds {
-            let out_a = match run_control(typed, cp, control, args_a.clone()) {
-                Ok(o) => o,
+            let run = match run_both(typed, cp, ctrl, observe, args_a.clone(), args_b.clone()) {
+                Ok(run) => run,
                 Err(e) => return NiOutcome::Error(e),
             };
-            let out_b = match run_control(typed, cp, control, args_b.clone()) {
-                Ok(o) => o,
-                Err(e) => return NiOutcome::Error(e),
-            };
-
-            let mut diffs = Vec::new();
-            {
-                let ctx = typed.ctx.borrow();
-                for (param, ((name, va), (_, vb))) in
-                    ctrl.params.iter().zip(out_a.params.iter().zip(out_b.params.iter()))
-                {
-                    for mut d in observable_differences(&ctx, lat, observe, param.ty, va, vb) {
-                        d.path = if d.path.is_empty() {
-                            name.clone()
-                        } else {
-                            format!("{name}.{}", d.path)
-                        };
-                        diffs.push(d);
-                    }
-                }
+            if run.leaks() {
+                return run.into_leak((args_a, args_b), trial * config.rounds + round);
             }
-            if !diffs.is_empty() || out_a.exited != out_b.exited {
-                return NiOutcome::Leak(Box::new(LeakWitness {
-                    inputs: (args_a, args_b),
-                    outputs: (out_a.params, out_b.params),
-                    differences: diffs,
-                    exited: (out_a.exited, out_b.exited),
-                    run_index: trial * config.rounds + round,
-                }));
-            }
-
             // Recirculate: outputs become the next round's inputs. With
             // `refresh_secrets`, the unobservable parts are independently
             // refreshed in each run (new packets carry new secrets);
             // without it they persist (stateful switch memory).
-            if config.refresh_secrets {
-                let ctx = typed.ctx.borrow();
-                args_a = ctrl
-                    .params
-                    .iter()
-                    .zip(out_a.params)
-                    .map(|(p, (_, v))| {
-                        scramble_unobservable(&mut rng, &ctx, lat, observe, p.ty, &v)
-                    })
-                    .collect();
-                args_b = ctrl
-                    .params
-                    .iter()
-                    .zip(out_b.params)
-                    .map(|(p, (_, v))| {
-                        scramble_unobservable(&mut rng, &ctx, lat, observe, p.ty, &v)
-                    })
-                    .collect();
-            } else {
-                args_a = out_a.params.into_iter().map(|(_, v)| v).collect();
-                args_b = out_b.params.into_iter().map(|(_, v)| v).collect();
-            }
+            let ctx = typed.ctx.borrow();
+            let mut next = |out: ControlOutcome| -> Vec<Value> {
+                let values = out.params.into_iter().map(|(_, v)| v);
+                if config.refresh_secrets {
+                    ctrl.params
+                        .iter()
+                        .zip(values)
+                        .map(|(p, v)| scramble_unobservable(&mut rng, &ctx, lat, observe, p.ty, &v))
+                        .collect()
+                } else {
+                    values.collect()
+                }
+            };
+            args_a = next(run.a);
+            args_b = next(run.b);
         }
     }
     NiOutcome::Holds { runs: config.trials * config.rounds }

@@ -455,21 +455,6 @@ impl CheckerState {
             && self.env.within_tiers(max_sym, max_ty)
             && self.sig_functions.iter().all(|(_, f)| fnty_within_tiers(f, max_sym, max_ty))
     }
-
-    /// Rebuilds the state with every handle translated through a
-    /// refreeze remap, making an overlay-local state valid over the new
-    /// frozen generation.
-    pub(crate) fn remap(&self, r: &p4bid_ast::pool::IdRemap) -> CheckerState {
-        CheckerState {
-            defs: self.defs.remap(r),
-            env: self.env.remap(r),
-            sig_functions: self
-                .sig_functions
-                .iter()
-                .map(|(n, f)| (n.clone(), Arc::new(r.fnty(f))))
-                .collect(),
-        }
-    }
 }
 
 /// Whether a function type's handles all lie below the tier boundaries.
@@ -1093,7 +1078,7 @@ impl<'a> Checker<'a> {
             TypeDecl::MatchKind { kinds } => {
                 for k in kinds {
                     let sym = self.syms.intern(&k.node);
-                    self.defs.add_match_kind(sym, &k.node);
+                    self.defs.add_match_kind(sym);
                 }
             }
             TypeDecl::Typedef { ty, name } => {

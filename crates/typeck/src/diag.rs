@@ -174,9 +174,6 @@ pub struct Diagnostic {
     pub message: String,
     /// Primary source span.
     pub span: Span,
-    /// Optional extra notes (e.g. "the fix in Listing 2 writes to
-    /// local_hdr.phys_ttl instead").
-    pub notes: Vec<String>,
     /// The source → sink flow path explaining the violation, oldest edge
     /// first with the violating edge last. Empty for diagnostics with no
     /// flow to explain (parse errors, unknown names) and when lineage
@@ -188,14 +185,7 @@ impl Diagnostic {
     /// Builds a diagnostic.
     #[must_use]
     pub fn new(code: DiagCode, message: impl Into<String>, span: Span) -> Self {
-        Diagnostic { code, message: message.into(), span, notes: Vec::new(), lineage: Vec::new() }
-    }
-
-    /// Adds a note, builder-style.
-    #[must_use]
-    pub fn with_note(mut self, note: impl Into<String>) -> Self {
-        self.notes.push(note.into());
-        self
+        Diagnostic { code, message: message.into(), span, lineage: Vec::new() }
     }
 
     /// Attaches a flow-lineage path, builder-style.
@@ -217,9 +207,6 @@ impl Diagnostic {
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "error[{}]: {}", self.code.ident(), self.message)?;
-        for note in &self.notes {
-            write!(f, "\n  note: {note}")?;
-        }
         if let Some(chain) = self.lineage_chain() {
             write!(f, "\n  flow: {chain}")?;
         }
@@ -240,13 +227,9 @@ mod tests {
     }
 
     #[test]
-    fn display_includes_code_and_notes() {
-        let d = Diagnostic::new(DiagCode::ExplicitFlow, "high flows to low", Span::new(1, 2))
-            .with_note("label the target high");
-        let s = d.to_string();
-        assert!(s.contains("E-EXPLICIT-FLOW"));
-        assert!(s.contains("high flows to low"));
-        assert!(s.contains("note: label the target high"));
+    fn display_includes_code_and_message() {
+        let d = Diagnostic::new(DiagCode::ExplicitFlow, "high flows to low", Span::new(1, 2));
+        assert_eq!(d.to_string(), "error[E-EXPLICIT-FLOW]: high flows to low");
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub struct TypeDefs {
     entries: Vec<(String, SecTy)>,
     /// `by_sym[sym] = index into entries`.
     by_sym: Vec<Option<u32>>,
-    match_kinds: Vec<(Symbol, String)>,
+    match_kinds: Vec<Symbol>,
 }
 
 impl TypeDefs {
@@ -113,22 +113,16 @@ impl TypeDefs {
     }
 
     /// Registers a match kind (from a `match_kind { … }` declaration).
-    pub fn add_match_kind(&mut self, sym: Symbol, kind: &str) {
-        if !self.match_kinds.iter().any(|(s, _)| *s == sym) {
-            self.match_kinds.push((sym, kind.to_string()));
+    pub fn add_match_kind(&mut self, sym: Symbol) {
+        if !self.match_kinds.contains(&sym) {
+            self.match_kinds.push(sym);
         }
     }
 
     /// Whether `sym` names a declared match kind.
     #[must_use]
     pub fn is_match_kind(&self, sym: Symbol) -> bool {
-        self.match_kinds.iter().any(|(s, _)| *s == sym)
-    }
-
-    /// Whether `kind` is a declared match kind (name-based cold path).
-    #[must_use]
-    pub fn is_match_kind_name(&self, kind: &str) -> bool {
-        self.match_kinds.iter().any(|(_, k)| k == kind)
+        self.match_kinds.contains(&sym)
     }
 
     /// Whether every handle in Δ lies below the given tier boundaries —
@@ -139,29 +133,8 @@ impl TypeDefs {
     #[must_use]
     pub fn within_tiers(&self, max_sym: usize, max_ty: usize) -> bool {
         self.entries.iter().all(|(_, t)| t.ty.index() < max_ty)
-            && self.match_kinds.iter().all(|(s, _)| s.index() < max_sym)
+            && self.match_kinds.iter().all(|s| s.index() < max_sym)
             && self.by_sym.iter().enumerate().all(|(ix, e)| e.is_none() || ix < max_sym)
-    }
-
-    /// Rebuilds Δ with every handle translated through a refreeze remap
-    /// (see [`IdRemap`](p4bid_ast::pool::IdRemap)).
-    #[must_use]
-    pub fn remap(&self, r: &p4bid_ast::pool::IdRemap) -> TypeDefs {
-        let mut by_sym = Vec::new();
-        for (ix, e) in self.by_sym.iter().enumerate() {
-            if let Some(entry_ix) = e {
-                let new_ix = r.sym_index(ix);
-                if by_sym.len() <= new_ix {
-                    by_sym.resize(new_ix + 1, None);
-                }
-                by_sym[new_ix] = Some(*entry_ix);
-            }
-        }
-        TypeDefs {
-            entries: self.entries.iter().map(|(n, t)| (n.clone(), r.secty(*t))).collect(),
-            by_sym,
-            match_kinds: self.match_kinds.iter().map(|(s, k)| (r.sym(*s), k.clone())).collect(),
-        }
     }
 
     /// Resolves a surface type annotation to a security type:
@@ -376,36 +349,6 @@ impl ScopedEnv {
                     || (ix < max_sym && stack.iter().all(|(_, v)| v.ty.ty.index() < max_ty))
             })
     }
-
-    /// Rebuilds Γ with every binding moved to its remapped symbol index
-    /// and every type handle translated (the outer `slots` vector is
-    /// *re-indexed*, not mapped in place: overlay symbols change index
-    /// across a refreeze).
-    #[must_use]
-    pub fn remap(&self, r: &p4bid_ast::pool::IdRemap) -> ScopedEnv {
-        let mut slots: Vec<Vec<(u32, VarInfo)>> = Vec::new();
-        for (ix, stack) in self.slots.iter().enumerate() {
-            if stack.is_empty() {
-                continue;
-            }
-            let new_ix = r.sym_index(ix);
-            if slots.len() <= new_ix {
-                slots.resize_with(new_ix + 1, Vec::new);
-            }
-            slots[new_ix] = stack
-                .iter()
-                .map(|&(d, v)| (d, VarInfo { ty: r.secty(v.ty), writable: v.writable }))
-                .collect();
-        }
-        ScopedEnv {
-            slots,
-            scopes: self
-                .scopes
-                .iter()
-                .map(|syms| syms.iter().map(|&s| r.sym(s)).collect())
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -538,11 +481,9 @@ mod tests {
         let mut defs = TypeDefs::new();
         let exact = syms.intern("exact");
         assert!(!defs.is_match_kind(exact));
-        defs.add_match_kind(exact, "exact");
-        defs.add_match_kind(exact, "exact");
+        defs.add_match_kind(exact);
+        defs.add_match_kind(exact);
         assert!(defs.is_match_kind(exact));
-        assert!(defs.is_match_kind_name("exact"));
-        assert!(!defs.is_match_kind_name("lpm"));
     }
 
     #[test]

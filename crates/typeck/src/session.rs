@@ -20,6 +20,15 @@
 //! identical to the one-shot entry points and to cold sessions (the
 //! conformance and determinism suites assert this).
 //!
+//! A long-lived driver can fold what its workers interned back into the
+//! core with [`SharedSessionCore::refreeze`]: the names, types and
+//! push-memo entries of the harvested overlays join a new frozen segment,
+//! so later workers find them warm. A refreeze promotes those tables and
+//! nothing else. A checked-prelude state a worker built with overlay ids
+//! is not carried across; the first session after the refreeze that needs
+//! it rebuilds it once, over the now-frozen types, and publishes it to its
+//! siblings.
+//!
 //! Every session of a core also shares the core's *item memo* (the
 //! `prefix` module): each `control`'s diagnostics, keyed by the
 //! declarations before it and its own bytes. [`CheckerSession::verdict`],
@@ -73,6 +82,12 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Bound on the publish-once table of program-lattice prelude states (per
+/// core). Past it, a new lattice's state stays local to the session that
+/// built it, so a stream of ever-new lattices neither grows the table nor
+/// lengthens its scan under the core-wide lock.
+const LATTICE_STATE_CAP: usize = 64;
+
 /// State shared by every session of one core (and carried across
 /// refreezes): the item memo with its sighting table, which holds no
 /// interner ids, and the publish-once table of checked-prelude states for
@@ -83,9 +98,9 @@ struct CoreShared {
     memo_cap: usize,
     memo: Mutex<ItemMemo>,
     /// Checked-prelude states for lattices first seen after the freeze,
-    /// published once by whichever worker builds them first (only
-    /// frozen-pure states are publishable; the rest stay session-local
-    /// until a refreeze promotes their ids).
+    /// published once by whichever worker builds them first, at most
+    /// [`LATTICE_STATE_CAP`] of them. Only frozen-pure states are
+    /// publishable; the rest stay session-local.
     lattice_states: Mutex<Vec<(Lattice, Arc<CheckerState>)>>,
 }
 
@@ -136,10 +151,6 @@ pub struct CheckerSession {
     /// workloads use one lattice (or a handful), so a linear scan over
     /// `Lattice` equality is fine.
     states: Vec<(Lattice, Arc<CheckerState>)>,
-    /// How many leading `states` entries came from the shared core; the
-    /// rest were built by this session and are harvestable
-    /// ([`into_harvest`](CheckerSession::into_harvest)).
-    core_states: usize,
     /// The cross-session shared caches (private to this session when
     /// cold; shared with every sibling on the shared-core path).
     shared: Arc<CoreShared>,
@@ -166,7 +177,6 @@ impl CheckerSession {
             prelude: prelude_arc(),
             states: Vec::new(),
             deadline: None,
-            core_states: 0,
             shared: Arc::new(CoreShared::new(DEFAULT_PREFIX_CACHE_CAP)),
             prefix_hits: 0,
             prefix_misses: 0,
@@ -256,22 +266,13 @@ impl CheckerSession {
     }
 
     /// Consumes the session, harvesting its overlay interner/pool tables
-    /// and locally built checked-prelude states for
-    /// [`SharedSessionCore::refreeze`]. Returns `None` when the context
-    /// is still referenced by live [`TypedProgram`]s or the session is
-    /// root-tier (nothing to merge back).
+    /// for [`SharedSessionCore::refreeze`]. Returns `None` when the
+    /// context is still referenced by live [`TypedProgram`]s or the
+    /// session is root-tier (nothing to merge back).
     #[must_use]
     pub fn into_harvest(self) -> Option<SessionHarvest> {
-        let core_states = self.core_states;
-        let states = self.states;
         let ctx = Rc::try_unwrap(self.ctx).ok()?.into_inner();
-        let overlay = ctx.into_overlay()?;
-        let new_states = states
-            .into_iter()
-            .skip(core_states)
-            .map(|(l, s)| (l, CheckerState::clone(&s)))
-            .collect();
-        Some(SessionHarvest { overlay, new_states })
+        Some(SessionHarvest { overlay: ctx.into_overlay()? })
     }
 
     /// Tier sizes and frozen-segment hit counters of this session's
@@ -522,8 +523,10 @@ impl CheckerSession {
     /// the shared core: the table lock is held across the build, so N
     /// workers racing on the same new lattice build its state exactly
     /// once (the `lattice_states_published` counter proves it). Only
-    /// tier-pure states are published; impure ones stay session-local
-    /// and are promoted by the next refreeze instead.
+    /// tier-pure states are published, and only while the table is under
+    /// [`LATTICE_STATE_CAP`]; the rest stay session-local. An impure
+    /// state turns pure once a refreeze has frozen its types, so the
+    /// first session after that rebuilds and publishes it.
     fn prelude_state(&mut self, lattice: &Lattice) -> Result<Arc<CheckerState>, Vec<Diagnostic>> {
         if let Some(ix) = self.states.iter().position(|(l, _)| l == lattice) {
             return Ok(Arc::clone(&self.states[ix].1));
@@ -561,7 +564,7 @@ impl CheckerSession {
         let state = Arc::new(state);
         self.states.push((lattice.clone(), Arc::clone(&state)));
         let (max_sym, max_ty) = self.tier_limits();
-        if state.within_tiers(max_sym, max_ty) {
+        if table.len() < LATTICE_STATE_CAP && state.within_tiers(max_sym, max_ty) {
             table.push((lattice.clone(), Arc::clone(&state)));
             self.lattice_states_published += 1;
         }
@@ -633,12 +636,10 @@ fn aligned(split: &[ByteItem], parsed: &[Item]) -> bool {
 
 /// What one worker session learned, harvested by
 /// [`CheckerSession::into_harvest`] for [`SharedSessionCore::refreeze`]:
-/// the overlay interner/pool tables plus any checked-prelude states the
-/// session built for program-supplied lattices.
+/// the overlay interner/pool tables.
 #[derive(Debug)]
 pub struct SessionHarvest {
     pub(crate) overlay: CtxOverlay,
-    pub(crate) new_states: Vec<(Lattice, CheckerState)>,
 }
 
 /// An immutable, `Send + Sync` snapshot of a warmed [`CheckerSession`]:
@@ -715,7 +716,6 @@ impl SharedSessionCore {
             opts: self.opts.clone(),
             ctx: TyCtx::shared_with_base(&self.ctx),
             prelude: self.prelude.clone(),
-            core_states: self.states.len(),
             states: self.states.clone(),
             deadline: None,
             shared: Arc::clone(&self.shared),
@@ -731,35 +731,22 @@ impl SharedSessionCore {
 
     /// Merges harvested per-worker overlays into a fatter frozen root:
     /// overlay symbols, types, lattices, and push-memo entries are
-    /// re-interned into the new frozen segment (children before parents,
-    /// ids remapped), and harvested checked-prelude states for new
-    /// lattices are remapped and adopted (first harvest wins per
-    /// lattice). Existing frozen ids are preserved verbatim, so the
-    /// published lattice states stay valid, and the item memo (which holds
-    /// no ids) is carried over as it is: frequently seen program-local
-    /// symbols and types now start warm in every worker.
+    /// re-interned into the new frozen segment (children before parents),
+    /// so frequently seen program-local names and types start warm in
+    /// every later worker. Nothing else is promoted. Existing frozen ids
+    /// are preserved verbatim, so the core's own states and the published
+    /// lattice states stay valid, and the item memo (which holds no ids)
+    /// is carried over as it is. A state a worker built with overlay ids
+    /// is dropped with its harvest: the next session that needs it
+    /// rebuilds it with one prelude check and publishes it.
     #[must_use]
     pub fn refreeze(&self, harvests: Vec<SessionHarvest>) -> SharedSessionCore {
-        let mut overlays = Vec::with_capacity(harvests.len());
-        let mut state_lists = Vec::with_capacity(harvests.len());
-        for h in harvests {
-            overlays.push(h.overlay);
-            state_lists.push(h.new_states);
-        }
-        let (ctx, remaps) = self.ctx.refreeze(&overlays);
-        let mut states = self.states.clone();
-        for (new_states, remap) in state_lists.iter().zip(&remaps) {
-            for (lat, st) in new_states {
-                if !states.iter().any(|(l, _)| l == lat) {
-                    states.push((lat.clone(), Arc::new(st.remap(remap))));
-                }
-            }
-        }
+        let overlays: Vec<CtxOverlay> = harvests.into_iter().map(|h| h.overlay).collect();
         SharedSessionCore {
             opts: self.opts.clone(),
-            ctx: Arc::new(ctx),
+            ctx: Arc::new(self.ctx.refreeze(&overlays)),
             prelude: Arc::clone(&self.prelude),
-            states,
+            states: self.states.clone(),
             shared: Arc::clone(&self.shared),
         }
     }
@@ -1224,25 +1211,57 @@ mod tests {
     }
 
     #[test]
-    fn refreeze_adopts_harvested_lattice_states() {
+    fn a_refreeze_rebuilds_impure_lattice_states_once() {
         // The diamond's prelude state is *impure* (its inferred `pc_fn`
         // labels differ from the warm lattice's, so the prelude's
         // Function nodes are overlay-tier). It cannot be published to
-        // the side table — a refreeze promotes it instead, so the next
-        // generation's sessions are born with it.
+        // the side table. A refreeze promotes its types but not the
+        // state: the first session after it rebuilds the state, now
+        // tier-pure, and publishes it for every sibling.
         let core = SharedSessionCore::new(CheckOptions::ifc());
         let diamond = "lattice { bot < A; bot < B; A < top; B < top; }\n\
-                       control C(inout <bit<8>, A> a) { apply { a = 8w1; } }";
+                       control C(inout <bit<8>, A> a, inout <bit<8>, B> b) { apply { a = b; } }";
         let mut s = core.session();
-        s.check(diamond).expect("accepts");
-        assert_eq!(s.stats().lattice_states_published, 0, "impure state stays local");
+        let before = s.verdict(diamond);
+        let st = s.stats();
+        assert_eq!((st.prelude_checks, st.lattice_states_published), (1, 0), "{st:?}");
+        assert_same_as_cold(before, diamond);
         let core2 = core.refreeze(vec![s.into_harvest().expect("harvests")]);
         let mut s2 = core2.session();
-        assert_eq!(s2.states.len(), 2, "born with the remapped diamond state");
-        s2.check(diamond).expect("accepts");
-        // The adopted state answered: nothing was rebuilt or re-pushed.
-        assert_eq!(s2.states.len(), 2);
-        assert_eq!(s2.stats().lattice_state_hits, 0);
+        assert_eq!(s2.states.len(), 1, "born with the core's own state only");
+        let first = s2.verdict(diamond);
+        let st2 = s2.stats();
+        assert_eq!((st2.prelude_checks, st2.lattice_states_published), (1, 1), "{st2:?}");
+        assert_same_as_cold(first, diamond);
+        let mut sibling = core2.session();
+        let second = sibling.verdict(diamond);
+        let sib = sibling.stats();
+        assert_eq!((sib.prelude_checks, sib.lattice_state_hits), (0, 1), "{sib:?}");
+        assert_same_as_cold(second, diamond);
+    }
+
+    #[test]
+    fn the_lattice_state_table_stays_within_its_cap() {
+        // Renamed two-point chains give tier-pure states, so each new
+        // one is publishable until the table is full; the rest stay
+        // session-local. Every verdict matches a cold check either way.
+        let core = SharedSessionCore::with_prefix_cache_cap(CheckOptions::ifc(), 0);
+        let mut published = 0;
+        for i in 0..300 {
+            let flow = if i % 2 == 0 { "a = b" } else { "b = a" };
+            let src = format!(
+                "lattice {{ lo{i} < hi{i}; }}\n\
+                 control C(inout <bit<8>, hi{i}> a, inout <bit<8>, lo{i}> b) {{ apply {{ {flow}; }} }}"
+            );
+            let mut s = core.session();
+            assert_same_as_cold(s.verdict(&src), &src);
+            assert_eq!(s.stats().prelude_checks, 1);
+            published += s.stats().lattice_states_published;
+        }
+        assert_eq!(lock(&core.shared.lattice_states).len(), LATTICE_STATE_CAP);
+        // The default lattice's state, published while the core warmed,
+        // holds one slot.
+        assert_eq!(published, LATTICE_STATE_CAP as u64 - 1);
     }
 
     #[test]
