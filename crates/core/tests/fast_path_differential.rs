@@ -23,6 +23,11 @@
 //! memo: edits that keep every other item's verdict reusable (early
 //! cutoff), edits that must invalidate every control after them, and
 //! malformed ones.
+//!
+//! A third interleaves versions of several files, each moving its edit
+//! to another control, so every engine but the cold one splits each new
+//! version against the file's last one (the guide table of the item
+//! memo), and asserts that it did.
 
 use p4bid::batch::BatchInput;
 use p4bid::corpus::case_studies;
@@ -160,6 +165,67 @@ fn every_fast_path_matches_the_cold_check_byte_for_byte() {
     assert!(cache_hits > 0, "the verdict cache never answered");
     assert!(resumed_hits > 0, "the memo never answered on the refresh-every-2 engine");
     assert!(refrozen_hits > 0, "the memo never answered on the refresh-every-1 engine");
+}
+
+/// Files an editor keeps open at once in [`interleaved_files_are_split_against_their_last_version`].
+const FILES: usize = 3;
+
+/// Controls per file in that test.
+const FILE_CONTROLS: usize = 10;
+
+/// Version `v` of file `f`, shaped like the `edit-stream` benchmark's
+/// programs: a header and a struct, then controls, with control
+/// `edit(v)` edited. Every fifth version leaks instead; version 3 inserts
+/// a control and version 6 deletes one.
+fn file_version(f: usize, v: usize) -> String {
+    let edit = (v * 3) % FILE_CONTROLS;
+    let mut src = format!(
+        "header it{f}_t {{ <bit<32>, high> sec; <bit<32>, low> pub; }}\nstruct ih{f} {{ it{f}_t f; }}\n"
+    );
+    for c in 0..FILE_CONTROLS {
+        if v == 6 && c == 4 {
+            continue;
+        }
+        if v == 3 && c == 7 {
+            src.push_str(&format!("control Ins{f}(inout ih{f} h) {{ apply {{ }} }}\n"));
+        }
+        src.push_str(&format!("control C{f}_{c}(inout ih{f} h) {{\n    apply {{\n"));
+        for j in 0..3 {
+            let salt = if c == edit && j == 0 { 1000 + v } else { f * 100 + c * 10 + j };
+            src.push_str(&format!("        h.f.pub = (h.f.pub + 32w{j}) ^ 32w{salt};\n"));
+        }
+        if c == edit && v % 5 == 4 {
+            src.push_str("        h.f.pub = h.f.sec;\n");
+        }
+        src.push_str("    }\n}\n");
+    }
+    src
+}
+
+#[test]
+fn interleaved_files_are_split_against_their_last_version() {
+    const NAMES: [&str; 4] = ["warm", "resumed", "refrozen", "cold"];
+    let mut engines = engines(1);
+    for v in 0..12 {
+        for f in 0..FILES {
+            let src = file_version(f, v);
+            let input = [BatchInput::new(format!("file{f}.p4"), src.clone())];
+            let reports: Vec<String> =
+                engines.iter_mut().map(|e| e.run_epoch(&input).to_ndjson()).collect();
+            for (name, report) in NAMES.iter().zip(&reports).take(3) {
+                assert_eq!(report, &reports[3], "version {v} of file {f}: {name} differs\n{src}");
+            }
+        }
+    }
+    let guided = |e: &ServeEngine| e.cumulative_stats().sessions.guided_splits;
+    let [warm, resumed, refrozen, cold] = &engines;
+    // Each file's first version sights its first item and its second is
+    // kept, so the other ten of its versions are split guided.
+    for (name, engine) in NAMES.iter().zip([warm, resumed, refrozen]) {
+        assert_eq!(guided(engine), (FILES * 10) as u64, "{name}");
+    }
+    assert_eq!(guided(cold), 0, "the cold engine keeps no guide");
+    assert!(resumed.cumulative_stats().sessions.prefix_hits > 0);
 }
 
 /// The early-cutoff base: declarations, then five controls. `Local`

@@ -39,7 +39,8 @@ pub mod slice;
 pub use lexer::{lex, lex_range, Token, TokenKind};
 pub use parser::{parse, parse_tokens};
 pub use slice::{
-    first_changed_item, item_chains, item_segments, split_items, ByteItem, ItemHead, ItemSeg,
+    first_changed_item, item_chains, item_segments, split_items, split_items_like, ByteItem,
+    ItemHead, ItemSeg,
 };
 
 /// A lexical or syntactic error with its source location.

@@ -21,6 +21,14 @@
 //! that ends inside an item or a comment, so a caller can fall back to a
 //! full parse whenever the split is in doubt.
 //!
+//! [`split_items_like`] gives the same split of a file's new version in
+//! time proportional to what changed: it walks the new text against the
+//! split of an old version, takes every old item whose bytes (with the
+//! trivia before it) recur at the cursor without scanning it, and scans
+//! only the rest. Both share one per-item scanner, so they cannot drift.
+//! It also reports which old item each new one is, so a caller can carry
+//! what it derived from the old items' bytes over to the new.
+//!
 //! Each segment carries a *chain hash*: the FNV-1a hash of every source
 //! byte from the start of the program through the segment's last token —
 //! gaps (whitespace, comments) included. Chain equality therefore implies
@@ -115,9 +123,77 @@ pub struct ByteItem {
 pub fn split_items(source: &str) -> Option<Vec<ByteItem>> {
     let bytes = source.as_bytes();
     let mut items = Vec::new();
+    let mut pos = 0;
+    while let Some(item) = scan_item(bytes, pos)? {
+        pos = item.end as usize;
+        items.push(item);
+    }
+    Some(items)
+}
+
+/// [`split_items`] of `source`, guided by `prev_items`, the split of an
+/// earlier version `prev` of the same file. Wherever the next bytes of
+/// `source` equal an old item together with the trivia before it, that
+/// item is taken without scanning; every other item is scanned. The items
+/// are always exactly `split_items(source)`'s. Beside them comes, per
+/// item, the index in `prev_items` of the old item it was taken from
+/// (`None` for a scanned item); the indices rise along the split.
+///
+/// Taking an old item unscanned is sound because the scan of one item is
+/// a function of the bytes from the end of the item before it through the
+/// item's own last byte: it starts between items at depth zero, and it
+/// never reads past the item's closing `;` or `}` (a comment inside trivia
+/// or an item closes before that byte, or the old split would not have
+/// ended the item there). After a scanned item, the walk resyncs on a
+/// one-item edit: the old item after the one it expected (the scanned item
+/// replaced that one), the expected item itself (the scanned item was
+/// inserted), or the item after those two (the expected one was deleted).
+/// If none of them follows, it keeps scanning, so an unrelated `prev`
+/// costs a full scan plus a few failed comparisons per item.
+#[must_use]
+pub fn split_items_like(
+    prev: &str,
+    prev_items: &[ByteItem],
+    source: &str,
+) -> Option<(Vec<ByteItem>, Vec<Option<u32>>)> {
+    let (old, bytes) = (prev.as_bytes(), source.as_bytes());
+    // Old item `k` with the trivia before it, as a byte range of `prev`.
+    let chunk = |k: usize| {
+        let from = if k == 0 { 0 } else { prev_items[k - 1].end as usize };
+        from..prev_items[k].end as usize
+    };
+    let follows =
+        |k: usize, pos: usize| k < prev_items.len() && bytes[pos..].starts_with(&old[chunk(k)]);
+    let mut items = Vec::with_capacity(prev_items.len());
+    let mut origins = Vec::with_capacity(prev_items.len());
+    // `next`: the old item expected at `pos`.
+    let (mut pos, mut next) = (0, 0);
+    loop {
+        if follows(next, pos) {
+            let (from, old_item) = (chunk(next).start, prev_items[next]);
+            let start = pos + (old_item.start as usize - from);
+            pos += old_item.end as usize - from;
+            items.push(ByteItem { start: start as u32, end: pos as u32, head: old_item.head });
+            origins.push(Some(next as u32));
+            next += 1;
+            continue;
+        }
+        let Some(item) = scan_item(bytes, pos)? else { break };
+        pos = item.end as usize;
+        items.push(item);
+        origins.push(None);
+        next =
+            [next + 1, next, next + 2].into_iter().find(|&k| follows(k, pos)).unwrap_or(next + 1);
+    }
+    Some((items, origins))
+}
+
+/// Scans the first item at or after `pos`, which must lie between items.
+/// `Some(None)` when only trivia is left; `None` when the split is in
+/// doubt (see [`split_items`]). Reads nothing past the item's last byte.
+fn scan_item(bytes: &[u8], mut pos: usize) -> Option<Option<ByteItem>> {
     let mut depth: u32 = 0;
     let mut start: Option<usize> = None;
-    let mut pos = 0;
     while pos < bytes.len() {
         if start.is_some() {
             // Inside an item only brackets, `;` and comment openers matter.
@@ -158,11 +234,10 @@ pub fn split_items(source: &str) -> Option<Vec<ByteItem>> {
         pos += 1;
         if ends {
             let head = item_head(&bytes[item_start..pos]);
-            items.push(ByteItem { start: item_start as u32, end: pos as u32, head });
-            start = None;
+            return Some(Some(ByteItem { start: item_start as u32, end: pos as u32, head }));
         }
     }
-    start.is_none().then_some(items)
+    start.is_none().then_some(None)
 }
 
 /// The bytes [`split_items`] must look at inside an item.

@@ -41,8 +41,22 @@
 //! step) records nothing, and neither does a control with a diagnostic
 //! span outside its own bytes (a dummy span, say), which a rebase could
 //! not move.
+//!
+//! The memo also keeps a small [`GuideTable`]: recent sources with their
+//! byte splits and keys, so the next version of a file is split by
+//! [`split_items_like`](p4bid_syntax::split_items_like), which scans
+//! only the items that changed, instead of by a scan of the whole file.
+//! The same walk says which new items are old ones byte for byte; such a
+//! control, under the same state text, keeps its old key, so only the
+//! changed controls are hashed. A new source's guide is the most recent
+//! entry whose first item, trivia included, begins it byte for byte. The
+//! table holds at most [`GUIDE_ENTRIES`] sources and [`GUIDE_BYTES`] of
+//! heap, and it is pay-on-reuse like the memo: a source is kept
+//! only if it was guided, or if its first item had been sighted before,
+//! so a stream of programs that are all new stores nothing. Like the
+//! memo, it holds no interner ids and carries across refreezes.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use p4bid_ast::hash;
@@ -65,8 +79,16 @@ pub(crate) struct Submission {
 
 impl Submission {
     /// Keys the items of `source` (as split by
-    /// [`split_items`](p4bid_syntax::split_items)).
-    pub(crate) fn new(source: &str, items: &[ByteItem]) -> Self {
+    /// [`split_items`](p4bid_syntax::split_items)). `earlier` may give the
+    /// file's previous version and, per item, the old item it is byte for
+    /// byte (as [`split_items_like`](p4bid_syntax::split_items_like)
+    /// reports): a control that is an old one under the same state text
+    /// keeps its old key instead of hashing its bytes again.
+    pub(crate) fn new(
+        source: &str,
+        items: &[ByteItem],
+        earlier: Option<(&Guide, &[Option<u32>])>,
+    ) -> Self {
         let bytes_of = |item: &ByteItem| &source[item.start as usize..item.end as usize];
         let mut state = String::new();
         // A lattice declaration anywhere sets the lattice of every item.
@@ -78,11 +100,19 @@ impl Submission {
         let mut state_hash = hash::content(0, state.as_bytes());
         let keys = items
             .iter()
-            .map(|item| {
+            .enumerate()
+            .map(|(i, item)| {
                 let text = bytes_of(item);
                 if item.head == ItemHead::Control {
-                    let key = hash::content(hash::byte(state_hash, 0xff), text.as_bytes());
-                    Some((key, state.len() as u32))
+                    let len = state.len() as u32;
+                    let old = earlier.and_then(|(guide, origins)| {
+                        let (key, old_len) = guide.keys[origins[i]? as usize]?;
+                        (old_len == len && guide.state[..len as usize] == state).then_some(key)
+                    });
+                    let key = old.unwrap_or_else(|| {
+                        hash::content(hash::byte(state_hash, 0xff), text.as_bytes())
+                    });
+                    Some((key, len))
                 } else {
                     state.push_str(text);
                     state.push('\0');
@@ -121,7 +151,8 @@ const SIGHTING_WAYS: usize = 4;
 
 /// Bounded store of recorded controls with touch-on-hit LRU eviction
 /// (O(n) min-scan, like the serve verdict cache), plus the sighting table
-/// that gates what is worth recording. A cap of zero disables both.
+/// that gates what is worth recording. A cap of zero disables both, and
+/// the session then never consults the guide table either.
 #[derive(Debug)]
 pub(crate) struct ItemMemo {
     cap: usize,
@@ -131,11 +162,19 @@ pub(crate) struct ItemMemo {
     /// until the first sighting. A zero slot reads as a sighting of key
     /// 0, which at worst records one control a submission early.
     sighted: Vec<u64>,
+    /// Recent sources and their splits, to guide the next split.
+    pub(crate) guides: GuideTable,
 }
 
 impl ItemMemo {
     pub(crate) fn new(cap: usize) -> Self {
-        ItemMemo { cap, clock: 0, map: HashMap::new(), sighted: Vec::new() }
+        ItemMemo {
+            cap,
+            clock: 0,
+            map: HashMap::new(),
+            sighted: Vec::new(),
+            guides: GuideTable::default(),
+        }
     }
 
     /// Records `key` as sighted and says whether it was already: the
@@ -238,6 +277,111 @@ impl ItemMemo {
         if let Some(key) = oldest {
             self.map.remove(&key);
         }
+    }
+}
+
+/// Sources the guide table holds at most.
+pub(crate) const GUIDE_ENTRIES: usize = 8;
+
+/// Heap bytes the guide table's entries hold at most (their sources,
+/// splits and keys); a source whose entry alone is larger is not kept.
+pub(crate) const GUIDE_BYTES: usize = 1 << 20;
+
+/// First items the guide table's sighting ring remembers.
+const GUIDE_SIGHTINGS: usize = 2 * GUIDE_ENTRIES;
+
+/// A source and its byte split, kept to guide the split of the file's
+/// next version, with its [`Submission`]'s state text and keys. It has at
+/// least one item. A session takes it out of the table, splits against it
+/// outside the lock, then overwrites it with the new version and puts it
+/// back, so a steady edit stream reuses its buffers instead of allocating
+/// a copy of every source.
+#[derive(Debug, Default)]
+pub(crate) struct Guide {
+    pub(crate) source: String,
+    pub(crate) items: Vec<ByteItem>,
+    pub(crate) state: Arc<str>,
+    pub(crate) keys: Vec<Option<(u64, u32)>>,
+}
+
+impl Guide {
+    /// Overwrites it with another version, reusing its buffers.
+    pub(crate) fn set(&mut self, source: &str, items: &[ByteItem], sub: &Submission) {
+        self.source.clear();
+        self.source.push_str(source);
+        self.items.clear();
+        self.items.extend_from_slice(items);
+        self.state = Arc::clone(&sub.state);
+        self.keys.clear();
+        self.keys.extend_from_slice(&sub.keys);
+    }
+
+    /// Its first item with the trivia before it.
+    fn first(&self) -> &[u8] {
+        &self.source.as_bytes()[..self.items[0].end as usize]
+    }
+
+    /// Heap bytes it holds (the state text is shared with the memo).
+    fn bytes(&self) -> usize {
+        self.source.capacity()
+            + self.items.capacity() * std::mem::size_of::<ByteItem>()
+            + self.keys.capacity() * std::mem::size_of::<Option<(u64, u32)>>()
+    }
+}
+
+/// The bounded table of [`Guide`]s, newest first, with the sighting ring
+/// that admits a source only once its first item has been seen before.
+#[derive(Debug, Default)]
+pub(crate) struct GuideTable {
+    entries: VecDeque<Guide>,
+    /// Heap bytes of `entries`.
+    bytes: usize,
+    /// Hashes of recently sighted first items, a ring; a zero slot reads
+    /// as a sighting of hash 0, which at worst admits one source early.
+    sighted: [u64; GUIDE_SIGHTINGS],
+    next_slot: usize,
+}
+
+impl GuideTable {
+    /// Takes out the most recent entry whose first item, with the trivia
+    /// before it, begins `source` byte for byte.
+    pub(crate) fn take(&mut self, source: &str) -> Option<Guide> {
+        let ix = self.entries.iter().position(|g| source.as_bytes().starts_with(g.first()))?;
+        let guide = self.entries.remove(ix)?;
+        self.bytes -= guide.bytes();
+        Some(guide)
+    }
+
+    /// Records the sighting of a first item (with the trivia before it)
+    /// and says whether it had been sighted before.
+    pub(crate) fn sight(&mut self, first: &str) -> bool {
+        let key = hash::content(0, first.as_bytes());
+        if self.sighted.contains(&key) {
+            return true;
+        }
+        self.sighted[self.next_slot] = key;
+        self.next_slot = (self.next_slot + 1) % GUIDE_SIGHTINGS;
+        false
+    }
+
+    /// Puts `guide` first, then drops the oldest entries past either
+    /// bound. A guide over [`GUIDE_BYTES`] on its own is not kept.
+    pub(crate) fn put(&mut self, guide: Guide) {
+        if guide.items.is_empty() || guide.bytes() > GUIDE_BYTES {
+            return;
+        }
+        self.bytes += guide.bytes();
+        self.entries.push_front(guide);
+        while self.entries.len() > GUIDE_ENTRIES || self.bytes > GUIDE_BYTES {
+            let oldest = self.entries.pop_back().expect("over a bound, so not empty");
+            self.bytes -= oldest.bytes();
+        }
+    }
+
+    /// Entries and heap bytes held.
+    #[cfg(test)]
+    pub(crate) fn size(&self) -> (usize, usize) {
+        (self.entries.len(), self.bytes)
     }
 }
 
@@ -367,7 +511,7 @@ mod tests {
     fn controls_key_by_the_state_before_them_and_their_bytes() {
         let keyed = |src: &str| {
             let items = p4bid_syntax::split_items(src).expect("splits");
-            Submission::new(src, &items)
+            Submission::new(src, &items, None)
         };
         let a =
             keyed("header h { bit<8> f; }\ncontrol A() { apply { } }\ncontrol B() { apply { } }");
@@ -392,6 +536,94 @@ mod tests {
             assert_ne!(a.keys[2], other.keys[2]);
         }
         assert_eq!(&a.state[..], "\0header h { bit<8> f; }\0");
+    }
+
+    #[test]
+    fn keys_kept_from_the_earlier_version_equal_fresh_keys() {
+        let base = "lattice { lo < hi; }\nheader h { bit<8> f; }\ncontrol A() { apply { } }\n\
+                    typedef bit<8> t;\ncontrol B() { apply { } }\ncontrol C() { apply { } }";
+        let versions = [
+            base.replace("control B() { apply { } }", "control B() { apply { ; } }"),
+            // A declaration deleted: B and C keep their bytes, not their state.
+            base.replace("typedef bit<8> t;\n", ""),
+            base.replace("typedef bit<8> t;", "typedef bit<8> u;"),
+            base.replace("header h { bit<8> f; }", "header h { bit<9> f; }"),
+            base.replace("lattice { lo < hi; }", "lattice { lo < mid; mid < hi; }"),
+            // A lattice after every control changes every key.
+            format!("{base}\nlattice {{ a < b; }}"),
+            base.replace("control A", "action x() { }\ncontrol A"),
+            base.replace("control C", "control N() { apply { } }\ncontrol C"),
+            format!("  {base}"),
+        ];
+        let keyed = |src: &str| {
+            let items = p4bid_syntax::split_items(src).expect("splits");
+            Submission::new(src, &items, None)
+        };
+        let old = guide(base);
+        for version in &versions {
+            let (items, origins) =
+                p4bid_syntax::split_items_like(base, &old.items, version).expect("splits");
+            let kept = Submission::new(version, &items, Some((&old, &origins)));
+            let fresh = keyed(version);
+            assert_eq!((&kept.state, &kept.keys), (&fresh.state, &fresh.keys), "{version}");
+        }
+    }
+
+    fn guide(source: &str) -> Guide {
+        let items = p4bid_syntax::split_items(source).expect("splits");
+        let mut guide = Guide::default();
+        guide.set(source, &items, &Submission::new(source, &items, None));
+        guide
+    }
+
+    #[test]
+    fn the_guide_table_stays_within_its_bounds() {
+        let mut t = GuideTable::default();
+        for i in 0..3 * GUIDE_ENTRIES {
+            t.put(guide(&format!("typedef bit<8> t{i};")));
+            assert!(t.size().0 <= GUIDE_ENTRIES);
+        }
+        assert_eq!(t.size().0, GUIDE_ENTRIES);
+        assert!(t.take("typedef bit<8> t0;").is_none(), "the oldest were dropped");
+        let newest = 3 * GUIDE_ENTRIES - 1;
+        let taken = t.take(&format!("typedef bit<8> t{newest};\ncontrol C() {{ apply {{ }} }}"));
+        assert!(taken.is_some(), "found by its first item");
+        assert_eq!(t.size().0, GUIDE_ENTRIES - 1, "and taken out");
+        // Large sources push out the oldest until the bytes fit.
+        let big = |i: usize| format!("typedef bit<8> b{i};{}", " ".repeat(GUIDE_BYTES / 4));
+        for i in 0..6 {
+            t.put(guide(&big(i)));
+            assert!(t.size().1 <= GUIDE_BYTES, "{:?}", t.size());
+        }
+        assert_eq!(t.size().0, 3, "four quarter-bound sources and a little more do not fit");
+        // A source over the bound is not kept, and pushes nothing out.
+        t.put(guide(&format!("typedef bit<8> x;{}", " ".repeat(GUIDE_BYTES))));
+        assert_eq!(t.size().0, 3);
+        assert!(t.take(&big(5)).is_some());
+    }
+
+    #[test]
+    fn the_newest_entry_with_the_first_item_guides() {
+        let mut t = GuideTable::default();
+        t.put(guide("typedef bit<8> a;\ntypedef bit<8> x;"));
+        t.put(guide("typedef bit<8> b;"));
+        t.put(guide("typedef bit<8> a;\ntypedef bit<8> y;"));
+        let taken = t.take("typedef bit<8> a;").expect("a's first item");
+        assert_eq!(taken.source, "typedef bit<8> a;\ntypedef bit<8> y;");
+        assert!(t.take("  typedef bit<8> b;").is_none(), "leading trivia is part of the match");
+        assert!(t.take("typedef bit<8> c;").is_none());
+    }
+
+    #[test]
+    fn first_items_are_admitted_on_their_second_sighting() {
+        let mut t = GuideTable::default();
+        assert!(!t.sight("header h { bit<8> f; }"));
+        assert!(t.sight("header h { bit<8> f; }"));
+        // The ring forgets the oldest of more first items than it holds.
+        for i in 0..GUIDE_SIGHTINGS {
+            assert!(!t.sight(&format!("typedef bit<8> t{i};")));
+        }
+        assert!(!t.sight("header h { bit<8> f; }"));
     }
 
     /// The sighting table buckets keys by their low bits. Keys of 4096
@@ -425,7 +657,7 @@ mod tests {
             let control = format!("control C(inout h x) {{ apply {{ x.f = 32w{i}; }} }}");
             let src = format!("{header}\n{control}");
             let items = p4bid_syntax::split_items(&src).expect("splits");
-            let key = Submission::new(&src, &items).keys[1].expect("a control").0;
+            let key = Submission::new(&src, &items, None).keys[1].expect("a control").0;
             // The chained form `Submission::new` computes.
             let state = hash::byte(hash::content(hash::content(0, b"\0"), header.as_bytes()), 0);
             assert_eq!(key, hash::content(hash::byte(state, 0xff), control.as_bytes()));

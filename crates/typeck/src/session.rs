@@ -33,7 +33,9 @@
 //! `prefix` module): each `control`'s diagnostics, keyed by the
 //! declarations before it and its own bytes. [`CheckerSession::verdict`],
 //! the entry the batch, serve and topo drivers use, answers controls seen
-//! before from the memo, so an edit re-checks only the items it touched;
+//! before from the memo, so an edit re-checks only the items it touched
+//! (and the memo's guide table lets it split the new version of a file by
+//! scanning only those items);
 //! [`CheckerSession::check`] is the cold reference that returns the typed
 //! program, and feeds the memo without reading it.
 //!
@@ -61,7 +63,7 @@ use crate::checker::{
     ProgramView, Step, TypedProgram, Walk,
 };
 use crate::diag::{DiagCode, Diagnostic};
-use crate::prefix::{ItemMemo, Submission};
+use crate::prefix::{Guide, ItemMemo, Submission, GUIDE_BYTES};
 use crate::prelude_arc;
 use p4bid_ast::pool::{CtxOverlay, FrozenTyCtx, SharedTyCtx, TyCtx};
 use p4bid_ast::surface::{Item, Program};
@@ -98,8 +100,8 @@ struct CoreShared {
     memo_cap: usize,
     memo: Mutex<ItemMemo>,
     /// Checked-prelude states for lattices first seen after the freeze,
-    /// published once by whichever worker builds them first, at most
-    /// [`LATTICE_STATE_CAP`] of them. Only frozen-pure states are
+    /// published once by whichever core-tier session builds them first, at
+    /// most [`LATTICE_STATE_CAP`] of them. Only frozen-pure states are
     /// publishable; the rest stay session-local.
     lattice_states: Mutex<Vec<(Lattice, Arc<CheckerState>)>>,
 }
@@ -160,6 +162,8 @@ pub struct CheckerSession {
     prefix_misses: u64,
     prefix_inserts: u64,
     prefix_items_saved: u64,
+    /// Splits guided by an earlier version of the source.
+    guided_splits: u64,
     /// Publish-once lattice-state counters.
     lattice_state_hits: u64,
     lattice_states_published: u64,
@@ -182,6 +186,7 @@ impl CheckerSession {
             prefix_misses: 0,
             prefix_inserts: 0,
             prefix_items_saved: 0,
+            guided_splits: 0,
             lattice_state_hits: 0,
             lattice_states_published: 0,
             prelude_checks: 0,
@@ -259,8 +264,9 @@ impl CheckerSession {
             ctx: Arc::new(ctx.freeze()),
             prelude: self.prelude,
             states: self.states,
-            // Carried over: the memo holds no ids, and root-tier ids
-            // become frozen ids verbatim for the lattice-state table.
+            // Carried over: the memo and its guide table hold no ids. A
+            // root-tier session publishes no lattice state (its own
+            // `states` become the core's), so that table starts empty.
             shared: self.shared,
         }
     }
@@ -298,6 +304,7 @@ impl CheckerSession {
             prefix_misses: self.prefix_misses,
             prefix_inserts: self.prefix_inserts,
             prefix_items_saved: self.prefix_items_saved,
+            guided_splits: self.guided_splits,
             lattice_state_hits: self.lattice_state_hits,
             lattice_states_published: self.lattice_states_published,
             prelude_checks: self.prelude_checks,
@@ -420,14 +427,63 @@ impl CheckerSession {
 
     /// The memo's plan for a source: its byte-split items and their keys,
     /// or `None` when the memo is disabled or the source does not split.
-    fn plan(&self, source: &str) -> Option<Plan> {
+    /// When the guide table holds an earlier version of the source, the
+    /// split scans only the items that changed since; the memo lock is
+    /// held only to take the guide out and to put it back, not across the
+    /// split.
+    fn plan(&mut self, source: &str) -> Option<Plan> {
         if self.shared.memo_cap == 0 {
             return None;
         }
-        let items = p4bid_syntax::split_items(source)?;
-        let sub = Submission::new(source, &items);
+        let guide = lock(&self.shared.memo).guides.take(source);
+        let split = match &guide {
+            Some(g) => {
+                self.guided_splits += 1;
+                let split = p4bid_syntax::split_items_like(&g.source, &g.items, source);
+                split.map(|(items, origins)| {
+                    let sub = Submission::new(source, &items, Some((g, &origins)));
+                    (items, sub)
+                })
+            }
+            None => p4bid_syntax::split_items(source).map(|items| {
+                let sub = Submission::new(source, &items, None);
+                (items, sub)
+            }),
+        };
+        self.remember(source, split.as_ref(), guide);
+        let (items, sub) = split?;
         let record = vec![false; items.len()];
         Some(Plan { items, sub, record })
+    }
+
+    /// Puts the guide a split took back into the guide table, overwritten
+    /// with this version of the source if it split. An unguided source
+    /// that split is kept only if its first item had been sighted before.
+    fn remember(
+        &self,
+        source: &str,
+        split: Option<&(Vec<ByteItem>, Submission)>,
+        guide: Option<Guide>,
+    ) {
+        let Some((items, sub)) = split else {
+            if let Some(guide) = guide {
+                lock(&self.shared.memo).guides.put(guide);
+            }
+            return;
+        };
+        let mut guide = match guide {
+            Some(guide) => guide,
+            None => {
+                let Some(first) = items.first() else { return };
+                let first = &source[..first.end as usize];
+                if source.len() > GUIDE_BYTES || !lock(&self.shared.memo).guides.sight(first) {
+                    return;
+                }
+                Guide::default()
+            }
+        };
+        guide.set(source, items, sub);
+        lock(&self.shared.memo).guides.put(guide);
     }
 
     /// Parses and checks the whole source, then records the controls
@@ -501,20 +557,16 @@ impl CheckerSession {
         }
     }
 
-    /// The tier boundaries a lattice state's handles must lie below to be
-    /// publishable to the core: the frozen segment sizes on the
-    /// shared-core path, unbounded for a root-tier session (whose table is
-    /// private, and whose ids survive [`freeze`](CheckerSession::freeze)
-    /// verbatim).
-    fn tier_limits(&self) -> (usize, usize) {
+    /// The frozen `(symbol, type)` segment sizes a lattice state's handles
+    /// must lie below to be publishable to the core, or `None` for a
+    /// root-tier session. That one publishes nothing: it finds its own
+    /// states in `states` first, and [`freeze`](CheckerSession::freeze)
+    /// makes them the core's.
+    fn frozen_tiers(&self) -> Option<(usize, usize)> {
         let ctx = self.ctx.borrow();
         let (frozen_syms, _) = ctx.syms.tier_sizes();
         let (frozen_types, _) = ctx.types.tier_sizes();
-        if frozen_syms == 0 {
-            (usize::MAX, usize::MAX)
-        } else {
-            (frozen_syms, frozen_types)
-        }
+        (frozen_syms > 0).then_some((frozen_syms, frozen_types))
     }
 
     /// The checked-prelude snapshot for a lattice, built on first use.
@@ -523,10 +575,11 @@ impl CheckerSession {
     /// the shared core: the table lock is held across the build, so N
     /// workers racing on the same new lattice build its state exactly
     /// once (the `lattice_states_published` counter proves it). Only
-    /// tier-pure states are published, and only while the table is under
-    /// [`LATTICE_STATE_CAP`]; the rest stay session-local. An impure
-    /// state turns pure once a refreeze has frozen its types, so the
-    /// first session after that rebuilds and publishes it.
+    /// tier-pure states built by core-tier sessions are published, and
+    /// only while the table is under [`LATTICE_STATE_CAP`]; the rest stay
+    /// session-local. An impure state turns pure once a refreeze has
+    /// frozen its types, so the first session after that rebuilds and
+    /// publishes it.
     fn prelude_state(&mut self, lattice: &Lattice) -> Result<Arc<CheckerState>, Vec<Diagnostic>> {
         if let Some(ix) = self.states.iter().position(|(l, _)| l == lattice) {
             return Ok(Arc::clone(&self.states[ix].1));
@@ -563,8 +616,9 @@ impl CheckerSession {
         };
         let state = Arc::new(state);
         self.states.push((lattice.clone(), Arc::clone(&state)));
-        let (max_sym, max_ty) = self.tier_limits();
-        if table.len() < LATTICE_STATE_CAP && state.within_tiers(max_sym, max_ty) {
+        let publishable =
+            self.frozen_tiers().is_some_and(|(syms, types)| state.within_tiers(syms, types));
+        if table.len() < LATTICE_STATE_CAP && publishable {
             table.push((lattice.clone(), Arc::clone(&state)));
             self.lattice_states_published += 1;
         }
@@ -723,6 +777,7 @@ impl SharedSessionCore {
             prefix_misses: 0,
             prefix_inserts: 0,
             prefix_items_saved: 0,
+            guided_splits: 0,
             lattice_state_hits: 0,
             lattice_states_published: 0,
             prelude_checks: 0,
@@ -787,6 +842,9 @@ pub struct SessionStats {
     /// controls are memoized, so this equals `prefix_hits`; it stays for
     /// the ledgers that read it.
     pub prefix_items_saved: u64,
+    /// Byte splits guided by an earlier version of the same file, which
+    /// scan only the items that changed (not rendered by `--stats-json`).
+    pub guided_splits: u64,
     /// Program-lattice prelude states adopted from the publish-once
     /// shared table instead of being rebuilt.
     pub lattice_state_hits: u64,
@@ -816,6 +874,7 @@ impl SessionStats {
         self.prefix_misses += other.prefix_misses;
         self.prefix_inserts += other.prefix_inserts;
         self.prefix_items_saved += other.prefix_items_saved;
+        self.guided_splits += other.guided_splits;
         self.lattice_state_hits += other.lattice_state_hits;
         self.lattice_states_published += other.lattice_states_published;
         self.prelude_checks += other.prelude_checks;
@@ -1259,9 +1318,9 @@ mod tests {
             published += s.stats().lattice_states_published;
         }
         assert_eq!(lock(&core.shared.lattice_states).len(), LATTICE_STATE_CAP);
-        // The default lattice's state, published while the core warmed,
-        // holds one slot.
-        assert_eq!(published, LATTICE_STATE_CAP as u64 - 1);
+        // Warming the core published nothing (its own states hold the
+        // default lattice's), so every slot went to a program lattice.
+        assert_eq!(published, LATTICE_STATE_CAP as u64);
     }
 
     #[test]
@@ -1275,8 +1334,55 @@ mod tests {
         s.verdict(src).expect("accepts");
         let stats = s.stats();
         assert_eq!((stats.prefix_hits, stats.prefix_misses, stats.prefix_inserts), (0, 0, 0));
+        assert_eq!(stats.guided_splits, 0, "cap 0 splits nothing against a guide");
         assert_eq!(core.prefix_cache_len(), 0);
-        assert_eq!(lock(&core.shared.memo).sighting_len(), 0, "cap 0 sights nothing");
+        let memo = lock(&core.shared.memo);
+        assert_eq!(memo.sighting_len(), 0, "cap 0 sights nothing");
+        assert_eq!(memo.guides.size(), (0, 0), "cap 0 keeps no guide");
+    }
+
+    #[test]
+    fn edits_of_a_file_are_split_against_its_last_version() {
+        let version = |at: usize, n: usize| {
+            let mut src = String::from("header h_t { <bit<8>, high> s; <bit<8>, low> p; }\n");
+            for c in 0..6 {
+                let rhs = if c == at { format!("h.p + 8w{n}") } else { "h.p".to_string() };
+                src.push_str(&format!(
+                    "control C{c}(inout h_t h) {{ apply {{ h.p = {rhs}; }} }}\n"
+                ));
+            }
+            src
+        };
+        let core = SharedSessionCore::new(CheckOptions::ifc());
+        let mut s = core.session();
+        // The first version sights the first item, the second is kept,
+        // and every later one is split against the one before it.
+        let mut guided = Vec::new();
+        for (n, at) in [0, 3, 5, 1, 4, 2, 0].into_iter().enumerate() {
+            let src = version(at, n);
+            assert_same_as_cold(s.verdict(&src), &src);
+            guided.push(s.stats().guided_splits);
+        }
+        assert_eq!(guided, [0, 0, 1, 2, 3, 4, 5]);
+        // A control inserted and one deleted, a leak, and a sibling
+        // session: the table is the core's.
+        let grown = version(2, 9)
+            .replace("control C3", "control New(inout h_t h) { apply { } }\ncontrol C3");
+        let shrunk =
+            version(2, 9).replace("control C4(inout h_t h) { apply { h.p = h.p; } }\n", "");
+        let leak =
+            version(2, 9).replace("h.p = h.p; } }\ncontrol C5", "h.p = h.s; } }\ncontrol C5");
+        let mut sibling = core.session();
+        for src in [&grown, &shrunk, &leak] {
+            assert_same_as_cold(sibling.verdict(src), src);
+        }
+        assert_eq!(sibling.stats().guided_splits, 3);
+        assert_eq!(lock(&core.shared.memo).guides.size().0, 1, "one file, one entry");
+        // The table carries across a refreeze with the memo.
+        let core2 = core.refreeze(vec![s.into_harvest().expect("harvests")]);
+        let mut after = core2.session();
+        assert_same_as_cold(after.verdict(&version(1, 1)), &version(1, 1));
+        assert_eq!(after.stats().guided_splits, 1);
     }
 
     #[test]
