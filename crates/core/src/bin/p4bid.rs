@@ -136,14 +136,13 @@ impl Args {
 }
 
 /// Checks a value against its metavariable: counts, sizes and durations
-/// are non-negative integers, `F` is a number, anything else is text.
-/// Names what the value should have been when it is not.
+/// are `u64`s, `F` is a number, anything else is text. Names what the
+/// value should have been when it is not.
 fn check_value(metavar: &str, value: &str) -> Result<(), &'static str> {
     match metavar {
-        "N" | "J" | "MS" | "BYTES" if value.parse::<u64>().is_err() => {
-            Err("a non-negative integer")
+        "N" | "J" | "MS" | "BYTES" | "ITERS" if value.parse::<u64>().is_err() => {
+            Err("an integer from 0 to 18446744073709551615")
         }
-        "ITERS" if value.parse::<u32>().is_err() => Err("a non-negative integer"),
         "F" if value.parse::<f64>().is_err() => Err("a number"),
         _ => Ok(()),
     }
@@ -611,7 +610,7 @@ fn cmd_matrix(_: &Args) -> ExitCode {
 }
 
 fn cmd_table1(args: &Args) -> ExitCode {
-    print!("{}", render_table1(&measure_table1(args.num("ITERS").unwrap_or(20))));
+    print!("{}", render_table1(&measure_table1(args.num("ITERS").unwrap_or(1000))));
     ExitCode::SUCCESS
 }
 

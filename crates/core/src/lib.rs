@@ -4,11 +4,11 @@
 //! non-interference, reproduced as a self-contained Rust workspace: lexer,
 //! parser, baseline and IFC typecheckers, a big-step interpreter with a
 //! control plane, an empirical non-interference harness, the paper's six
-//! case-study programs, and the benchmark harness regenerating Table 1.
+//! case-study programs, and the measurement that regenerates Table 1.
 //!
 //! This crate is the facade: it re-exports the pieces, ships the
 //! [`corpus`] of case studies, derives the unannotated baselines
-//! ([`strip`]), generates scaling workloads ([`synth`]), checks whole
+//! ([`strip`]), generates synthetic workloads ([`synth`]), checks whole
 //! corpora in parallel ([`batch`]), runs the streaming ingest service
 //! behind `p4bid serve` / `p4bid watch` ([`serve`]), composes per-switch
 //! verdicts into whole-network fixpoint reports ([`topo`]), fuzzes the

@@ -1,8 +1,7 @@
-//! Synthetic program generation for the scaling ablation (experiment
-//! F-extra-1 in DESIGN.md): programs with `n` match-action table/action
-//! pairs, in annotated and unannotated forms, all accepted by both
-//! checkers. Used to measure how checking time grows with program size
-//! and how the IFC overhead behaves.
+//! Synthetic program generation: programs with `n` match-action
+//! table/action pairs, in annotated and unannotated forms, all accepted
+//! by both checkers. They feed `p4bid batch --synthetic`, the
+//! `corpus-cold` benchmark workload and the differential tests.
 
 use std::fmt::Write as _;
 

@@ -85,6 +85,31 @@ fn matrix_reports_all_six_studies() {
 }
 
 #[test]
+fn table1_prints_each_paper_row_against_the_papers_overhead() {
+    let out = p4bid(&["table1", "2"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let mut lines = stdout.lines();
+    assert_eq!(lines.next(), Some("Table 1. Typechecking time in milliseconds."));
+    let header = lines.next().expect("header");
+    assert!(header.starts_with("Program") && header.ends_with("IFC-only      Paper"), "{header}");
+    let paper = [
+        ("D2R", "12.2%"),
+        ("App", "1.2%"),
+        ("Lattice", "6.5%"),
+        ("Topology", "6.7%"),
+        ("Cache", "2.2%"),
+        ("Average", "5.5%"),
+    ];
+    let rows: Vec<Vec<&str>> = lines.map(|l| l.split_whitespace().collect()).collect();
+    assert_eq!(rows.len(), paper.len(), "{stdout}");
+    for (row, (name, overhead)) in rows.iter().zip(paper) {
+        assert_eq!(row.len(), 6, "{stdout}");
+        assert_eq!((row[0], row[5]), (name, overhead), "{stdout}");
+    }
+}
+
+#[test]
 fn corpus_listing_and_variants() {
     let list = p4bid(&["corpus"]);
     assert!(list.status.success());
@@ -524,6 +549,10 @@ fn unparsable_numbers_are_refused_not_defaulted() {
     refused(&["ni", file, "--runs", "lots"], &["`--runs`", "`lots`"]);
     refused(&["fuzz", "--safe-bias", "high"], &["`--safe-bias`", "`high`"]);
     refused(&["serve", "--max-line", "-1"], &["`--max-line`", "`-1`"]);
+    // Past `u64::MAX` the value is an integer, so the message names the range.
+    let range = "an integer from 0 to 18446744073709551615";
+    refused(&["table1", "18446744073709551616"], &["ITERS", range, "`18446744073709551616`"]);
+    refused(&["fuzz", "--jobs", "99999999999999999999999"], &["`--jobs`", range]);
     let _ = std::fs::remove_file(path);
 }
 

@@ -267,8 +267,6 @@ impl Lattice {
 
     /// A total order `l0 ⊑ l1 ⊑ … ⊑ l{k-1}` with `k ≥ 1` levels.
     ///
-    /// Used by the lattice-size ablation benchmark.
-    ///
     /// # Panics
     ///
     /// Panics if `k == 0`.
