@@ -30,7 +30,6 @@
 //!   which the chaos tests pin by count;
 //! * the flow-lineage structural trace keys (`p4bid_typeck`), which match
 //!   an edge's source to earlier sinks with no byte comparison;
-//! * `options_fingerprint` (`p4bid`), which picks a check engine cell;
 //! * the directory scanner's change hash (`p4bid::serve`), which decides
 //!   whether a file changed;
 //! * `item_chains` and `item_segments` (`p4bid_syntax`), whose chain

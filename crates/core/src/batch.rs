@@ -156,7 +156,7 @@ pub struct BatchReport {
     /// (reporting only — overlay sizes depend on work-stealing order, so
     /// these are excluded from the JSON form and from `render_table`;
     /// `p4bid batch --stats` prints them via
-    /// [`render_stats`](BatchReport::render_stats)).
+    /// [`render_text`](BatchStats::render_text)).
     pub stats: BatchStats,
 }
 
@@ -423,13 +423,6 @@ impl BatchReport {
             self.rejected(),
         );
         out
-    }
-
-    /// Human-readable tier/hit-rate statistics block (`p4bid batch
-    /// --stats`); see [`BatchStats::render_text`].
-    #[must_use]
-    pub fn render_stats(&self) -> String {
-        self.stats.render_text()
     }
 }
 
@@ -856,7 +849,7 @@ mod tests {
         let s = report.stats.sessions;
         assert!(s.frozen_syms > 0 && s.frozen_types > 0, "{s:?}");
         assert!(s.sym_frozen_hits > 0, "prelude names must be served frozen: {s:?}");
-        let rendered = report.render_stats();
+        let rendered = report.stats.render_text();
         assert!(rendered.contains("frozen-segment hit rate"), "{rendered}");
         assert!(rendered.contains("type universe"), "{rendered}");
         // The cold path reports empty frozen segments.

@@ -6,14 +6,14 @@
 //! that pipeline once; the drivers only decide which options each program
 //! checks under.
 //!
-//! * **Cells.** One cell per distinct [`options_fingerprint`], in
-//!   first-appearance order: a shared core built on first use with the
-//!   engine's prefix-cache cap, plus the worker harvests it has gathered
-//!   since its last [`refreeze`](CheckEngine::refreeze).
-//! * **Verdict cache.** A bounded LRU keyed by `(content hash, options
-//!   fingerprint)`. A hit is re-verified against the stored body, a body
-//!   repeated within one call is checked once, and transient verdicts
-//!   ([`DiagCode::is_transient`]) are never stored.
+//! * **Cells.** One cell per distinct [`CheckOptions`] value (compared
+//!   with `==`), in first-appearance order: a shared core built on first
+//!   use with the engine's prefix-cache cap, plus the worker harvests it
+//!   has gathered since its last [`refreeze`](CheckEngine::refreeze).
+//! * **Verdict cache.** A bounded LRU keyed by `(content hash, cell)`. A
+//!   hit is re-verified against the stored body, a body repeated within
+//!   one call is checked once, and transient verdicts
+//!   ([`DiagCode::TRANSIENT`]) are never stored.
 //! * **Merge.** Checked programs fan out per cell over the work-stealing
 //!   pool and come back by input index, so a report is byte-identical to
 //!   a plain [`check_batch_with_core`](crate::batch::check_batch_with_core)
@@ -22,7 +22,7 @@
 use crate::batch::{
     run_batch, BatchDiagnostic, BatchInput, BatchReport, BatchStats, ProgramReport,
 };
-use p4bid_typeck::{CheckOptions, DiagCode, Mode, SessionHarvest, SharedSessionCore};
+use p4bid_typeck::{CheckOptions, DiagCode, SessionHarvest, SharedSessionCore};
 use std::collections::HashMap;
 
 /// Index of one cell of a [`CheckEngine`].
@@ -43,14 +43,13 @@ pub(crate) struct Submission<'a> {
 /// One options set's long-lived core.
 #[derive(Debug)]
 struct Cell {
-    fp: u64,
     core: SharedSessionCore,
     /// Worker-session harvests since the last refreeze (only gathered
     /// while harvesting is on).
     harvests: Vec<SessionHarvest>,
 }
 
-/// The fingerprint → core cells, the verdict cache, and the merge.
+/// The options → core cells, the verdict cache, and the merge.
 #[derive(Debug)]
 pub(crate) struct CheckEngine {
     cells: Vec<Cell>,
@@ -64,11 +63,7 @@ impl CheckEngine {
     /// prefix-cache cap.
     pub(crate) fn new(base: SharedSessionCore) -> Self {
         let mut engine = Self::empty(base.prefix_cache_cap());
-        engine.cells.push(Cell {
-            fp: options_fingerprint(base.options()),
-            core: base,
-            harvests: Vec::new(),
-        });
+        engine.cells.push(Cell { core: base, harvests: Vec::new() });
         engine
     }
 
@@ -101,12 +96,11 @@ impl CheckEngine {
 
     /// The cell checking under `opts`, built on first appearance.
     pub(crate) fn cell(&mut self, opts: &CheckOptions) -> CellId {
-        let fp = options_fingerprint(opts);
-        if let Some(id) = self.cells.iter().position(|c| c.fp == fp) {
+        if let Some(id) = self.cells.iter().position(|c| c.core.options() == opts) {
             return id;
         }
         let core = SharedSessionCore::with_prefix_cache_cap(opts.clone(), self.prefix_cap);
-        self.cells.push(Cell { fp, core, harvests: Vec::new() });
+        self.cells.push(Cell { core, harvests: Vec::new() });
         self.cells.len() - 1
     }
 
@@ -122,10 +116,10 @@ impl CheckEngine {
     /// many submissions were not answered from the cache.
     ///
     /// With the cache on, every body is hashed once and looked up under its
-    /// cell's fingerprint; the misses (one check per distinct body and
-    /// cell) run per cell, in first-appearance order, and their
-    /// non-transient verdicts are stored. The report's `jobs` is the widest
-    /// cell run (1 when nothing ran) and its stats sum the cell runs.
+    /// cell; the misses (one check per distinct body and cell) run per
+    /// cell, in first-appearance order, and their non-transient verdicts
+    /// are stored. The report's `jobs` is the widest cell run (1 when
+    /// nothing ran) and its stats sum the cell runs.
     pub(crate) fn check(&mut self, subs: &[Submission<'_>], jobs: usize) -> (BatchReport, u64) {
         // Per cell run: the cell and the inputs it checks.
         let mut runs: Vec<(CellId, Vec<BatchInput>)> = Vec::new();
@@ -137,7 +131,7 @@ impl CheckEngine {
         for s in subs {
             let key = self.cache.enabled().then(|| VerdictKey {
                 content: p4bid_ast::hash::content(0, s.source.as_bytes()),
-                opts: self.cells[s.cell].fp,
+                cell: s.cell,
             });
             if let Some(key) = key {
                 if let Some(hit) = self.cache.lookup(key, s.source) {
@@ -216,91 +210,23 @@ enum Answer {
     Run(usize, usize),
 }
 
-/// Whether a verdict is transient — a caught panic or an expired budget
-/// ([`DiagCode::is_transient`]) rather than a property of the program. A
-/// transient verdict is never cached: a retry of the same body may well
-/// succeed.
+/// Whether a verdict is transient: it carries a [`DiagCode::TRANSIENT`]
+/// code, a property of the run rather than of the program. A transient
+/// verdict is never cached: a retry of the same body may well succeed.
 pub(crate) fn is_transient(diagnostics: &[BatchDiagnostic]) -> bool {
-    const FAILURE_DOMAINS: [DiagCode; 2] = [DiagCode::InternalError, DiagCode::Timeout];
-    diagnostics
-        .iter()
-        .any(|d| FAILURE_DOMAINS.iter().any(|c| c.is_transient() && d.code == c.ident()))
-}
-
-/// An explicit field-wise fingerprint of a [`CheckOptions`] value: the
-/// cell identity, and half of every verdict-cache key.
-///
-/// Deliberately **not** a `Debug`-rendering hash: destructuring forces a
-/// compile error the moment `CheckOptions` grows a field, so a new option
-/// can never silently alias two distinct sets (which would replay wrong
-/// verdicts). Every field feeds the hash with a framing byte, and
-/// variable-length parts are length-prefixed so adjacent fields cannot
-/// splice into each other.
-pub(crate) fn options_fingerprint(opts: &CheckOptions) -> u64 {
-    // Exhaustive destructuring: adding a CheckOptions field breaks this
-    // line until the fingerprint learns about it. Do not use `..` here.
-    let CheckOptions {
-        mode,
-        lattice,
-        pc,
-        record_lineage,
-        allow_declassify,
-        max_source_bytes,
-        check_timeout_ms,
-        pc_floor,
-    } = opts;
-    let mut bytes = Vec::new();
-    bytes.push(match mode {
-        Mode::Base => 0u8,
-        Mode::Ifc => 1,
-        Mode::Permissive => 2,
-    });
-    match pc {
-        None => bytes.push(0),
-        Some(name) => {
-            bytes.push(1);
-            bytes.extend_from_slice(&(name.len() as u64).to_le_bytes());
-            bytes.extend_from_slice(name.as_bytes());
-        }
-    }
-    match lattice {
-        None => bytes.push(0),
-        Some(lat) => {
-            bytes.push(1);
-            let labels: Vec<_> = lat.labels().collect();
-            bytes.extend_from_slice(&(labels.len() as u64).to_le_bytes());
-            for &l in &labels {
-                let name = lat.name(l);
-                bytes.extend_from_slice(&(name.len() as u64).to_le_bytes());
-                bytes.extend_from_slice(name.as_bytes());
-            }
-            // The full order relation, one bit per pair.
-            for &a in &labels {
-                for &b in &labels {
-                    bytes.push(u8::from(lat.leq(a, b)));
-                }
-            }
-        }
-    }
-    bytes.push(u8::from(*record_lineage));
-    bytes.push(u8::from(*allow_declassify));
-    bytes.push(u8::from(*pc_floor));
-    // The resource guards change verdicts (E-OVERSIZED is content- and
-    // cap-determined), so they partition the cache like any other option.
-    bytes.extend_from_slice(&max_source_bytes.to_le_bytes());
-    bytes.extend_from_slice(&check_timeout_ms.to_le_bytes());
-    p4bid_ast::hash::fnv1a(&bytes)
+    diagnostics.iter().any(|d| DiagCode::TRANSIENT.iter().any(|c| d.code == c.ident()))
 }
 
 /// Key of one verdict-cache entry: the content hash
 /// ([`p4bid_ast::hash::content`], seed 0) of the program text plus the
-/// [`options_fingerprint`] of its cell. The 64-bit content hash is only a
-/// *locator*: every hit re-verifies the stored body byte-for-byte, so a
-/// collision costs one miss, never a replayed wrong verdict.
+/// cell it was checked in. The cache belongs to its engine, whose cell ids
+/// never change, so the cell is an exact key; the 64-bit content hash is
+/// only a *locator*: every hit re-verifies the stored body byte-for-byte,
+/// so a collision costs one miss, never a replayed wrong verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct VerdictKey {
     pub content: u64,
-    pub opts: u64,
+    pub cell: CellId,
 }
 
 /// One cached verdict: everything content-determined in a
@@ -380,5 +306,87 @@ impl VerdictCache {
             let lru = self.map.iter().min_by_key(|(_, (stamp, _))| *stamp).map(|(k, _)| *k);
             self.map.remove(&lru.expect("an over-cap cache is non-empty"));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::policy::PolicyPack;
+    use p4bid_lattice::Lattice;
+    use p4bid_typeck::Mode;
+
+    const LEAK: &str =
+        "control C(inout <bit<8>, low> l, inout <bit<8>, high> h) { apply { l = h; } }";
+
+    fn engine(cache_cap: usize) -> CheckEngine {
+        let mut engine = CheckEngine::new(SharedSessionCore::new(CheckOptions::ifc()));
+        engine.set_cache_cap(cache_cap);
+        engine
+    }
+
+    /// Applies the one rule of `pack` to the engine's base options.
+    fn resolved(engine: &CheckEngine, pack: &str) -> CheckOptions {
+        PolicyPack::parse(pack).unwrap().resolve("p", engine.base_options())
+    }
+
+    #[test]
+    fn every_options_field_names_its_own_cell() {
+        let base = CheckOptions::ifc();
+        // Naming every field keeps the table whole: a new field fails to
+        // compile here until it has a row below.
+        let CheckOptions {
+            mode: _,
+            lattice: _,
+            pc: _,
+            record_lineage: _,
+            allow_declassify: _,
+            max_source_bytes: _,
+            check_timeout_ms: _,
+            pc_floor: _,
+        } = &base;
+        let rows = [
+            ("mode", CheckOptions { mode: Mode::Permissive, ..base.clone() }),
+            ("lattice", CheckOptions { lattice: Some(Lattice::diamond()), ..base.clone() }),
+            ("pc", base.clone().with_pc("high")),
+            ("record_lineage", CheckOptions { record_lineage: false, ..base.clone() }),
+            ("allow_declassify", CheckOptions { allow_declassify: true, ..base.clone() }),
+            ("max_source_bytes", base.clone().with_max_source_bytes(8)),
+            ("check_timeout_ms", base.clone().with_check_timeout_ms(60_000)),
+            ("pc_floor", CheckOptions { pc_floor: true, ..base.clone() }),
+        ];
+        for (field, opts) in rows {
+            let mut engine = engine(8);
+            let cell = engine.cell(&opts);
+            assert_ne!(cell, BASE_CELL, "{field}");
+            assert_eq!(engine.cell(&opts), cell, "{field}: the same set, the same cell");
+            let subs = [
+                Submission { name: "a", source: LEAK, cell: BASE_CELL },
+                Submission { name: "b", source: LEAK, cell },
+            ];
+            let mut counts = || {
+                let (_, checked) = engine.check(&subs, 1);
+                let cache = engine.cache();
+                (checked, cache.misses, cache.hits, cache.len())
+            };
+            assert_eq!(counts(), (2, 2, 0, 2), "{field}: one body, two keys");
+            assert_eq!(counts(), (0, 2, 2, 2), "{field}: each cell answers its own");
+        }
+    }
+
+    #[test]
+    fn equal_options_built_apart_share_a_cell() {
+        let mut engine = engine(0);
+        // A catch-all rule whose overrides restate the base.
+        let restated = resolved(&engine, "[*]\ndeclassify = false\nlineage = true\n");
+        assert_eq!(engine.cell(&restated), BASE_CELL);
+        assert_eq!(engine.cell(&CheckOptions::default()), BASE_CELL);
+        // A lattice compares by its names and order, not by how it was
+        // written down.
+        let named = resolved(&engine, "[*]\nlattice = \"two-point\"\n");
+        let spelled = resolved(&engine, "[*]\nlattice = \"low < high\"\n");
+        let cell = engine.cell(&named);
+        assert_ne!(cell, BASE_CELL, "an explicit lattice is a set of its own");
+        assert_eq!(engine.cell(&spelled), cell);
     }
 }

@@ -43,10 +43,10 @@
 //! on every exit path.
 //!
 //! The engine can carry a **verdict cache** ([`ServeEngine::with_cache`])
-//! keyed by `(content hash, CheckOptions fingerprint)`: a
-//! resubmitted body is answered from the cache with a report
-//! byte-identical to a fresh check, and hit/miss/size counters surface
-//! in the `p4bid-stats/5` document ([`ServeOps`]).
+//! keyed by `(content hash, cell)`, one cell per distinct
+//! [`CheckOptions`]: a resubmitted body is answered from the cache with a
+//! report byte-identical to a fresh check, and hit/miss/size counters
+//! surface in the `p4bid-stats/5` document ([`ServeOps`]).
 //!
 //! # Examples
 //!
@@ -1057,12 +1057,13 @@ impl ServeEngine {
         self
     }
 
-    /// Caches up to `cap` verdicts keyed by `(content hash, options
-    /// fingerprint)`, evicting the least-recently-used entry past the
-    /// cap; `0` disables the cache (the default). A hit re-verifies the
-    /// stored source against the submission — a hash collision is a
-    /// miss, never a replayed verdict — then skips the checker entirely
-    /// and renders byte-identically to a fresh check.
+    /// Caches up to `cap` verdicts keyed by `(content hash, cell)` (one
+    /// cell per distinct resolved [`CheckOptions`]), evicting the
+    /// least-recently-used entry past the cap; `0` disables the cache
+    /// (the default). A hit re-verifies the stored source against the
+    /// submission — a hash collision is a miss, never a replayed verdict —
+    /// then skips the checker entirely and renders byte-identically to a
+    /// fresh check.
     #[must_use]
     pub fn with_cache(mut self, cap: usize) -> Self {
         self.engine.set_cache_cap(cap);
@@ -1085,12 +1086,6 @@ impl ServeEngine {
     #[must_use]
     pub fn epochs(&self) -> u64 {
         self.epoch
-    }
-
-    /// Core refreshes performed so far.
-    #[must_use]
-    pub fn refreshes(&self) -> u64 {
-        self.refreshes
     }
 
     /// Cumulative tier/hit-rate statistics over every epoch so far
@@ -1157,7 +1152,7 @@ impl ServeEngine {
             }
         }
         // Only names a policy rule matches leave the base cell, so an
-        // engine without a policy fingerprints nothing per request.
+        // engine without a policy compares no options per request.
         let engine = &mut self.engine;
         let subs: Vec<Submission<'_>> = inputs
             .iter()
@@ -1749,9 +1744,7 @@ pub fn run_socket(
 mod tests {
     use super::*;
     use crate::batch::{check_batch, BatchDiagnostic};
-    use crate::engine::{
-        is_transient, options_fingerprint, CachedVerdict, VerdictCache, VerdictKey,
-    };
+    use crate::engine::{is_transient, CachedVerdict, VerdictCache, VerdictKey};
     use p4bid_typeck::DEFAULT_PREFIX_CACHE_CAP;
     use std::io::Cursor;
 
@@ -2230,8 +2223,8 @@ mod tests {
             assert_eq!(a.render_table(), b.render_table());
             assert_eq!(a.to_ndjson(), b.to_ndjson());
         }
-        assert_eq!(plain.refreshes(), 0);
-        assert_eq!(refreshing.refreshes(), 2, "refreshed before epochs 1 and 2");
+        assert_eq!(plain.ops().refreezes, 0);
+        assert_eq!(refreshing.ops().refreezes, 2, "refreshed before epochs 1 and 2");
         assert_eq!(refreshing.epochs(), 3);
         assert!(refreshing.cumulative_stats().workers >= 3, "one per epoch at least");
     }
@@ -2326,7 +2319,7 @@ mod tests {
         // collisions of the content hash are impractical to find, so
         // this drives the cache directly.)
         let mut cache = VerdictCache::new(8);
-        let key = VerdictKey { content: 42, opts: 7 };
+        let key = VerdictKey { content: 42, cell: 7 };
         let body_a = "control A(inout bit<8> x) { apply { x = x; } }";
         let body_b = "control B(inout bit<8> x) { apply { x = x; } }";
         cache.insert(
@@ -2344,34 +2337,6 @@ mod tests {
         assert_eq!(cache.len(), 1, "one slot per key");
         assert!(cache.lookup(key, body_b).is_some_and(|v| !v.accepted));
         assert!(cache.lookup(key, body_a).is_none(), "the first body now misses");
-    }
-
-    #[test]
-    fn cache_keys_include_the_options_fingerprint() {
-        // The same source under different checker options must not share
-        // a verdict: permissive accepts what IFC rejects.
-        let mut ifc = ServeEngine::new(CheckOptions::ifc(), 1).with_cache(8);
-        let mut permissive = ServeEngine::new(CheckOptions::permissive(), 1).with_cache(8);
-        let inputs = [BatchInput::new("leak", LEAK)];
-        assert!(!ifc.run_epoch(&inputs).report.programs[0].accepted);
-        assert!(permissive.run_epoch(&inputs).report.programs[0].accepted);
-        assert_ne!(
-            options_fingerprint(&CheckOptions::ifc()),
-            options_fingerprint(&CheckOptions::permissive())
-        );
-    }
-
-    #[test]
-    fn fingerprint_covers_the_resource_guards() {
-        // The guards change verdicts (E-OVERSIZED depends on the cap), so
-        // two daemons under different guard settings must never share a
-        // cached verdict.
-        let base = options_fingerprint(&CheckOptions::ifc());
-        let capped = options_fingerprint(&CheckOptions::ifc().with_max_source_bytes(512));
-        let timed = options_fingerprint(&CheckOptions::ifc().with_check_timeout_ms(100));
-        assert_ne!(base, capped);
-        assert_ne!(base, timed);
-        assert_ne!(capped, timed);
     }
 
     #[test]
@@ -2445,7 +2410,7 @@ mod tests {
 
     #[test]
     fn cached_verdicts_stay_per_policy() {
-        // The verdict cache keys on the *resolved* fingerprint, so one
+        // The verdict cache keys on the *resolved* options' cell, so one
         // body cached under the granting rule never answers for the name
         // the rule skips — including on the all-hit second epoch.
         let mut engine = ServeEngine::new(CheckOptions::ifc(), 1)
@@ -2471,7 +2436,7 @@ mod tests {
         let inputs = declass_inputs();
         let first = engine.run_epoch(&inputs);
         let second = engine.run_epoch(&inputs);
-        assert_eq!(engine.refreshes(), 1);
+        assert_eq!(engine.ops().refreezes, 1);
         assert_eq!(first.to_ndjson().replace("\"epoch\": 0", "\"epoch\": 1"), second.to_ndjson());
     }
 

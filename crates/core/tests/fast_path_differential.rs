@@ -28,13 +28,17 @@
 //! to another control, so every engine but the cold one splits each new
 //! version against the file's last one (the guide table of the item
 //! memo), and asserts that it did.
+//!
+//! A fourth sends the cases through a policy pack that grants
+//! `declassify` to half of the names, so every engine but the cold one
+//! answers from two cells, each with its own cache entries and item memo.
 
 use p4bid::batch::BatchInput;
 use p4bid::corpus::case_studies;
 use p4bid::ni::{random_program, GenConfig};
 use p4bid::serve::ServeEngine;
 use p4bid::synth::synth_program;
-use p4bid::{CheckOptions, SharedSessionCore};
+use p4bid::{CheckOptions, PolicyPack, SharedSessionCore};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -313,4 +317,68 @@ fn early_cutoff_edits_match_the_cold_check_byte_for_byte() {
     let stats = memo.cumulative_stats().sessions;
     assert!(stats.prefix_items_saved > 0, "{stats:?}");
     assert_eq!(cold.cumulative_stats().sessions.prefix_items_saved, 0);
+}
+
+/// The policy case's pack: names under `declass-` check in a second cell.
+const DECLASS_PACK: &str = "[declass-*]\ndeclassify = true\n";
+
+/// A control that declassifies: accepted in the granting cell, rejected
+/// with E-DECLASSIFY-FORBIDDEN in the base cell.
+const DECLASS_CONTROL: &str = "control Declass(inout <bit<8>, low> l, inout <bit<8>, high> h) \
+                               { apply { l = declassify(h); } }\n";
+
+/// The policy case's seeds, a subset of [`SEEDS`].
+const POLICY_SEEDS: std::ops::Range<u64> = 1..13;
+
+#[test]
+fn policy_cells_match_the_cold_check_byte_for_byte() {
+    const NAMES: [&str; 3] = ["warm", "memo", "cold"];
+    let pack = PolicyPack::parse(DECLASS_PACK).unwrap();
+    let (mut forbidden, mut memo_hits) = (0, 0);
+    for seed in POLICY_SEEDS {
+        // Every case program, then a copy of each that declassifies.
+        let mut programs = case(seed);
+        programs.extend(programs.clone().into_iter().map(|p| format!("{p}{DECLASS_CONTROL}")));
+        let named =
+            |prefix: &str, i: usize| BatchInput::new(format!("{prefix}p{i}"), programs[i].clone());
+        let jobs = 1 + (seed % 2) as usize;
+        let opts = CheckOptions::ifc();
+        let mut engines = [
+            ServeEngine::new(opts.clone(), jobs).with_cache(1024),
+            ServeEngine::new(opts.clone(), jobs),
+            ServeEngine::with_core(SharedSessionCore::with_prefix_cache_cap(opts, 0), jobs),
+        ]
+        .map(|e| e.with_policy(Some(pack.clone())));
+        let mut run = |inputs: &[BatchInput], what: &str| {
+            let before = engines[0].ops().cache_hits;
+            let reports: Vec<String> =
+                engines.iter_mut().map(|e| e.run_epoch(inputs).to_ndjson()).collect();
+            for (name, report) in NAMES.iter().zip(&reports).take(2) {
+                assert_eq!(
+                    report, &reports[2],
+                    "seed {seed}, {what}: the {name} engine differs from the cold one\n\
+                     programs: {programs:#?}"
+                );
+            }
+            forbidden += reports[2].matches("E-DECLASSIFY-FORBIDDEN").count();
+            engines[0].ops().cache_hits - before
+        };
+        for round in 0..ROUNDS {
+            // Each program under both names in one epoch, rotated as above.
+            let inputs: Vec<BatchInput> = (0..programs.len())
+                .map(|i| (i + round) % programs.len())
+                .flat_map(|i| [named("declass-", i), named("", i)])
+                .collect();
+            run(&inputs, &format!("round {round}"));
+        }
+        // One cell per epoch: every body was seen there, so all hit.
+        for (prefix, cell) in [("declass-", "the granting cell"), ("", "the base cell")] {
+            let inputs: Vec<BatchInput> = (0..programs.len()).map(|i| named(prefix, i)).collect();
+            assert_eq!(run(&inputs, cell), programs.len() as u64, "seed {seed}: {cell}");
+        }
+        memo_hits += engines[1].cumulative_stats().sessions.prefix_hits;
+        assert_eq!(engines[2].cumulative_stats().sessions.prefix_hits, 0, "seed {seed}");
+    }
+    assert!(forbidden > 0, "the base cell never refused a declassification");
+    assert!(memo_hits > 0, "the memo never answered on the policy engine");
 }

@@ -57,7 +57,11 @@ pub enum Mode {
 }
 
 /// Options controlling a check run.
-#[derive(Debug, Clone)]
+///
+/// Two sets compare equal exactly when every field does; the check engine
+/// keeps one cell per distinct set, so a program is never answered from a
+/// cell built for other options.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckOptions {
     /// Baseline or IFC mode.
     pub mode: Mode,

@@ -114,14 +114,11 @@ impl DiagCode {
         )
     }
 
-    /// Whether the code describes a *transient* checking failure — a
-    /// caught worker panic or an expired wall-clock budget — whose
-    /// verdict must never be cached or replayed: a retry of the same
-    /// body may legitimately produce a different outcome.
-    #[must_use]
-    pub fn is_transient(self) -> bool {
-        matches!(self, DiagCode::InternalError | DiagCode::Timeout)
-    }
+    /// The codes of *transient* checking failures — a caught worker panic
+    /// and an expired wall-clock budget — whose verdicts must never be
+    /// cached or replayed: a retry of the same body may legitimately
+    /// produce a different outcome.
+    pub const TRANSIENT: [DiagCode; 2] = [DiagCode::InternalError, DiagCode::Timeout];
 
     /// Short stable identifier, e.g. `E-EXPLICIT-FLOW`.
     #[must_use]
@@ -246,10 +243,11 @@ mod tests {
     fn transient_failures_are_classified() {
         // Transient verdicts must never be cached; a deterministic
         // oversized reject may be.
-        assert!(DiagCode::InternalError.is_transient());
-        assert!(DiagCode::Timeout.is_transient());
-        assert!(!DiagCode::Oversized.is_transient());
-        assert!(!DiagCode::ExplicitFlow.is_transient());
+        let transient = |c| DiagCode::TRANSIENT.contains(&c);
+        assert!(transient(DiagCode::InternalError));
+        assert!(transient(DiagCode::Timeout));
+        assert!(!transient(DiagCode::Oversized));
+        assert!(!transient(DiagCode::ExplicitFlow));
         // None of the failure-domain codes is a security violation.
         assert!(!DiagCode::InternalError.is_security());
         assert!(!DiagCode::Timeout.is_security());

@@ -204,7 +204,7 @@ impl TypeDefs {
             })?,
         };
         let base = self.resolve_unlabeled(&ann.ty, ann.span, lat, pool, label_of, type_of)?;
-        Ok(push_label(base, label, lat, pool))
+        Ok(pool.push_label(base, label, lat))
     }
 
     /// Resolves the structural part, with `⊥` everywhere an annotation is
@@ -233,20 +233,6 @@ impl TypeDefs {
         };
         Ok(t)
     }
-}
-
-/// Joins `label` onto a resolved type: onto the outer label for base
-/// scalars, recursively onto fields/elements for compounds (whose outer
-/// label stays `⊥`, Figure 4). New compound nodes are interned through the
-/// pool; pushing `⊥` is the identity and allocates nothing.
-///
-/// Thin wrapper around the memoizing [`TyPool::push_label`]: compound
-/// pushes are cached per `(TyId, Label)` in the pool (frozen tier
-/// included), so annotated compound types like `<alice_t, A>` resolve
-/// O(1) after their first use.
-#[must_use]
-pub fn push_label(ty: SecTy, label: Label, lat: &Lattice, pool: &mut TyPool) -> SecTy {
-    pool.push_label(ty, label, lat)
 }
 
 /// One Γ entry: the variable's security type plus whether it may be
