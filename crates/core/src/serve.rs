@@ -2340,6 +2340,36 @@ mod tests {
     }
 
     #[test]
+    fn cache_keys_include_the_options_fingerprint() {
+        // The same source under different checker options must not share
+        // a verdict: permissive accepts what IFC rejects. The options
+        // enter a cache key as the cell they resolve to.
+        let mut ifc = ServeEngine::new(CheckOptions::ifc(), 1).with_cache(8);
+        let mut permissive = ServeEngine::new(CheckOptions::permissive(), 1).with_cache(8);
+        let inputs = [BatchInput::new("leak", LEAK)];
+        assert!(!ifc.run_epoch(&inputs).report.programs[0].accepted);
+        assert!(permissive.run_epoch(&inputs).report.programs[0].accepted);
+        assert_ne!(
+            ifc.engine.cell(&CheckOptions::ifc()),
+            ifc.engine.cell(&CheckOptions::permissive())
+        );
+    }
+
+    #[test]
+    fn fingerprint_covers_the_resource_guards() {
+        // The guards change verdicts (E-OVERSIZED depends on the cap), so
+        // options differing only in a guard must never share a cell, and
+        // so never a cached verdict.
+        let mut serve = ServeEngine::new(CheckOptions::ifc(), 1).with_cache(8);
+        let base = serve.engine.cell(&CheckOptions::ifc());
+        let capped = serve.engine.cell(&CheckOptions::ifc().with_max_source_bytes(512));
+        let timed = serve.engine.cell(&CheckOptions::ifc().with_check_timeout_ms(100));
+        assert_ne!(base, capped);
+        assert_ne!(base, timed);
+        assert_ne!(capped, timed);
+    }
+
+    #[test]
     fn oversized_verdicts_are_cacheable_but_transient_ones_are_not() {
         // E-OVERSIZED is determined by content + options (both in the
         // key), so it caches like any verdict; E-INTERNAL / E-TIMEOUT
