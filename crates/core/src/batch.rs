@@ -696,6 +696,43 @@ mod tests {
         assert!(json.contains("\"summary\": {\"total\": 1, \"accepted\": 0, \"rejected\": 1}"));
     }
 
+    /// The exact escaping of every schema string: `"`, `\` and the three
+    /// named controls get their short forms, every other byte below 0x20
+    /// a lowercase `\u00xx`, and everything else (DEL and non-ASCII
+    /// included) passes through unchanged.
+    #[test]
+    fn json_string_escapes_exactly_these_bytes() {
+        for b in 0u8..0x80 {
+            let expected = match b {
+                b'"' => "\\\"".to_string(),
+                b'\\' => "\\\\".to_string(),
+                b'\n' => "\\n".to_string(),
+                b'\r' => "\\r".to_string(),
+                b'\t' => "\\t".to_string(),
+                0..=0x1f => format!("\\u{b:04x}"),
+                _ => char::from(b).to_string(),
+            };
+            let s = char::from(b).to_string();
+            assert_eq!(json_string(&s), format!("\"{expected}\""), "byte {b:#04x}");
+        }
+        let pinned = [
+            ("", "\"\""),
+            ("\0", "\"\\u0000\""),
+            ("\u{8}\u{c}", "\"\\u0008\\u000c\""),
+            ("\u{1b}[0m", "\"\\u001b[0m\""),
+            ("\u{1f}", "\"\\u001f\""),
+            ("\u{7f}", "\"\u{7f}\""),
+            ("caf\u{e9} \u{2192} \u{1f980}", "\"caf\u{e9} \u{2192} \u{1f980}\""),
+            ("already \\n escaped \\\"", "\"already \\\\n escaped \\\\\\\"\""),
+            ("say \"hi\"\n", "\"say \\\"hi\\\"\\n\""),
+            ("a\\b", "\"a\\\\b\""),
+            ("plain text with no escapes", "\"plain text with no escapes\""),
+        ];
+        for (raw, json) in pinned {
+            assert_eq!(json_string(raw), json, "{raw:?}");
+        }
+    }
+
     #[test]
     fn diagnostics_carry_positions_in_their_own_source() {
         let src =

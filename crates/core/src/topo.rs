@@ -1288,6 +1288,89 @@ mod tests {
         assert!(e.message.contains("already wired"), "{e}");
     }
 
+    /// Which structural mistake a manifest reports when it holds several:
+    /// loader failures first, then an empty topology, then the switches in
+    /// order (a duplicate name, then the ingress, egress and `pc` labels),
+    /// then the links in order (the upstream switch, the downstream
+    /// switch, the contract label, then the earliest earlier link sharing
+    /// a port, its egress port before its ingress port).
+    #[test]
+    fn structural_errors_keep_their_order() {
+        let first_error = |manifest: &str, fail: &str| {
+            TopoManifest::parse(manifest)
+                .unwrap()
+                .resolve_with(|path| {
+                    if path == fail {
+                        Err(format!("cannot read {path}"))
+                    } else {
+                        Ok(FWD.to_string())
+                    }
+                })
+                .unwrap_err()
+        };
+        let err = |line, message: &str| TopoError::at(line, message);
+        let switches = "[switch a]\nprogram = \"a.p4\"\n\
+                        [switch b]\nprogram = \"b.p4\"\n\
+                        [switch c]\nprogram = \"c.p4\"\n";
+        // Lines 7-9: a link sharing its ingress port with one earlier link
+        // and its egress port with another. The earliest such link wins.
+        let ingress_first = format!("{switches}[link c:p1 -> b:p1]\n[link a:p1 -> c:p1]\n");
+        assert_eq!(
+            first_error(&format!("{ingress_first}[link a:p1 -> b:p1]\n"), ""),
+            err(9, "ingress port `b:p1` is already wired")
+        );
+        let egress_first = format!("{switches}[link a:p1 -> c:p1]\n[link c:p1 -> b:p1]\n");
+        assert_eq!(
+            first_error(&format!("{egress_first}[link a:p1 -> b:p1]\n"), ""),
+            err(9, "egress port `a:p1` is already wired")
+        );
+        // One earlier link sharing both ports: egress before ingress.
+        assert_eq!(
+            first_error(&format!("{switches}[link a:p1 -> b:p1]\n[link a:p1 -> b:p1]\n"), ""),
+            err(8, "egress port `a:p1` is already wired")
+        );
+        // Every switch is validated before any link, whatever the file
+        // order.
+        let dup_then_dangling =
+            format!("{switches}[switch a]\nprogram = \"d.p4\"\n[link a:p1 -> ghost:p1]\n");
+        assert_eq!(first_error(&dup_then_dangling, ""), err(7, "duplicate switch `a`"));
+        let dangling_then_dup =
+            format!("[link a:p1 -> ghost:p1]\n{switches}[switch a]\nprogram = \"d.p4\"\n");
+        assert_eq!(first_error(&dangling_then_dup, ""), err(8, "duplicate switch `a`"));
+        // A loader failure comes before any structural mistake, and the
+        // first failing switch is the one reported.
+        assert_eq!(first_error(&dup_then_dangling, "b.p4"), err(3, "cannot read b.p4"));
+        assert_eq!(first_error(&dup_then_dangling, "d.p4"), err(7, "cannot read d.p4"));
+        // Within a switch: its name, then ingress, egress, pc.
+        let labels = "[switch a]\nprogram = \"a.p4\"\npc = \"x\"\negress = \"y\"\ningress = \"z\"\n\
+                      [switch a]\nprogram = \"b.p4\"\n";
+        assert_eq!(
+            first_error(labels, ""),
+            err(1, "ingress label `z` is not in the boundary lattice")
+        );
+        let labels = "[switch a]\nprogram = \"a.p4\"\npc = \"x\"\negress = \"y\"\n";
+        assert_eq!(
+            first_error(labels, ""),
+            err(1, "egress label `y` is not in the boundary lattice")
+        );
+        // Within a link: upstream, downstream, contract, then ports.
+        let link = format!("{switches}[link a:p1 -> b:p1]\n[link ghost:p1 -> phantom:p1]\n");
+        assert_eq!(first_error(&link, ""), err(8, "link references unknown switch `ghost`"));
+        let link = format!("{switches}[link a:p1 -> b:p1]\n[link a:p1 -> phantom:p1]\n");
+        assert_eq!(first_error(&link, ""), err(8, "link references unknown switch `phantom`"));
+        let link =
+            format!("{switches}[link a:p1 -> b:p1]\n[link a:p1 -> b:p1]\ncontract = \"mid\"\n");
+        assert_eq!(
+            first_error(&link, ""),
+            err(8, "contract label `mid` is not in the boundary lattice")
+        );
+        // An empty topology, even after a loader that never ran.
+        assert_eq!(
+            first_error("lattice = \"low < high\"\n", ""),
+            err(0, "a topology needs at least one `[switch NAME]`")
+        );
+    }
+
     #[test]
     fn labels_propagate_downstream_and_reject_low_writers() {
         // a (ingress high) -> b: b's low write becomes an implicit flow
