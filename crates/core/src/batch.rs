@@ -377,7 +377,7 @@ impl BatchReport {
         out.push_str("  \"programs\": [\n");
         for (i, p) in self.programs.iter().enumerate() {
             out.push_str("    ");
-            out.push_str(&program_json(p));
+            program_json_into(&mut out, p);
             out.push_str(if i + 1 == self.programs.len() { "\n" } else { ",\n" });
         }
         out.push_str("  ],\n");
@@ -426,78 +426,81 @@ impl BatchReport {
     }
 }
 
-/// Renders one program's verdict as a JSON object — the exact bytes the
-/// `p4bid-batch-report/2` schema embeds, reused verbatim by the
-/// `p4bid-serve-report/2` epoch documents so the two schemas can never
-/// drift apart per program.
-pub(crate) fn program_json(p: &ProgramReport) -> String {
-    let mut out = String::new();
-    let status = if p.accepted { "accept" } else { "reject" };
-    let _ = write!(
-        out,
-        "{{\"index\": {}, \"name\": {}, \"status\": \"{status}\", \"diagnostics\": [",
-        p.index,
-        json_string(&p.name),
-    );
+/// Appends one program's verdict as a JSON object to `out` — the exact
+/// bytes the `p4bid-batch-report/2` schema embeds, reused verbatim by the
+/// `p4bid-serve-report/2` epoch documents and the `p4bid-topo-report/1`
+/// switch rows so the schemas can never drift apart per program.
+pub(crate) fn program_json_into(out: &mut String, p: &ProgramReport) {
+    let _ = write!(out, "{{\"index\": {}, \"name\": ", p.index);
+    json_string_into(out, &p.name);
+    out.push_str(if p.accepted { ", \"status\": \"accept\"" } else { ", \"status\": \"reject\"" });
+    out.push_str(", \"diagnostics\": [");
     for (j, d) in p.diagnostics.iter().enumerate() {
-        let _ = write!(
-            out,
-            "{}{{\"code\": {}, \"line\": {}, \"col\": {}, \"message\": {}, \"lineage\": [",
-            if j == 0 { "" } else { ", " },
-            json_string(&d.code),
-            d.line,
-            d.col,
-            json_string(&d.message),
-        );
+        out.push_str(if j == 0 { "{\"code\": " } else { ", {\"code\": " });
+        json_string_into(out, &d.code);
+        let _ = write!(out, ", \"line\": {}, \"col\": {}, \"message\": ", d.line, d.col);
+        json_string_into(out, &d.message);
+        out.push_str(", \"lineage\": [");
         for (k, step) in d.lineage.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}{{\"op\": {}, \"source\": {}, \"sink\": {}}}",
-                if k == 0 { "" } else { ", " },
-                json_string(&step.op),
-                lineage_node_json(&step.source),
-                lineage_node_json(&step.sink),
-            );
+            out.push_str(if k == 0 { "{\"op\": " } else { ", {\"op\": " });
+            json_string_into(out, &step.op);
+            out.push_str(", \"source\": ");
+            lineage_node_json_into(out, &step.source);
+            out.push_str(", \"sink\": ");
+            lineage_node_json_into(out, &step.sink);
+            out.push('}');
         }
         out.push_str("]}");
     }
     out.push_str("]}");
-    out
 }
 
-/// Renders one lineage endpoint for the report schemas.
-fn lineage_node_json(n: &LineageNode) -> String {
-    format!(
-        "{{\"expr\": {}, \"label\": {}, \"line\": {}, \"col\": {}}}",
-        json_string(&n.expr),
-        json_string(&n.label),
-        n.line,
-        n.col,
-    )
+/// Appends one lineage endpoint, as the report schemas render it, to
+/// `out`.
+fn lineage_node_json_into(out: &mut String, n: &LineageNode) {
+    out.push_str("{\"expr\": ");
+    json_string_into(out, &n.expr);
+    out.push_str(", \"label\": ");
+    json_string_into(out, &n.label);
+    let _ = write!(out, ", \"line\": {}, \"col\": {}}}", n.line, n.col);
 }
 
-/// Escapes `s` as a JSON string literal (shared by the batch, serve, and
-/// stats renderers — every schema in this crate is hand-rendered so the
-/// byte-identical-report contract never depends on a serializer's
+/// Escapes `s` as a JSON string literal (shared by the batch, serve, topo
+/// and stats renderers — every schema in this crate is hand-rendered so
+/// the byte-identical-report contract never depends on a serializer's
 /// formatting choices).
 pub(crate) fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    json_string_into(&mut out, s);
     out
+}
+
+/// [`json_string`], appended to `out`. The text between escapes goes in
+/// with one `push_str` per run, so a string with nothing to escape is one
+/// copy. Every escaped byte is ASCII, so a run never splits a character.
+pub(crate) fn json_string_into(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if short.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(short);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// Checks every input against one freshly frozen [`SharedSessionCore`]

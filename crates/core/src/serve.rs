@@ -69,7 +69,7 @@
 //! assert!(summary.any_rejected, "the second epoch caught the leak");
 //! ```
 
-use crate::batch::{program_json, BatchInput, BatchReport, BatchStats};
+use crate::batch::{program_json_into, BatchInput, BatchReport, BatchStats};
 use crate::engine::{CheckEngine, Submission, BASE_CELL};
 use crate::policy::PolicyPack;
 use p4bid_ast::hash;
@@ -988,7 +988,7 @@ impl EpochReport {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&program_json(p));
+            program_json_into(&mut out, p);
         }
         let _ = write!(out, "], \"summary\": {}", self.report.summary_json());
         out.push_str("}\n");

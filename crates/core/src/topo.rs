@@ -66,14 +66,16 @@
 //! assert!(!report.all_ok());
 //! ```
 
-use crate::batch::{BatchReport, BatchStats, ProgramReport};
+use crate::batch::{json_string_into, program_json_into, BatchReport, BatchStats, ProgramReport};
 use crate::engine::{is_transient, CheckEngine, Submission};
 use crate::policy::{parse_bool, parse_lattice, read_flat, FlatLine};
 use p4bid_lattice::{Label, Lattice};
 use p4bid_typeck::{CheckOptions, DEFAULT_PREFIX_CACHE_CAP};
+use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::Path;
+use std::sync::Arc;
 
 /// A topology-manifest load error, pointing at the offending line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,42 +104,43 @@ impl fmt::Display for TopoError {
 
 impl std::error::Error for TopoError {}
 
-/// One `[switch NAME]` section of a manifest, before program sources are
-/// loaded.
-#[derive(Debug, Clone)]
-pub struct SwitchDecl {
-    /// Switch name (unique within the topology).
-    pub name: String,
-    /// Program path, relative to the manifest file.
-    pub program: String,
-    /// External ingress seed label name (default: lattice bottom).
-    pub ingress: Option<String>,
-    /// Declared egress label name (default: the computed ingress label).
-    pub egress: Option<String>,
-    /// Extra ambient-`pc` floor joined into the seed.
-    pub pc: Option<String>,
-    /// Per-switch `declassify` override.
-    pub declassify: Option<bool>,
-    /// Per-switch program-check lattice override.
-    pub lattice: Option<Lattice>,
+/// One `[switch NAME]` section of a manifest, before validation.
+#[derive(Debug)]
+struct SwitchDecl {
+    name: String,
+    program: String,
+    ingress: Option<String>,
+    egress: Option<String>,
+    pc: Option<String>,
+    declassify: Option<bool>,
+    lattice: Option<Lattice>,
     /// 1-based manifest line of the section header.
-    pub line: usize,
+    line: usize,
 }
 
-/// One `[link sw:port -> sw:port]` section of a manifest.
-#[derive(Debug, Clone)]
-pub struct LinkDecl {
+/// One `[link sw:port -> sw:port]` section of a manifest, before
+/// validation.
+#[derive(Debug)]
+struct LinkDecl {
     /// Upstream endpoint (switch name, port name).
-    pub from: (String, String),
+    from: (String, String),
     /// Downstream endpoint (switch name, port name).
-    pub to: (String, String),
-    /// Label-contract name for the wire (default: lattice top).
-    pub contract: Option<String>,
+    to: (String, String),
+    contract: Option<String>,
     /// 1-based manifest line of the section header.
-    pub line: usize,
+    line: usize,
 }
 
-/// A parsed (but not yet resolved) topology manifest.
+/// A manifest's sections as read, before validation.
+#[derive(Debug, Default)]
+struct Sections {
+    lattice: Option<Lattice>,
+    switches: Vec<SwitchDecl>,
+    links: Vec<LinkDecl>,
+}
+
+/// A parsed topology manifest: its validated structure, ready to resolve
+/// against program sources.
 ///
 /// The format is the crate's usual flat, line-based style: section
 /// headers, `key = value` lines, `#` comments. Two section forms exist —
@@ -148,14 +151,18 @@ pub struct LinkDecl {
 /// labels resolve against (`"two-point"`, `"diamond"`, or a `lo < hi; …`
 /// order expression; default two-point). Loading is fail-fast with
 /// 1-based line numbers, exactly like [`crate::policy::PolicyPack`].
-#[derive(Debug, Clone, Default)]
+///
+/// Parsing also validates the structure, once, into a shared layout:
+/// every [`Topology`] resolved from one manifest holds the same layout
+/// and owns only its program sources.
+#[derive(Debug, Clone)]
 pub struct TopoManifest {
-    /// Boundary lattice, if the manifest sets one.
-    pub lattice: Option<Lattice>,
-    /// Switch sections, in file order.
-    pub switches: Vec<SwitchDecl>,
-    /// Link sections, in file order.
-    pub links: Vec<LinkDecl>,
+    /// Per switch, in file order: its program path and the line of its
+    /// section — what [`TopoManifest::resolve_with`] loads.
+    programs: Vec<(String, usize)>,
+    /// The validated layout, or its first structural mistake, which
+    /// resolving reports only after every program loaded.
+    layout: Result<Arc<Layout>, TopoError>,
 }
 
 /// Which section the manifest parser is currently filling.
@@ -172,13 +179,16 @@ impl TopoManifest {
     ///
     /// Returns the first malformed line (fail-fast: a topology manifest is
     /// a security boundary and never degrades to defaults silently).
+    /// Structural mistakes in well-formed lines (duplicate switches,
+    /// dangling links, unknown labels) surface when the manifest is
+    /// resolved.
     pub fn parse(text: &str) -> Result<Self, TopoError> {
-        let mut m = TopoManifest::default();
+        let mut m = Sections::default();
         let mut section = Section::Preamble;
         read_flat(text, TopoError::at, |lineno, line| {
             let (key, value) = match line {
                 FlatLine::Section(header) => {
-                    section = m.open_section(header, lineno)?;
+                    section = m.open(header, lineno)?;
                     return Ok(());
                 }
                 FlatLine::Entry(key, value) => (key, value),
@@ -227,12 +237,63 @@ impl TopoManifest {
                 ));
             }
         }
-        Ok(m)
+        let programs = m.switches.iter().map(|sw| (sw.program.clone(), sw.line)).collect();
+        Ok(TopoManifest { programs, layout: Layout::validate(m).map(Arc::new) })
     }
 
+    /// Loads and parses a manifest file.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures and parse errors both surface as [`TopoError`].
+    pub fn load(path: &Path) -> Result<Self, TopoError> {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| TopoError::at(0, format!("cannot read {}: {e}", path.display())))?;
+        Self::parse(&text)
+    }
+
+    /// Resolves the manifest into a checkable [`Topology`], reading each
+    /// switch's program from `base_dir` (normally the manifest's parent
+    /// directory).
+    ///
+    /// # Errors
+    ///
+    /// Unreadable program files, then the manifest's first structural
+    /// mistake: an empty topology, duplicate switch names, links naming
+    /// undeclared switches (dangling ports), endpoints wired twice, and
+    /// ingress/egress/pc/contract labels that do not resolve in the
+    /// boundary lattice — each with its declaring line.
+    pub fn resolve(&self, base_dir: &Path) -> Result<Topology, TopoError> {
+        self.resolve_with(|program| {
+            std::fs::read_to_string(base_dir.join(program))
+                .map_err(|e| format!("cannot read {}: {e}", base_dir.join(program).display()))
+        })
+    }
+
+    /// [`TopoManifest::resolve`] with a caller-supplied program loader —
+    /// the hook examples, tests, and property suites use to assemble
+    /// in-memory topologies without touching the filesystem.
+    ///
+    /// # Errors
+    ///
+    /// Loader failures are reported at the declaring switch's line; the
+    /// rest as for [`TopoManifest::resolve`].
+    pub fn resolve_with(
+        &self,
+        mut load: impl FnMut(&str) -> Result<String, String>,
+    ) -> Result<Topology, TopoError> {
+        let mut sources = Vec::with_capacity(self.programs.len());
+        for (program, line) in &self.programs {
+            sources.push(load(program).map_err(|e| TopoError::at(*line, e))?);
+        }
+        Ok(Topology { layout: self.layout.clone()?, sources })
+    }
+}
+
+impl Sections {
     /// Starts the `[switch NAME]` or `[link sw:port -> sw:port]` section
     /// declared on line `lineno`.
-    fn open_section(&mut self, header: &str, lineno: usize) -> Result<Section, String> {
+    fn open(&mut self, header: &str, lineno: usize) -> Result<Section, String> {
         if let Some(name) = header.strip_prefix("switch ") {
             let name = name.trim();
             if name.is_empty() {
@@ -264,51 +325,6 @@ impl TopoManifest {
             Err(format!("unknown section `[{header}]` (expected `switch` or `link`)"))
         }
     }
-
-    /// Loads and parses a manifest file.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures and parse errors both surface as [`TopoError`].
-    pub fn load(path: &Path) -> Result<Self, TopoError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| TopoError::at(0, format!("cannot read {}: {e}", path.display())))?;
-        Self::parse(&text)
-    }
-
-    /// Resolves the manifest into a checkable [`Topology`], reading each
-    /// switch's program from `base_dir` (normally the manifest's parent
-    /// directory).
-    ///
-    /// # Errors
-    ///
-    /// Unreadable program files and every structural/label validation
-    /// error of [`Topology::assemble`] surface as [`TopoError`].
-    pub fn resolve(&self, base_dir: &Path) -> Result<Topology, TopoError> {
-        self.resolve_with(|program| {
-            std::fs::read_to_string(base_dir.join(program))
-                .map_err(|e| format!("cannot read {}: {e}", base_dir.join(program).display()))
-        })
-    }
-
-    /// [`TopoManifest::resolve`] with a caller-supplied program loader —
-    /// the hook examples, tests, and property suites use to assemble
-    /// in-memory topologies without touching the filesystem.
-    ///
-    /// # Errors
-    ///
-    /// Loader failures are reported at the declaring switch's line; the
-    /// rest as for [`TopoManifest::resolve`].
-    pub fn resolve_with(
-        &self,
-        mut load: impl FnMut(&str) -> Result<String, String>,
-    ) -> Result<Topology, TopoError> {
-        let mut sources = Vec::with_capacity(self.switches.len());
-        for sw in &self.switches {
-            sources.push(load(&sw.program).map_err(|e| TopoError::at(sw.line, e))?);
-        }
-        Topology::assemble(self, sources)
-    }
 }
 
 /// Splits one `sw:port` endpoint.
@@ -322,17 +338,15 @@ fn parse_endpoint(s: &str) -> Result<(String, String), String> {
     }
 }
 
-/// One switch of a resolved [`Topology`]: the declaration plus its loaded
-/// program source and its boundary labels resolved against the boundary
-/// lattice.
-#[derive(Debug, Clone)]
+/// One switch of a [`Topology`]: its declaration with the boundary labels
+/// resolved against the boundary lattice. Its program source is
+/// [`Topology::sources`] at the same index.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopoSwitch {
     /// Switch name.
     pub name: String,
     /// Program display path (the manifest's `program` value).
     pub program: String,
-    /// Loaded program source.
-    pub source: String,
     /// External ingress seed (lattice bottom unless declared).
     pub ingress: Label,
     /// Declared egress label, if any.
@@ -346,7 +360,7 @@ pub struct TopoSwitch {
 }
 
 /// One directed link of a resolved [`Topology`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopoLink {
     /// Upstream switch index.
     pub from: usize,
@@ -360,13 +374,97 @@ pub struct TopoLink {
     pub contract: Label,
 }
 
-/// A validated, checkable network: the boundary lattice, the switches
-/// (with program sources loaded), and the directed links between them.
-#[derive(Debug, Clone)]
-pub struct Topology {
+/// A manifest's validated structure: the boundary lattice, the switches
+/// with their labels resolved, and the links with their endpoints as
+/// switch indices. Everything in a topology except its sources.
+#[derive(Debug, PartialEq, Eq)]
+struct Layout {
     lattice: Lattice,
     switches: Vec<TopoSwitch>,
     links: Vec<TopoLink>,
+}
+
+impl Layout {
+    /// Validates a manifest's sections, reporting the first mistake in a
+    /// fixed order: an empty topology; then per switch, in order, a
+    /// duplicate name and its ingress, egress and `pc` labels; then per
+    /// link, in order, its upstream and downstream switches, its contract
+    /// label, and the earliest earlier link wired to the same egress or
+    /// ingress port (egress first when one link shares both).
+    fn validate(m: Sections) -> Result<Self, TopoError> {
+        if m.switches.is_empty() {
+            return Err(TopoError::at(0, "a topology needs at least one `[switch NAME]`"));
+        }
+        let lattice = m.lattice.unwrap_or_else(Lattice::two_point);
+        let resolve = |name: &str, what: &str, line: usize| {
+            lattice.label(name).ok_or_else(|| {
+                TopoError::at(line, format!("{what} label `{name}` is not in the boundary lattice"))
+            })
+        };
+        let mut index: HashMap<&str, usize> = HashMap::with_capacity(m.switches.len());
+        let mut switches = Vec::with_capacity(m.switches.len());
+        for sw in &m.switches {
+            if index.insert(&sw.name, switches.len()).is_some() {
+                return Err(TopoError::at(sw.line, format!("duplicate switch `{}`", sw.name)));
+            }
+            let label = |name: &Option<String>, what| {
+                name.as_deref().map(|n| resolve(n, what, sw.line)).transpose()
+            };
+            switches.push(TopoSwitch {
+                name: sw.name.clone(),
+                program: sw.program.clone(),
+                ingress: label(&sw.ingress, "ingress")?.unwrap_or_else(|| lattice.bottom()),
+                egress: label(&sw.egress, "egress")?,
+                pc: label(&sw.pc, "pc")?,
+                declassify: sw.declassify,
+                lattice: sw.lattice.clone(),
+            });
+        }
+        let index_of = |name: &str, line: usize| {
+            index.get(name).copied().ok_or_else(|| {
+                TopoError::at(line, format!("link references unknown switch `{name}`"))
+            })
+        };
+        // The link wired to each `(switch, port)` endpoint so far.
+        let mut egress: HashMap<(usize, &str), usize> = HashMap::with_capacity(m.links.len());
+        let mut ingress: HashMap<(usize, &str), usize> = HashMap::with_capacity(m.links.len());
+        let mut links = Vec::with_capacity(m.links.len());
+        for (li, l) in m.links.iter().enumerate() {
+            let link = TopoLink {
+                from: index_of(&l.from.0, l.line)?,
+                from_port: l.from.1.clone(),
+                to: index_of(&l.to.0, l.line)?,
+                to_port: l.to.1.clone(),
+                contract: match &l.contract {
+                    Some(n) => resolve(n, "contract", l.line)?,
+                    None => lattice.top(),
+                },
+            };
+            let wired = |(sw, port): &(String, String), dir: &str| {
+                TopoError::at(l.line, format!("{dir} port `{sw}:{port}` is already wired"))
+            };
+            match (egress.get(&(link.from, &l.from.1)), ingress.get(&(link.to, &l.to.1))) {
+                (Some(e), Some(i)) if i < e => return Err(wired(&l.to, "ingress")),
+                (Some(_), _) => return Err(wired(&l.from, "egress")),
+                (None, Some(_)) => return Err(wired(&l.to, "ingress")),
+                (None, None) => {}
+            }
+            egress.insert((link.from, &l.from.1), li);
+            ingress.insert((link.to, &l.to.1), li);
+            links.push(link);
+        }
+        Ok(Layout { lattice, switches, links })
+    }
+}
+
+/// A validated, checkable network: the manifest's shared layout (the
+/// boundary lattice, the switches and the directed links between them)
+/// plus the switches' program sources.
+#[derive(Debug, Clone)]
+pub struct Topology {
+    layout: Arc<Layout>,
+    /// Per switch index: its program source.
+    sources: Vec<String>,
 }
 
 impl Topology {
@@ -381,110 +479,35 @@ impl Topology {
         manifest.resolve(path.parent().unwrap_or_else(|| Path::new(".")))
     }
 
-    /// Validates a manifest against its loaded program sources (one per
-    /// switch, in declaration order) and builds the checkable topology.
-    ///
-    /// # Errors
-    ///
-    /// Rejects, with the declaring line: an empty topology, duplicate
-    /// switch names, links naming undeclared switches (dangling ports),
-    /// endpoints wired twice, and ingress/egress/pc/contract labels that
-    /// do not resolve in the boundary lattice.
-    pub fn assemble(manifest: &TopoManifest, sources: Vec<String>) -> Result<Self, TopoError> {
-        assert_eq!(manifest.switches.len(), sources.len(), "one source per switch");
-        if manifest.switches.is_empty() {
-            return Err(TopoError::at(0, "a topology needs at least one `[switch NAME]`"));
-        }
-        let lattice = manifest.lattice.clone().unwrap_or_else(Lattice::two_point);
-        let resolve = |name: &str, what: &str, line: usize| {
-            lattice.label(name).ok_or_else(|| {
-                TopoError::at(line, format!("{what} label `{name}` is not in the boundary lattice"))
-            })
-        };
-        let mut switches = Vec::with_capacity(manifest.switches.len());
-        for (sw, source) in manifest.switches.iter().zip(sources) {
-            if switches.iter().any(|s: &TopoSwitch| s.name == sw.name) {
-                return Err(TopoError::at(sw.line, format!("duplicate switch `{}`", sw.name)));
-            }
-            switches.push(TopoSwitch {
-                name: sw.name.clone(),
-                program: sw.program.clone(),
-                source,
-                ingress: match &sw.ingress {
-                    Some(n) => resolve(n, "ingress", sw.line)?,
-                    None => lattice.bottom(),
-                },
-                egress: match &sw.egress {
-                    Some(n) => Some(resolve(n, "egress", sw.line)?),
-                    None => None,
-                },
-                pc: match &sw.pc {
-                    Some(n) => Some(resolve(n, "pc", sw.line)?),
-                    None => None,
-                },
-                declassify: sw.declassify,
-                lattice: sw.lattice.clone(),
-            });
-        }
-        let index_of = |name: &str, line: usize| {
-            switches.iter().position(|s| s.name == name).ok_or_else(|| {
-                TopoError::at(line, format!("link references unknown switch `{name}`"))
-            })
-        };
-        let mut links: Vec<TopoLink> = Vec::with_capacity(manifest.links.len());
-        for l in &manifest.links {
-            let link = TopoLink {
-                from: index_of(&l.from.0, l.line)?,
-                from_port: l.from.1.clone(),
-                to: index_of(&l.to.0, l.line)?,
-                to_port: l.to.1.clone(),
-                contract: match &l.contract {
-                    Some(n) => resolve(n, "contract", l.line)?,
-                    None => lattice.top(),
-                },
-            };
-            for prior in &links {
-                if prior.from == link.from && prior.from_port == link.from_port {
-                    return Err(TopoError::at(
-                        l.line,
-                        format!("egress port `{}:{}` is already wired", l.from.0, l.from.1),
-                    ));
-                }
-                if prior.to == link.to && prior.to_port == link.to_port {
-                    return Err(TopoError::at(
-                        l.line,
-                        format!("ingress port `{}:{}` is already wired", l.to.0, l.to.1),
-                    ));
-                }
-            }
-            links.push(link);
-        }
-        Ok(Topology { lattice, switches, links })
-    }
-
     /// The boundary lattice.
     #[must_use]
     pub fn lattice(&self) -> &Lattice {
-        &self.lattice
+        &self.layout.lattice
     }
 
     /// The switches, in manifest order.
     #[must_use]
     pub fn switches(&self) -> &[TopoSwitch] {
-        &self.switches
+        &self.layout.switches
+    }
+
+    /// The switches' program sources, in manifest order.
+    #[must_use]
+    pub fn sources(&self) -> &[String] {
+        &self.sources
     }
 
     /// The links, in manifest order.
     #[must_use]
     pub fn links(&self) -> &[TopoLink] {
-        &self.links
+        &self.layout.links
     }
 
     /// The program paths the topology depends on (for watch-mode change
     /// polling), in switch order.
     #[must_use]
     pub fn program_paths(&self) -> Vec<String> {
-        self.switches.iter().map(|s| s.program.clone()).collect()
+        self.switches().iter().map(|s| s.program.clone()).collect()
     }
 }
 
@@ -533,8 +556,9 @@ pub struct TopoViolation {
 pub struct SwitchReport {
     /// The program verdict, exactly as the batch layer reports it
     /// (`index` is the switch's manifest position, `name` the switch
-    /// name) — byte-compatible with `p4bid-batch-report/2`.
-    pub verdict: ProgramReport,
+    /// name) — byte-compatible with `p4bid-batch-report/2`. Shared with
+    /// the engine's memo, so an unchanged switch's verdict is not copied.
+    pub verdict: Arc<ProgramReport>,
     /// Program display path.
     pub program: String,
     /// Final computed ingress label name.
@@ -592,7 +616,7 @@ impl TopoReport {
     #[must_use]
     pub fn as_batch_report(&self) -> BatchReport {
         BatchReport {
-            programs: self.switches.iter().map(|s| s.verdict.clone()).collect(),
+            programs: self.switches.iter().map(|s| ProgramReport::clone(&s.verdict)).collect(),
             jobs: self.jobs,
             stats: self.stats,
         }
@@ -606,37 +630,38 @@ impl TopoReport {
     /// drift apart per program.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"p4bid-topo-report/1\",\n");
+        let mut out = String::with_capacity(256 * (self.switches.len() + self.violations.len()));
+        out.push_str("{\n  \"schema\": \"p4bid-topo-report/1\",\n");
         let _ = writeln!(out, "  \"rounds\": {},", self.rounds);
         let _ = writeln!(out, "  \"switch_rechecks\": {},", self.switch_rechecks);
         out.push_str("  \"switches\": [\n");
         for (i, s) in self.switches.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"switch\": {}, \"program\": {}, \"ingress\": {}, \"egress\": {}, \
-                 \"verdict\": {}}}",
-                crate::batch::json_string(&s.verdict.name),
-                crate::batch::json_string(&s.program),
-                crate::batch::json_string(&s.ingress),
-                crate::batch::json_string(&s.egress),
-                crate::batch::program_json(&s.verdict),
-            );
-            out.push_str(if i + 1 == self.switches.len() { "\n" } else { ",\n" });
+            out.push_str("    {\"switch\": ");
+            json_string_into(&mut out, &s.verdict.name);
+            out.push_str(", \"program\": ");
+            json_string_into(&mut out, &s.program);
+            out.push_str(", \"ingress\": ");
+            json_string_into(&mut out, &s.ingress);
+            out.push_str(", \"egress\": ");
+            json_string_into(&mut out, &s.egress);
+            out.push_str(", \"verdict\": ");
+            program_json_into(&mut out, &s.verdict);
+            out.push_str(if i + 1 == self.switches.len() { "}\n" } else { "},\n" });
         }
         out.push_str("  ],\n");
         out.push_str("  \"violations\": [\n");
         for (i, v) in self.violations.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"kind\": {}, \"at\": {}, \"label\": {}, \"bound\": {}, \"chain\": {}}}",
-                crate::batch::json_string(v.kind.ident()),
-                crate::batch::json_string(&v.at),
-                crate::batch::json_string(&v.label),
-                crate::batch::json_string(&v.bound),
-                crate::batch::json_string(&v.chain),
-            );
-            out.push_str(if i + 1 == self.violations.len() { "\n" } else { ",\n" });
+            out.push_str("    {\"kind\": ");
+            json_string_into(&mut out, v.kind.ident());
+            out.push_str(", \"at\": ");
+            json_string_into(&mut out, &v.at);
+            out.push_str(", \"label\": ");
+            json_string_into(&mut out, &v.label);
+            out.push_str(", \"bound\": ");
+            json_string_into(&mut out, &v.bound);
+            out.push_str(", \"chain\": ");
+            json_string_into(&mut out, &v.chain);
+            out.push_str(if i + 1 == self.violations.len() { "}\n" } else { "},\n" });
         }
         out.push_str("  ],\n");
         let _ = writeln!(
@@ -729,8 +754,9 @@ pub struct TopoEngine {
     jobs: usize,
     engine: CheckEngine,
     /// Per switch index: the last epoch's final ingress label and the
-    /// verdict checked at it. Never holds a transient verdict.
-    memo: Vec<Option<(Label, ProgramReport)>>,
+    /// verdict checked at it, shared with the reports that carry it.
+    /// Never holds a transient verdict.
+    memo: Vec<Option<(Label, Arc<ProgramReport>)>>,
     epochs: u64,
     cumulative: BatchStats,
 }
@@ -741,7 +767,7 @@ pub struct TopoEngine {
 /// the previous epoch's verdicts alive through the current one (an edit
 /// and its revert both stay hits).
 fn cache_bound(topo: &Topology) -> usize {
-    2 * topo.switches.len()
+    2 * topo.sources.len()
 }
 
 impl TopoEngine {
@@ -754,7 +780,7 @@ impl TopoEngine {
         let jobs = crate::pool::workers(jobs, usize::MAX);
         let mut engine = CheckEngine::empty(DEFAULT_PREFIX_CACHE_CAP);
         engine.set_cache_cap(cache_bound(&topo));
-        let memo = vec![None; topo.switches.len()];
+        let memo = vec![None; topo.sources.len()];
         TopoEngine { topo, base, jobs, engine, memo, epochs: 0, cumulative: BatchStats::default() }
     }
 
@@ -769,20 +795,29 @@ impl TopoEngine {
     /// topology) — unchanged switches stay cache hits. A switch keeps its
     /// memo slot only if its name, source, `pc`, `declassify` and `lattice`
     /// override are all unchanged; a new switch count or boundary lattice
-    /// clears every slot.
+    /// clears every slot. When both topologies share one layout (resolved
+    /// from one manifest) or have equal layouts (a re-parsed manifest),
+    /// only the sources are compared.
     pub fn set_topology(&mut self, topo: Topology) {
         self.engine.set_cache_cap(cache_bound(&topo));
-        if topo.switches.len() != self.topo.switches.len() || topo.lattice != self.topo.lattice {
-            self.memo = vec![None; topo.switches.len()];
+        let (old, new) = (&self.topo, &topo);
+        if Arc::ptr_eq(&old.layout, &new.layout) || old.layout == new.layout {
+            for ((slot, a), b) in self.memo.iter_mut().zip(&old.sources).zip(&new.sources) {
+                if a != b {
+                    *slot = None;
+                }
+            }
+        } else if new.sources.len() != old.sources.len() || new.lattice() != old.lattice() {
+            self.memo = vec![None; new.sources.len()];
         } else {
-            for ((slot, old), new) in
-                self.memo.iter_mut().zip(&self.topo.switches).zip(&topo.switches)
-            {
-                let same = old.name == new.name
-                    && old.source == new.source
-                    && old.pc == new.pc
-                    && old.declassify == new.declassify
-                    && old.lattice == new.lattice;
+            let (old_sw, new_sw) = (old.switches().iter(), new.switches().iter());
+            let pairs = old_sw.zip(&old.sources).zip(new_sw.zip(&new.sources));
+            for (slot, ((a, a_src), (b, b_src))) in self.memo.iter_mut().zip(pairs) {
+                let same = a.name == b.name
+                    && a_src == b_src
+                    && a.pc == b.pc
+                    && a.declassify == b.declassify
+                    && a.lattice == b.lattice;
                 if !same {
                     *slot = None;
                 }
@@ -810,8 +845,8 @@ impl TopoEngine {
     /// so a seed-free check is bit-for-bit a batch check), `pc_floor` on,
     /// and the per-switch `declassify`/`lattice` overrides applied.
     fn effective_options(&self, i: usize, in_label: Label) -> CheckOptions {
-        let sw = &self.topo.switches[i];
-        let lat = &self.topo.lattice;
+        let sw = &self.topo.switches()[i];
+        let lat = self.topo.lattice();
         let mut opts = self.base.clone();
         opts.pc_floor = true;
         if let Some(l) = &sw.lattice {
@@ -832,7 +867,7 @@ impl TopoEngine {
 
     /// Whether switch `i` may declassify (its override, else the base).
     fn declassify_allowed(&self, i: usize) -> bool {
-        self.topo.switches[i].declassify.unwrap_or(self.base.allow_declassify)
+        self.topo.switches()[i].declassify.unwrap_or(self.base.allow_declassify)
     }
 
     /// Runs the fixpoint to stabilization and reports.
@@ -849,9 +884,12 @@ impl TopoEngine {
     /// at that same label skips the engine; the rest go through the
     /// verdict cache.
     pub fn run_epoch(&mut self) -> TopoReport {
-        let n = self.topo.switches.len();
-        let lat = self.topo.lattice.clone();
-        let mut inl: Vec<Label> = self.topo.switches.iter().map(|s| s.ingress).collect();
+        // A refcount, so the label work borrows the layout while the
+        // check below borrows the engine.
+        let layout = Arc::clone(&self.topo.layout);
+        let (lat, sws) = (&layout.lattice, &layout.switches);
+        let n = sws.len();
+        let mut inl: Vec<Label> = sws.iter().map(|s| s.ingress).collect();
         let mut outl: Vec<Label> = inl.clone();
         // For each switch, the link whose propagation last *raised* its
         // ingress label — the provenance edge violation chains walk.
@@ -868,14 +906,14 @@ impl TopoEngine {
             // declassify grant (a refusal is reported post-fixpoint).
             for i in 0..n {
                 if std::mem::take(&mut dirty[i]) {
-                    outl[i] = match self.topo.switches[i].egress {
+                    outl[i] = match sws[i].egress {
                         Some(eg) if lat.leq(inl[i], eg) || self.declassify_allowed(i) => eg,
                         _ => inl[i],
                     };
                 }
             }
             // Propagate joins downstream, in manifest link order.
-            for (li, link) in self.topo.links.iter().enumerate() {
+            for (li, link) in layout.links.iter().enumerate() {
                 let joined = lat.join(inl[link.to], outl[link.from]);
                 if joined != inl[link.to] {
                     inl[link.to] = joined;
@@ -889,16 +927,13 @@ impl TopoEngine {
         // structure never leaks into the report): contract breaches in
         // link order, refused downgrades in switch order.
         let mut violations = Vec::new();
-        for (li, link) in self.topo.links.iter().enumerate() {
+        for (li, link) in layout.links.iter().enumerate() {
             if !lat.leq(outl[link.from], link.contract) {
                 violations.push(TopoViolation {
                     kind: ViolationKind::Contract,
                     at: format!(
                         "{}:{} -> {}:{}",
-                        self.topo.switches[link.from].name,
-                        link.from_port,
-                        self.topo.switches[link.to].name,
-                        link.to_port,
+                        sws[link.from].name, link.from_port, sws[link.to].name, link.to_port,
                     ),
                     label: lat.name(outl[link.from]).to_string(),
                     bound: lat.name(link.contract).to_string(),
@@ -906,7 +941,7 @@ impl TopoEngine {
                 });
             }
         }
-        for (i, sw) in self.topo.switches.iter().enumerate() {
+        for (i, sw) in sws.iter().enumerate() {
             if let Some(eg) = sw.egress {
                 if !lat.leq(inl[i], eg) && !self.declassify_allowed(i) {
                     violations.push(TopoViolation {
@@ -924,7 +959,7 @@ impl TopoEngine {
             .enumerate()
             .map(|(i, verdict)| SwitchReport {
                 verdict,
-                program: self.topo.switches[i].program.clone(),
+                program: sws[i].program.clone(),
                 ingress: lat.name(inl[i]).to_string(),
                 egress: lat.name(outl[i]).to_string(),
             })
@@ -948,16 +983,16 @@ impl TopoEngine {
     /// the checks' stats. A switch whose memo slot holds a verdict at the
     /// same label is answered from it; the rest go to the engine in one
     /// call, and their non-transient verdicts refill the memo.
-    fn check_at(&mut self, inl: &[Label]) -> (Vec<ProgramReport>, u64, BatchStats) {
+    fn check_at(&mut self, inl: &[Label]) -> (Vec<Arc<ProgramReport>>, u64, BatchStats) {
         let work: Vec<usize> = (0..inl.len())
             .filter(|&i| !matches!(&self.memo[i], Some((l, _)) if *l == inl[i]))
             .collect();
         let mut subs = Vec::with_capacity(work.len());
         for &i in &work {
             let opts = self.effective_options(i, inl[i]);
-            let sw = &self.topo.switches[i];
+            let name = &self.topo.switches()[i].name;
             let cell = self.engine.cell(&opts);
-            subs.push(Submission { name: &sw.name, source: &sw.source, cell });
+            subs.push(Submission { name, source: &self.topo.sources[i], cell });
         }
         let (report, checked) = self.engine.check(&subs, self.jobs);
         let mut fresh = work.iter().zip(report.programs).peekable();
@@ -965,10 +1000,14 @@ impl TopoEngine {
             .map(|i| match fresh.next_if(|&(&j, _)| j == i) {
                 Some((_, mut p)) => {
                     p.index = i;
-                    self.memo[i] = (!is_transient(&p.diagnostics)).then(|| (inl[i], p.clone()));
+                    let p = Arc::new(p);
+                    self.memo[i] =
+                        (!is_transient(&p.diagnostics)).then(|| (inl[i], Arc::clone(&p)));
                     p
                 }
-                None => self.memo[i].as_ref().expect("an unchecked switch is memoized").1.clone(),
+                None => {
+                    Arc::clone(&self.memo[i].as_ref().expect("an unchecked switch is memoized").1)
+                }
             })
             .collect();
         (verdicts, checked, report.stats)
@@ -984,7 +1023,7 @@ impl TopoEngine {
                 break;
             }
             hops.push(li);
-            cur = self.topo.links[li].from;
+            cur = self.topo.links()[li].from;
         }
         hops.reverse();
         hops
@@ -994,17 +1033,17 @@ impl TopoEngine {
     /// `` `edge` (high) --egress p1--> `core` (contract low) ``, with the
     /// provenance hops that raised the upstream label prepended.
     fn render_chain(&self, pred: &[Option<usize>], outl: &[Label], last: usize) -> String {
-        let lat = &self.topo.lattice;
-        let mut hops = self.provenance(pred, self.topo.links[last].from);
+        let lat = self.topo.lattice();
+        let mut hops = self.provenance(pred, self.topo.links()[last].from);
         hops.push(last);
         let mut out = String::new();
         for (k, &li) in hops.iter().enumerate() {
-            let link = &self.topo.links[li];
+            let link = &self.topo.links()[li];
             if k == 0 {
                 let _ = write!(
                     out,
                     "`{}` ({})",
-                    self.topo.switches[link.from].name,
+                    self.topo.switches()[link.from].name,
                     lat.name(outl[link.from]),
                 );
             }
@@ -1013,14 +1052,14 @@ impl TopoEngine {
                 let _ = write!(
                     out,
                     "`{}` (contract {})",
-                    self.topo.switches[link.to].name,
+                    self.topo.switches()[link.to].name,
                     lat.name(link.contract),
                 );
             } else {
                 let _ = write!(
                     out,
                     "`{}` ({})",
-                    self.topo.switches[link.to].name,
+                    self.topo.switches()[link.to].name,
                     lat.name(outl[link.to]),
                 );
             }
@@ -1032,16 +1071,16 @@ impl TopoEngine {
     /// provenance that raised its ingress, ending in the refused egress
     /// declaration.
     fn render_downgrade_chain(&self, pred: &[Option<usize>], outl: &[Label], i: usize) -> String {
-        let lat = &self.topo.lattice;
-        let sw = &self.topo.switches[i];
+        let lat = self.topo.lattice();
+        let sw = &self.topo.switches()[i];
         let mut out = String::new();
         for (k, &li) in self.provenance(pred, i).iter().enumerate() {
-            let link = &self.topo.links[li];
+            let link = &self.topo.links()[li];
             if k == 0 {
                 let _ = write!(
                     out,
                     "`{}` ({})",
-                    self.topo.switches[link.from].name,
+                    self.topo.switches()[link.from].name,
                     lat.name(outl[link.from]),
                 );
             }
@@ -1049,7 +1088,7 @@ impl TopoEngine {
                 out,
                 " --egress {}--> `{}` ({})",
                 link.from_port,
-                self.topo.switches[link.to].name,
+                self.topo.switches()[link.to].name,
                 lat.name(outl[link.to]),
             );
         }
@@ -1232,12 +1271,17 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert_eq!(m.switches.len(), 2);
-        assert_eq!(m.links.len(), 1);
-        assert_eq!(m.switches[0].ingress.as_deref(), Some("high"));
-        assert_eq!(m.switches[0].declassify, Some(true));
-        assert_eq!(m.links[0].from, ("a".to_string(), "p1".to_string()));
-        assert_eq!(m.links[0].contract.as_deref(), Some("low"));
+        let layout = m.layout.as_ref().unwrap();
+        let lat = &layout.lattice;
+        assert_eq!(m.programs, [("a.p4".to_string(), 4), ("b.p4".to_string(), 12)]);
+        assert_eq!(layout.switches.len(), 2);
+        assert_eq!(layout.links.len(), 1);
+        assert_eq!(layout.switches[0].ingress, lat.label("high").unwrap());
+        assert_eq!(layout.switches[0].declassify, Some(true));
+        assert_eq!(layout.switches[1].pc, lat.label("low"));
+        let link = &layout.links[0];
+        assert_eq!((link.from, link.from_port.as_str(), link.to), (0, "p1", 1));
+        assert_eq!(link.contract, lat.label("low").unwrap());
     }
 
     #[test]
@@ -1342,7 +1386,8 @@ mod tests {
         assert_eq!(first_error(&dup_then_dangling, "b.p4"), err(3, "cannot read b.p4"));
         assert_eq!(first_error(&dup_then_dangling, "d.p4"), err(7, "cannot read d.p4"));
         // Within a switch: its name, then ingress, egress, pc.
-        let labels = "[switch a]\nprogram = \"a.p4\"\npc = \"x\"\negress = \"y\"\ningress = \"z\"\n\
+        let labels =
+            "[switch a]\nprogram = \"a.p4\"\npc = \"x\"\negress = \"y\"\ningress = \"z\"\n\
                       [switch a]\nprogram = \"b.p4\"\n";
         assert_eq!(
             first_error(labels, ""),
@@ -1597,7 +1642,7 @@ mod tests {
             )],
         );
         let report = check_topology(&topo, &CheckOptions::ifc(), 2);
-        let inputs = vec![BatchInput::new("leak.p4", topo.switches()[0].source.clone())];
+        let inputs = vec![BatchInput::new("leak.p4", topo.sources()[0].clone())];
         let batch = crate::batch::check_batch(&inputs, &CheckOptions::ifc(), 2);
         assert_eq!(report.as_batch_report().to_json(), batch.to_json());
         assert_eq!(report.as_batch_report().render_table(), batch.render_table());

@@ -228,8 +228,11 @@ fn oracle(topo: &Topology, base: &CheckOptions) -> Expected {
             if !lat.is_bottom(seed) {
                 opts.pc = Some(lat.name(seed).to_string());
             }
-            let cold =
-                check_batch(&[BatchInput::new(sw.name.clone(), sw.source.clone())], &opts, 1);
+            let cold = check_batch(
+                &[BatchInput::new(sw.name.clone(), topo.sources()[i].clone())],
+                &opts,
+                1,
+            );
             let p = &cold.programs[0];
             (p.name.clone(), p.accepted, p.diagnostics.clone())
         })
