@@ -32,6 +32,15 @@
 //! first-appearance order) and merges by switch index. Reports are
 //! byte-identical across `--jobs` settings and repeated runs.
 //!
+//! A watch epoch pays for what changed, not for what exists.
+//! [`TopoManifest::parse`] validates the manifest once, into a shared
+//! layout (boundary lattice, resolved labels, links as switch indices);
+//! a [`Topology`] is that layout plus its program sources, so resolving
+//! again only loads programs. [`TopoEngine::set_topology`] compares only
+//! sources when the two layouts are one or equal. The engine's memo and
+//! every report share each verdict through an `Arc`, and
+//! [`TopoReport::to_json`] writes the whole document into one buffer.
+//!
 //! # Examples
 //!
 //! ```

@@ -15,7 +15,8 @@
 //!   which searches every label assignment and checks each switch cold;
 //! * a long-lived engine driven through edits and overrides that reports
 //!   after every epoch exactly what a fresh check of the same topology
-//!   reports.
+//!   reports, both when every epoch re-parses the manifest and when every
+//!   epoch resolves one parsed manifest.
 
 use p4bid::batch::{check_batch, BatchDiagnostic, BatchInput};
 use p4bid::lattice::Label;
@@ -135,6 +136,11 @@ impl Spec {
     /// Renders the manifest and assembles it; switch `i` reads program
     /// `p{i}.p4`.
     fn topology(&self) -> Topology {
+        self.resolve(&self.manifest())
+    }
+
+    /// Renders and parses the manifest.
+    fn manifest(&self) -> TopoManifest {
         let order: Vec<String> =
             self.chain().windows(2).map(|w| format!("{} < {}", w[0], w[1])).collect();
         let order = order.join("; ");
@@ -161,7 +167,11 @@ impl Spec {
                 m.push_str(&format!("contract = \"{}\"\n", self.label(c)));
             }
         }
-        let manifest = TopoManifest::parse(&m).expect("drawn manifest parses");
+        TopoManifest::parse(&m).expect("drawn manifest parses")
+    }
+
+    /// Resolves `manifest` against the current sources.
+    fn resolve(&self, manifest: &TopoManifest) -> Topology {
         manifest
             .resolve_with(|path| {
                 let i: usize = path[1..path.len() - 3].parse().expect("drawn path");
@@ -293,6 +303,13 @@ fn without_rechecks(report: &TopoReport) -> String {
     report.to_json().lines().filter(|l| !l.contains("\"switch_rechecks\"")).collect()
 }
 
+/// A report's table without the recheck count that ends its summary line.
+fn table_without_rechecks(report: &TopoReport) -> String {
+    let table = report.render_table();
+    let cut = table.rfind(", ").expect("the summary line names the rechecks");
+    table[..cut].to_string()
+}
+
 proptest! {
     /// The determinism contract and the round bound, over arbitrary
     /// topology shapes.
@@ -368,6 +385,54 @@ proptest! {
         let opts = CheckOptions::ifc();
         let report = TopoEngine::new(topo.clone(), opts.clone(), 2).run_epoch();
         prop_assert_eq!(observed(&report), oracle(&topo, &opts));
+    }
+
+    /// Every epoch resolved from one parsed manifest shares its layout, so
+    /// the engine compares only sources. Driven through program edits,
+    /// leaks and reverts, such an engine reports after every epoch what a
+    /// fresh `check_topology` reports, and re-checks at most the one
+    /// switch each step edited.
+    #[test]
+    fn one_manifest_epochs_match_a_fresh_check(
+        chain in 0usize..2,
+        knobs in knobs(1..5),
+        links in links(0..7),
+        ops in proptest::collection::vec((0usize..3, 0usize..4, 0usize..12), 1..16),
+    ) {
+        let mut spec = Spec::draw(chain, &knobs, &links);
+        let manifest = spec.manifest();
+        let opts = CheckOptions::ifc();
+        let mut engine = TopoEngine::new(spec.resolve(&manifest), opts.clone(), 2);
+        engine.run_epoch();
+        // Leaked switches and the source each one replaced.
+        let mut undo: Vec<(usize, String)> = Vec::new();
+        for (step, &(op, sw, x)) in ops.iter().enumerate() {
+            let i = sw % spec.switches.len();
+            match op {
+                0 => spec.switches[i].source = format!("// edit {step}\n{}", program(x)),
+                1 => {
+                    let leak = POOL[2].to_string();
+                    undo.push((i, std::mem::replace(&mut spec.switches[i].source, leak)));
+                }
+                _ => {
+                    if let Some((j, old)) = undo.pop() {
+                        spec.switches[j].source = old;
+                    }
+                }
+            }
+            let topo = spec.resolve(&manifest);
+            engine.set_topology(topo.clone());
+            let warm = engine.run_epoch();
+            let cold = check_topology(&topo, &opts, 1);
+            prop_assert_eq!(without_rechecks(&warm), without_rechecks(&cold), "step {}", step);
+            prop_assert_eq!(
+                table_without_rechecks(&warm), table_without_rechecks(&cold), "step {}", step
+            );
+            prop_assert!(
+                warm.switch_rechecks <= 1,
+                "step {}: one edited switch, {} rechecks", step, warm.switch_rechecks
+            );
+        }
     }
 
     /// One long-lived engine, driven through edits, leaks, reverts,

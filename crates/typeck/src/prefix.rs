@@ -56,7 +56,7 @@
 //! so a stream of programs that are all new stores nothing. Like the
 //! memo, it holds no interner ids and carries across refreezes.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use p4bid_ast::hash;
@@ -150,7 +150,8 @@ pub(crate) fn sighting_slots(cap: usize) -> usize {
 const SIGHTING_WAYS: usize = 4;
 
 /// Bounded store of recorded controls with touch-on-hit LRU eviction
-/// (O(n) min-scan, like the serve verdict cache), plus the sighting table
+/// (a stamp-ordered index beside the map, like the serve verdict cache,
+/// so a touch and an eviction each cost O(log n)), plus the sighting table
 /// that gates what is worth recording. A cap of zero disables both, and
 /// the session then never consults the guide table either.
 #[derive(Debug)]
@@ -158,6 +159,8 @@ pub(crate) struct ItemMemo {
     cap: usize,
     clock: u64,
     map: HashMap<u64, Entry>,
+    /// Every entry's stamp and key, oldest first.
+    recency: BTreeMap<u64, u64>,
     /// Sighted keys in buckets of `SIGHTING_WAYS`, newest first; empty
     /// until the first sighting. A zero slot reads as a sighting of key
     /// 0, which at worst records one control a submission early.
@@ -172,6 +175,7 @@ impl ItemMemo {
             cap,
             clock: 0,
             map: HashMap::new(),
+            recency: BTreeMap::new(),
             sighted: Vec::new(),
             guides: GuideTable::default(),
         }
@@ -215,6 +219,8 @@ impl ItemMemo {
         if *entry.bytes != *bytes || entry.state[..entry.state_len as usize] != *state {
             return None;
         }
+        self.recency.remove(&entry.stamp);
+        self.recency.insert(self.clock, key);
         entry.stamp = self.clock;
         Some(
             entry
@@ -256,8 +262,13 @@ impl ItemMemo {
                 .collect(),
             stamp: self.clock,
         };
-        if self.map.insert(key, entry).is_none() && self.map.len() > self.cap {
-            self.evict_lru();
+        self.recency.insert(self.clock, key);
+        match self.map.insert(key, entry) {
+            Some(old) => {
+                self.recency.remove(&old.stamp);
+            }
+            None if self.map.len() > self.cap => self.evict_lru(),
+            None => {}
         }
         true
     }
@@ -273,8 +284,7 @@ impl ItemMemo {
     }
 
     fn evict_lru(&mut self) {
-        let oldest = self.map.iter().min_by_key(|(_, e)| e.stamp).map(|(key, _)| *key);
-        if let Some(key) = oldest {
+        if let Some((_, key)) = self.recency.pop_first() {
             self.map.remove(&key);
         }
     }
@@ -452,6 +462,51 @@ mod tests {
         assert!(m.probe(2, STATE, "b", 0).is_none(), "coldest entry was evicted");
         assert!(m.probe(1, STATE, "a", 0).is_some());
         assert!(m.probe(3, STATE, "c", 0).is_some());
+    }
+
+    /// The recency index evicts exactly what a scan for the smallest
+    /// stamp did: after every record, a memo driven through hits,
+    /// mismatched probes and re-records holds the same keys as that scan
+    /// run over the same operations.
+    #[test]
+    fn eviction_matches_the_minimum_stamp_scan() {
+        let cap = 6;
+        let mut m = ItemMemo::new(cap);
+        // The reference: key -> (stamp, bytes), evicting by a full scan.
+        let mut model: HashMap<u64, (u64, String)> = HashMap::new();
+        let mut clock = 0u64;
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        for step in 0..20_000 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let key = rng % 20;
+            let bytes = format!("b{}", (rng >> 8) % 3);
+            clock += 1;
+            if (rng >> 16) & 1 == 0 {
+                let hit = m.probe(key, STATE, &bytes, 0).is_some();
+                let expected = match model.get_mut(&key) {
+                    Some((stamp, stored)) if *stored == bytes => {
+                        *stamp = clock;
+                        true
+                    }
+                    _ => false,
+                };
+                assert_eq!(hit, expected, "step {step}");
+                continue;
+            }
+            assert!(record(&mut m, key, &bytes));
+            if model.insert(key, (clock, bytes)).is_none() && model.len() > cap {
+                let lru = model.iter().min_by_key(|(_, (stamp, _))| *stamp).map(|(k, _)| *k);
+                model.remove(&lru.unwrap());
+            }
+            let mut held: Vec<_> = m.map.iter().map(|(k, e)| (*k, e.stamp)).collect();
+            let mut expected: Vec<_> = model.iter().map(|(k, (stamp, _))| (*k, *stamp)).collect();
+            held.sort_unstable();
+            expected.sort_unstable();
+            assert_eq!(held, expected, "step {step}");
+            assert_eq!(m.recency.len(), m.map.len(), "step {step}");
+        }
     }
 
     #[test]
