@@ -22,8 +22,9 @@
 use crate::batch::{
     run_batch, BatchDiagnostic, BatchInput, BatchReport, BatchStats, ProgramReport,
 };
+use p4bid_ast::lru::Victims;
 use p4bid_typeck::{CheckOptions, DiagCode, SessionHarvest, SharedSessionCore};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Index of one cell of a [`CheckEngine`].
 pub(crate) type CellId = usize;
@@ -243,15 +244,14 @@ pub(crate) struct CachedVerdict {
 /// A bounded verdict cache with least-recently-used eviction and hit/miss
 /// counters. `cap == 0` disables it.
 ///
-/// Recency is a monotonic stamp per entry, refreshed on hit, and a
-/// stamp-ordered index beside the map, so a hit, an insert and an
-/// eviction each cost O(log n). Insertion-order eviction would evict the
-/// *hottest* entry under churn.
+/// Recency is a monotonic stamp per entry, refreshed on hit: one store on
+/// the hit path, and evictions take the smallest stamp from a
+/// [`Victims`] list, one scan per eighth of the entries evicted.
+/// Insertion-order eviction would evict the *hottest* entry under churn.
 #[derive(Debug, Default)]
 pub(crate) struct VerdictCache {
     map: HashMap<VerdictKey, (u64, CachedVerdict)>,
-    /// Every entry's stamp and key, oldest first.
-    recency: BTreeMap<u64, VerdictKey>,
+    victims: Victims<VerdictKey>,
     cap: usize,
     /// Monotonic recency clock; bumped on every hit and insert.
     clock: u64,
@@ -279,8 +279,6 @@ impl VerdictCache {
         match self.map.get_mut(&key) {
             Some((stamp, verdict)) if verdict.source == source => {
                 self.clock += 1;
-                self.recency.remove(stamp);
-                self.recency.insert(self.clock, key);
                 *stamp = self.clock;
                 self.hits += 1;
                 Some(verdict)
@@ -294,10 +292,7 @@ impl VerdictCache {
 
     pub(crate) fn insert(&mut self, key: VerdictKey, verdict: CachedVerdict) {
         self.clock += 1;
-        if let Some((old, _)) = self.map.insert(key, (self.clock, verdict)) {
-            self.recency.remove(&old);
-        }
-        self.recency.insert(self.clock, key);
+        self.map.insert(key, (self.clock, verdict));
         self.evict_past_cap();
     }
 
@@ -311,8 +306,12 @@ impl VerdictCache {
     /// deterministic).
     fn evict_past_cap(&mut self) {
         while self.map.len() > self.cap {
-            let (_, lru) = self.recency.pop_first().expect("an over-cap cache is non-empty");
-            self.map.remove(&lru);
+            let map = &self.map;
+            let lru = self.victims.pop(
+                |key| map.get(key).map(|(stamp, _)| *stamp),
+                || map.iter().map(|(key, (stamp, _))| (*stamp, *key)),
+            );
+            self.map.remove(&lru.expect("an over-cap cache is non-empty"));
         }
     }
 }
@@ -382,8 +381,8 @@ mod tests {
         }
     }
 
-    /// The recency index evicts exactly what a scan for the smallest
-    /// stamp did: after every insert, a cache driven through hits,
+    /// The victim list evicts exactly what a scan for the smallest stamp
+    /// did: after every insert, a cache driven through hits,
     /// colliding lookups, re-inserts and cap changes holds the same keys
     /// as that scan run over the same operations.
     #[test]
@@ -403,7 +402,7 @@ mod tests {
             rng ^= rng << 13;
             rng ^= rng >> 7;
             rng ^= rng << 17;
-            let key = VerdictKey { content: rng % 24, cell: (rng >> 8) as usize % 2 };
+            let key = VerdictKey { content: rng % 48, cell: (rng >> 8) as usize % 2 };
             let body = format!("body {}", (rng >> 16) % 3);
             match (rng >> 24) % 8 {
                 0..=3 => {
@@ -427,7 +426,7 @@ mod tests {
                     model.insert(key, (clock, body));
                 }
                 _ => {
-                    cap = 1 + (rng >> 32) as usize % 12;
+                    cap = 1 + (rng >> 32) as usize % 40;
                     cache.set_cap(cap);
                 }
             }
@@ -437,7 +436,6 @@ mod tests {
             held.sort_by_key(|&(_, stamp)| stamp);
             expected.sort_by_key(|&(_, stamp)| stamp);
             assert_eq!(held, expected, "step {step}");
-            assert_eq!(cache.recency.len(), cache.map.len(), "step {step}");
         }
     }
 

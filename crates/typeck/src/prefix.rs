@@ -56,10 +56,11 @@
 //! so a stream of programs that are all new stores nothing. Like the
 //! memo, it holds no interner ids and carries across refreezes.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use p4bid_ast::hash;
+use p4bid_ast::lru::Victims;
 use p4bid_ast::span::Span;
 use p4bid_syntax::{ByteItem, ItemHead};
 
@@ -150,8 +151,8 @@ pub(crate) fn sighting_slots(cap: usize) -> usize {
 const SIGHTING_WAYS: usize = 4;
 
 /// Bounded store of recorded controls with touch-on-hit LRU eviction
-/// (a stamp-ordered index beside the map, like the serve verdict cache,
-/// so a touch and an eviction each cost O(log n)), plus the sighting table
+/// (a stamp store per hit and a [`Victims`] list, like the serve verdict
+/// cache), plus the sighting table
 /// that gates what is worth recording. A cap of zero disables both, and
 /// the session then never consults the guide table either.
 #[derive(Debug)]
@@ -159,8 +160,7 @@ pub(crate) struct ItemMemo {
     cap: usize,
     clock: u64,
     map: HashMap<u64, Entry>,
-    /// Every entry's stamp and key, oldest first.
-    recency: BTreeMap<u64, u64>,
+    victims: Victims<u64>,
     /// Sighted keys in buckets of `SIGHTING_WAYS`, newest first; empty
     /// until the first sighting. A zero slot reads as a sighting of key
     /// 0, which at worst records one control a submission early.
@@ -175,7 +175,7 @@ impl ItemMemo {
             cap,
             clock: 0,
             map: HashMap::new(),
-            recency: BTreeMap::new(),
+            victims: Victims::default(),
             sighted: Vec::new(),
             guides: GuideTable::default(),
         }
@@ -219,8 +219,6 @@ impl ItemMemo {
         if *entry.bytes != *bytes || entry.state[..entry.state_len as usize] != *state {
             return None;
         }
-        self.recency.remove(&entry.stamp);
-        self.recency.insert(self.clock, key);
         entry.stamp = self.clock;
         Some(
             entry
@@ -262,13 +260,8 @@ impl ItemMemo {
                 .collect(),
             stamp: self.clock,
         };
-        self.recency.insert(self.clock, key);
-        match self.map.insert(key, entry) {
-            Some(old) => {
-                self.recency.remove(&old.stamp);
-            }
-            None if self.map.len() > self.cap => self.evict_lru(),
-            None => {}
+        if self.map.insert(key, entry).is_none() && self.map.len() > self.cap {
+            self.evict_lru();
         }
         true
     }
@@ -284,7 +277,12 @@ impl ItemMemo {
     }
 
     fn evict_lru(&mut self) {
-        if let Some((_, key)) = self.recency.pop_first() {
+        let map = &self.map;
+        let oldest = self.victims.pop(
+            |key| map.get(key).map(|e| e.stamp),
+            || map.iter().map(|(key, e)| (e.stamp, *key)),
+        );
+        if let Some(key) = oldest {
             self.map.remove(&key);
         }
     }
@@ -464,13 +462,13 @@ mod tests {
         assert!(m.probe(3, STATE, "c", 0).is_some());
     }
 
-    /// The recency index evicts exactly what a scan for the smallest
-    /// stamp did: after every record, a memo driven through hits,
+    /// The victim list evicts exactly what a scan for the smallest stamp
+    /// did: after every record, a memo driven through hits,
     /// mismatched probes and re-records holds the same keys as that scan
     /// run over the same operations.
     #[test]
     fn eviction_matches_the_minimum_stamp_scan() {
-        let cap = 6;
+        let cap = 24;
         let mut m = ItemMemo::new(cap);
         // The reference: key -> (stamp, bytes), evicting by a full scan.
         let mut model: HashMap<u64, (u64, String)> = HashMap::new();
@@ -480,7 +478,7 @@ mod tests {
             rng ^= rng << 13;
             rng ^= rng >> 7;
             rng ^= rng << 17;
-            let key = rng % 20;
+            let key = rng % 64;
             let bytes = format!("b{}", (rng >> 8) % 3);
             clock += 1;
             if (rng >> 16) & 1 == 0 {
@@ -505,7 +503,6 @@ mod tests {
             held.sort_unstable();
             expected.sort_unstable();
             assert_eq!(held, expected, "step {step}");
-            assert_eq!(m.recency.len(), m.map.len(), "step {step}");
         }
     }
 
