@@ -21,9 +21,7 @@
 //! * [`hash`] — the workspace's two 64-bit hashes: FNV-1a, for hashes
 //!   that decide alone or whose values are pinned, and a word-at-a-time
 //!   content hash for locators whose every hit is re-verified (the verdict
-//!   cache and the item memo);
-//! * [`lru`] — exact least-recently-used victims for those two, without a
-//!   scan per eviction.
+//!   cache and the item memo).
 //!
 //! # Examples
 //!
@@ -45,7 +43,6 @@
 
 pub mod hash;
 pub mod intern;
-pub mod lru;
 pub mod pool;
 pub mod pretty;
 pub mod sectype;

@@ -22,7 +22,6 @@
 use crate::batch::{
     run_batch, BatchDiagnostic, BatchInput, BatchReport, BatchStats, ProgramReport,
 };
-use p4bid_ast::lru::Victims;
 use p4bid_typeck::{CheckOptions, DiagCode, SessionHarvest, SharedSessionCore};
 use std::collections::HashMap;
 
@@ -244,14 +243,12 @@ pub(crate) struct CachedVerdict {
 /// A bounded verdict cache with least-recently-used eviction and hit/miss
 /// counters. `cap == 0` disables it.
 ///
-/// Recency is a monotonic stamp per entry, refreshed on hit: one store on
-/// the hit path, and evictions take the smallest stamp from a
-/// [`Victims`] list, one scan per eighth of the entries evicted.
-/// Insertion-order eviction would evict the *hottest* entry under churn.
+/// Recency is a monotonic stamp per entry, refreshed on hit: O(1) on the
+/// hit path, with an O(n) minimum scan only on eviction. Insertion-order
+/// eviction would evict the *hottest* entry under churn.
 #[derive(Debug, Default)]
 pub(crate) struct VerdictCache {
     map: HashMap<VerdictKey, (u64, CachedVerdict)>,
-    victims: Victims<VerdictKey>,
     cap: usize,
     /// Monotonic recency clock; bumped on every hit and insert.
     clock: u64,
@@ -306,11 +303,7 @@ impl VerdictCache {
     /// deterministic).
     fn evict_past_cap(&mut self) {
         while self.map.len() > self.cap {
-            let map = &self.map;
-            let lru = self.victims.pop(
-                |key| map.get(key).map(|(stamp, _)| *stamp),
-                || map.iter().map(|(key, (stamp, _))| (*stamp, *key)),
-            );
+            let lru = self.map.iter().min_by_key(|(_, (stamp, _))| *stamp).map(|(k, _)| *k);
             self.map.remove(&lru.expect("an over-cap cache is non-empty"));
         }
     }
@@ -378,64 +371,6 @@ mod tests {
             };
             assert_eq!(counts(), (2, 2, 0, 2), "{field}: one body, two keys");
             assert_eq!(counts(), (0, 2, 2, 2), "{field}: each cell answers its own");
-        }
-    }
-
-    /// The victim list evicts exactly what a scan for the smallest stamp
-    /// did: after every insert, a cache driven through hits,
-    /// colliding lookups, re-inserts and cap changes holds the same keys
-    /// as that scan run over the same operations.
-    #[test]
-    fn eviction_matches_the_minimum_stamp_scan() {
-        let mut cache = VerdictCache::new(8);
-        // The reference: key -> (stamp, body), evicting by a full scan.
-        let mut model: HashMap<VerdictKey, (u64, String)> = HashMap::new();
-        let (mut cap, mut clock) = (8usize, 0u64);
-        let evict = |model: &mut HashMap<VerdictKey, (u64, String)>, cap: usize| {
-            while model.len() > cap {
-                let lru = model.iter().min_by_key(|(_, (stamp, _))| *stamp).map(|(k, _)| *k);
-                model.remove(&lru.unwrap());
-            }
-        };
-        let mut rng = 0x2545_f491_4f6c_dd1du64;
-        for step in 0..20_000 {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            let key = VerdictKey { content: rng % 48, cell: (rng >> 8) as usize % 2 };
-            let body = format!("body {}", (rng >> 16) % 3);
-            match (rng >> 24) % 8 {
-                0..=3 => {
-                    let hit = cache.lookup(key, &body).is_some();
-                    let expected = match model.get_mut(&key) {
-                        Some((stamp, stored)) if *stored == body => {
-                            clock += 1;
-                            *stamp = clock;
-                            true
-                        }
-                        _ => false,
-                    };
-                    assert_eq!(hit, expected, "step {step}");
-                    continue;
-                }
-                4..=6 => {
-                    let verdict =
-                        CachedVerdict { source: body.clone(), accepted: true, diagnostics: vec![] };
-                    cache.insert(key, verdict);
-                    clock += 1;
-                    model.insert(key, (clock, body));
-                }
-                _ => {
-                    cap = 1 + (rng >> 32) as usize % 40;
-                    cache.set_cap(cap);
-                }
-            }
-            evict(&mut model, cap);
-            let mut held: Vec<_> = cache.map.iter().map(|(k, (stamp, _))| (*k, *stamp)).collect();
-            let mut expected: Vec<_> = model.iter().map(|(k, (stamp, _))| (*k, *stamp)).collect();
-            held.sort_by_key(|&(_, stamp)| stamp);
-            expected.sort_by_key(|&(_, stamp)| stamp);
-            assert_eq!(held, expected, "step {step}");
         }
     }
 

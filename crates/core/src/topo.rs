@@ -36,10 +36,9 @@
 //! [`TopoManifest::parse`] validates the manifest once, into a shared
 //! layout (boundary lattice, resolved labels, links as switch indices);
 //! a [`Topology`] is that layout plus its program sources, so resolving
-//! again only loads programs. [`TopoEngine::set_topology`] compares only
-//! sources when the two layouts are one or equal. The engine's memo and
-//! every report share each verdict through an `Arc`, and
-//! [`TopoReport::to_json`] writes the whole document into one buffer.
+//! again only loads programs. The engine's memo and every report share
+//! each verdict through an `Arc`, and [`TopoReport::to_json`] writes the
+//! whole document into one buffer.
 //!
 //! # Examples
 //!
@@ -350,7 +349,7 @@ fn parse_endpoint(s: &str) -> Result<(String, String), String> {
 /// One switch of a [`Topology`]: its declaration with the boundary labels
 /// resolved against the boundary lattice. Its program source is
 /// [`Topology::sources`] at the same index.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct TopoSwitch {
     /// Switch name.
     pub name: String,
@@ -369,7 +368,7 @@ pub struct TopoSwitch {
 }
 
 /// One directed link of a resolved [`Topology`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct TopoLink {
     /// Upstream switch index.
     pub from: usize,
@@ -386,7 +385,7 @@ pub struct TopoLink {
 /// A manifest's validated structure: the boundary lattice, the switches
 /// with their labels resolved, and the links with their endpoints as
 /// switch indices. Everything in a topology except its sources.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug)]
 struct Layout {
     lattice: Lattice,
     switches: Vec<TopoSwitch>,
@@ -804,19 +803,11 @@ impl TopoEngine {
     /// topology) — unchanged switches stay cache hits. A switch keeps its
     /// memo slot only if its name, source, `pc`, `declassify` and `lattice`
     /// override are all unchanged; a new switch count or boundary lattice
-    /// clears every slot. When both topologies share one layout (resolved
-    /// from one manifest) or have equal layouts (a re-parsed manifest),
-    /// only the sources are compared.
+    /// clears every slot.
     pub fn set_topology(&mut self, topo: Topology) {
         self.engine.set_cache_cap(cache_bound(&topo));
         let (old, new) = (&self.topo, &topo);
-        if Arc::ptr_eq(&old.layout, &new.layout) || old.layout == new.layout {
-            for ((slot, a), b) in self.memo.iter_mut().zip(&old.sources).zip(&new.sources) {
-                if a != b {
-                    *slot = None;
-                }
-            }
-        } else if new.sources.len() != old.sources.len() || new.lattice() != old.lattice() {
+        if new.sources.len() != old.sources.len() || new.lattice() != old.lattice() {
             self.memo = vec![None; new.sources.len()];
         } else {
             let (old_sw, new_sw) = (old.switches().iter(), new.switches().iter());

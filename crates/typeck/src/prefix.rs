@@ -60,7 +60,6 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use p4bid_ast::hash;
-use p4bid_ast::lru::Victims;
 use p4bid_ast::span::Span;
 use p4bid_syntax::{ByteItem, ItemHead};
 
@@ -151,8 +150,7 @@ pub(crate) fn sighting_slots(cap: usize) -> usize {
 const SIGHTING_WAYS: usize = 4;
 
 /// Bounded store of recorded controls with touch-on-hit LRU eviction
-/// (a stamp store per hit and a [`Victims`] list, like the serve verdict
-/// cache), plus the sighting table
+/// (O(n) min-scan, like the serve verdict cache), plus the sighting table
 /// that gates what is worth recording. A cap of zero disables both, and
 /// the session then never consults the guide table either.
 #[derive(Debug)]
@@ -160,7 +158,6 @@ pub(crate) struct ItemMemo {
     cap: usize,
     clock: u64,
     map: HashMap<u64, Entry>,
-    victims: Victims<u64>,
     /// Sighted keys in buckets of `SIGHTING_WAYS`, newest first; empty
     /// until the first sighting. A zero slot reads as a sighting of key
     /// 0, which at worst records one control a submission early.
@@ -175,7 +172,6 @@ impl ItemMemo {
             cap,
             clock: 0,
             map: HashMap::new(),
-            victims: Victims::default(),
             sighted: Vec::new(),
             guides: GuideTable::default(),
         }
@@ -277,11 +273,7 @@ impl ItemMemo {
     }
 
     fn evict_lru(&mut self) {
-        let map = &self.map;
-        let oldest = self.victims.pop(
-            |key| map.get(key).map(|e| e.stamp),
-            || map.iter().map(|(key, e)| (e.stamp, *key)),
-        );
+        let oldest = self.map.iter().min_by_key(|(_, e)| e.stamp).map(|(key, _)| *key);
         if let Some(key) = oldest {
             self.map.remove(&key);
         }
@@ -460,50 +452,6 @@ mod tests {
         assert!(m.probe(2, STATE, "b", 0).is_none(), "coldest entry was evicted");
         assert!(m.probe(1, STATE, "a", 0).is_some());
         assert!(m.probe(3, STATE, "c", 0).is_some());
-    }
-
-    /// The victim list evicts exactly what a scan for the smallest stamp
-    /// did: after every record, a memo driven through hits,
-    /// mismatched probes and re-records holds the same keys as that scan
-    /// run over the same operations.
-    #[test]
-    fn eviction_matches_the_minimum_stamp_scan() {
-        let cap = 24;
-        let mut m = ItemMemo::new(cap);
-        // The reference: key -> (stamp, bytes), evicting by a full scan.
-        let mut model: HashMap<u64, (u64, String)> = HashMap::new();
-        let mut clock = 0u64;
-        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
-        for step in 0..20_000 {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            let key = rng % 64;
-            let bytes = format!("b{}", (rng >> 8) % 3);
-            clock += 1;
-            if (rng >> 16) & 1 == 0 {
-                let hit = m.probe(key, STATE, &bytes, 0).is_some();
-                let expected = match model.get_mut(&key) {
-                    Some((stamp, stored)) if *stored == bytes => {
-                        *stamp = clock;
-                        true
-                    }
-                    _ => false,
-                };
-                assert_eq!(hit, expected, "step {step}");
-                continue;
-            }
-            assert!(record(&mut m, key, &bytes));
-            if model.insert(key, (clock, bytes)).is_none() && model.len() > cap {
-                let lru = model.iter().min_by_key(|(_, (stamp, _))| *stamp).map(|(k, _)| *k);
-                model.remove(&lru.unwrap());
-            }
-            let mut held: Vec<_> = m.map.iter().map(|(k, e)| (*k, e.stamp)).collect();
-            let mut expected: Vec<_> = model.iter().map(|(k, (stamp, _))| (*k, *stamp)).collect();
-            held.sort_unstable();
-            expected.sort_unstable();
-            assert_eq!(held, expected, "step {step}");
-        }
     }
 
     #[test]
