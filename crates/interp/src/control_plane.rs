@@ -164,7 +164,7 @@ impl ControlPlane {
     /// configured/declared default on a miss (`None` if the table has no
     /// default at all — the caller then runs nothing, like `NoAction`).
     #[must_use]
-    pub fn lookup(&self, table: &str, keys: &[Value]) -> Option<(String, Vec<Value>)> {
+    pub fn lookup(&self, table: &str, keys: &[Value]) -> Option<(&str, &[Value])> {
         let config = self.tables.get(table);
         if let Some(config) = config {
             let mut best: Option<(usize, &TableEntry)> = None;
@@ -188,10 +188,10 @@ impl ControlPlane {
                 }
             }
             if let Some((_, e)) = best {
-                return Some((e.action.clone(), e.args.clone()));
+                return Some((&e.action, &e.args));
             }
             if let Some((name, args)) = &config.default_action {
-                return Some((name.clone(), args.clone()));
+                return Some((name, args));
             }
         }
         None

@@ -14,12 +14,30 @@
 //! against the control plane, and the three control-flow signals
 //! `cont` / `return val` / `exit`.
 //!
+//! Execution is split in two. [`Interp::prepare`] runs the declaration
+//! judgements of a control once: it resolves every declaration's types
+//! and names (a `Decl`), declares the global functions and actions,
+//! allocates the parameter cells and declares the control's own
+//! declarations, giving a [`PreparedControl`] image of μ and ε.
+//! [`PreparedControl::run`] clones the image, writes the packet into the
+//! parameter cells, replays what could not be declared ahead, and
+//! evaluates `apply` on a fresh `Machine`, the evaluator of one
+//! execution. What is replayed is the first control-level `var` with an
+//! initializer and every declaration after it: the initializer reads the
+//! packet and may allocate (a function it calls may declare a local on
+//! one branch only), so the locations of what follows it are known only
+//! at run time. Replaying keeps the from-scratch allocation order, and
+//! since declarations burn no fuel while initializers burn exactly what
+//! they always did, every run's outcome, error and fuel use are those of
+//! an unprepared execution.
+//!
 //! Names are resolved against the typed program's shared interner: the
 //! per-occurrence cost of a variable or field access is one interner probe
 //! (a hash of the string) followed by symbol-indexed lookups; values,
 //! environments, and l-value paths are all keyed by [`Symbol`]. String
-//! comparison survives only at the control-plane boundary (table/action
-//! names arriving from the controller) and in diagnostics.
+//! comparison survives only at the control-plane boundary (the action
+//! name a controller's entry names is compared with the table's declared
+//! names, with no interner probe) and in diagnostics.
 //!
 //! Out-of-bounds stack reads produce the deterministic `havoc(τ)` (a
 //! zeroed value of the element shape) and out-of-bounds writes are no-ops,
@@ -28,11 +46,11 @@
 
 use crate::control_plane::ControlPlane;
 use crate::store::{Env, Loc, Store};
-use crate::value::{eval_binop, eval_unop, Closure, TableValue, Value};
+use crate::value::{eval_binop, eval_unop, Closure, TableAction, TableValue, Value};
 use p4bid_ast::intern::Symbol;
 use p4bid_ast::sectype::{FnParam, SecTy};
 use p4bid_ast::surface::*;
-use p4bid_typeck::TypedProgram;
+use p4bid_typeck::{TypedControl, TypedProgram};
 use std::error::Error;
 use std::fmt;
 use std::rc::Rc;
@@ -132,7 +150,8 @@ impl ControlOutcome {
 }
 
 /// Runs a control block of a typechecked program on the given parameter
-/// values, under the given control plane.
+/// values, under the given control plane: one [`Interp::prepare`] and one
+/// [`PreparedControl::run`].
 ///
 /// # Errors
 ///
@@ -202,7 +221,8 @@ enum PreArg {
     Lv(LValueRef, Value),
 }
 
-/// The interpreter state: the store μ plus the ambient `C` and Δ.
+/// The ambient `C` and Δ of an execution, plus its fuel budget: the
+/// builder that prepares controls.
 ///
 /// The shared [`TyCtx`](p4bid_ast::pool::TyCtx) of the typed program is
 /// borrowed per leaf operation and never across an evaluation step, so
@@ -211,7 +231,6 @@ enum PreArg {
 pub struct Interp<'a> {
     typed: &'a TypedProgram,
     cp: &'a ControlPlane,
-    store: Store,
     fuel: u64,
 }
 
@@ -219,16 +238,228 @@ impl<'a> Interp<'a> {
     /// Creates an interpreter with [`DEFAULT_FUEL`].
     #[must_use]
     pub fn new(typed: &'a TypedProgram, cp: &'a ControlPlane) -> Self {
-        Interp { typed, cp, store: Store::new(), fuel: DEFAULT_FUEL }
+        Interp { typed, cp, fuel: DEFAULT_FUEL }
     }
 
-    /// Replaces the fuel budget.
+    /// Replaces the fuel budget of every run.
     #[must_use]
     pub fn with_fuel(mut self, fuel: u64) -> Self {
         self.fuel = fuel;
         self
     }
 
+    /// Prepares a control block for any number of runs: looks it up,
+    /// declares the top-level functions and actions, allocates the
+    /// parameter cells and declares the control's own declarations into a
+    /// store-and-environment image (see [`PreparedControl`]).
+    ///
+    /// # Errors
+    ///
+    /// [`EvalError::UnknownControl`] when the program has no such control;
+    /// `Internal` if a declaration's type does not resolve (unreachable on
+    /// typechecked programs).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use p4bid_typeck::{check_source, CheckOptions};
+    /// use p4bid_interp::{ControlPlane, Interp, Value};
+    ///
+    /// let typed = check_source(
+    ///     "control Inc(inout bit<8> x) { apply { x = x + 8w1; } }",
+    ///     &CheckOptions::ifc(),
+    /// ).unwrap();
+    /// let cp = ControlPlane::new();
+    /// let inc = Interp::new(&typed, &cp).prepare("Inc").unwrap();
+    /// for v in [0, 41, 255] {
+    ///     let out = inc.run(&[Value::bit(8, v)]).unwrap();
+    ///     assert_eq!(out.param("x"), Some(&Value::bit(8, (v + 1) % 256)));
+    /// }
+    /// ```
+    pub fn prepare(&self, control: &str) -> Result<PreparedControl<'a>, EvalError> {
+        let typed = self.typed;
+        let unknown = || EvalError::UnknownControl(control.to_string());
+        let decl = typed.program.controls().find(|c| c.name.node == control).ok_or_else(unknown)?;
+        let ctrl = typed.control(control).ok_or_else(unknown)?;
+        let mut m = Machine { typed, cp: self.cp, store: Store::new(), fuel: self.fuel };
+
+        // Global scope: prelude and top-level functions/actions.
+        let mut env = Env::new();
+        for item in typed.program.items() {
+            let d = match item {
+                Item::Function(f) => m.function_decl(f)?,
+                Item::Action(a) => m.action_decl(a)?,
+                _ => continue,
+            };
+            m.declare(&mut env, &d)?;
+        }
+
+        // The parameter cells; each run writes its packet into them.
+        let mut params = Vec::with_capacity(ctrl.params.len());
+        for param in &ctrl.params {
+            let loc = m.store.alloc(Value::Unit);
+            env.bind(param.sym, loc);
+            params.push(loc);
+        }
+
+        // Control-body declarations, in order. The first `var` with an
+        // initializer, and everything after it, is left for each run.
+        let mut replay = Vec::new();
+        for d in &decl.decls {
+            let d = match d {
+                CtrlDecl::Var(v) => Decl::Var {
+                    sym: m.intern(&v.name.node),
+                    ty: m.resolve(&v.ty)?,
+                    init: v.init.as_ref(),
+                },
+                CtrlDecl::Action(a) => m.action_decl(a)?,
+                CtrlDecl::Function(f) => m.function_decl(f)?,
+                CtrlDecl::Table(t) => m.table_decl(t),
+            };
+            if replay.is_empty() && !matches!(d, Decl::Var { init: Some(_), .. }) {
+                m.declare(&mut env, &d)?;
+            } else {
+                replay.push(d);
+            }
+        }
+
+        Ok(PreparedControl {
+            typed,
+            cp: self.cp,
+            fuel: self.fuel,
+            ctrl,
+            apply: &decl.apply,
+            store: m.store,
+            env,
+            params,
+            replay,
+        })
+    }
+
+    /// Runs a control block once; see [`run_control`].
+    ///
+    /// # Errors
+    ///
+    /// See [`EvalError`].
+    pub fn run_control(
+        &self,
+        control: &str,
+        args: Vec<Value>,
+    ) -> Result<ControlOutcome, EvalError> {
+        self.prepare(control)?.run(&args)
+    }
+}
+
+/// A control block ready to run: the store μ and environment ε as they
+/// stand once its declarations are made, plus whatever must be redone on
+/// every run.
+///
+/// [`run`](Self::run) clones the image (closures and tables are `Rc`
+/// bumps), writes the coerced arguments into the parameter cells, replays
+/// the declarations that could not be made ahead, and evaluates `apply`.
+/// A control-level `var` with an initializer has to be evaluated on each
+/// run, and evaluating it may allocate, so it and every declaration after
+/// it are replayed, in order, from their pre-resolved parts. Locations are
+/// therefore allocated in the same order as a from-scratch execution, and
+/// since declarations burn no fuel, each run has the full budget.
+pub struct PreparedControl<'a> {
+    typed: &'a TypedProgram,
+    cp: &'a ControlPlane,
+    fuel: u64,
+    ctrl: &'a TypedControl,
+    apply: &'a [Stmt],
+    /// μ after the prepared declarations; the parameter cells hold `Unit`.
+    store: Store,
+    /// ε after the prepared declarations.
+    env: Env,
+    /// The parameter cells, in declaration order.
+    params: Vec<Loc>,
+    /// The declarations each run makes, in order.
+    replay: Vec<Decl<'a>>,
+}
+
+impl<'a> PreparedControl<'a> {
+    /// The checked control this image runs.
+    #[must_use]
+    pub fn control(&self) -> &'a TypedControl {
+        self.ctrl
+    }
+
+    /// Runs the control on the given parameter values.
+    ///
+    /// # Errors
+    ///
+    /// See [`EvalError`]; [`EvalError::ArgCount`] when `args` does not
+    /// match the control's parameters.
+    pub fn run(&self, args: &[Value]) -> Result<ControlOutcome, EvalError> {
+        if args.len() != self.params.len() {
+            return Err(EvalError::ArgCount { expected: self.params.len(), got: args.len() });
+        }
+        let mut m =
+            Machine { typed: self.typed, cp: self.cp, store: self.store.clone(), fuel: self.fuel };
+
+        // Copy the packet into the parameter cells.
+        for ((param, &loc), arg) in self.ctrl.params.iter().zip(&self.params).zip(args) {
+            let v = m.coerce(arg.clone(), param.ty);
+            m.store.write(loc, v);
+        }
+
+        let mut env = self.env.clone();
+        for d in &self.replay {
+            m.declare(&mut env, d)?;
+        }
+
+        // The apply block.
+        let mut exited = false;
+        for s in self.apply {
+            match m.eval_stmt(&mut env, s) {
+                Ok(Signal::Cont) => {}
+                Ok(Signal::Exit) | Err(Interrupt::Exit) => {
+                    exited = true;
+                    break;
+                }
+                Ok(Signal::Return(_)) => {
+                    return Err(EvalError::Internal(
+                        "`return` escaped to the control level".into(),
+                    ));
+                }
+                Err(Interrupt::Fail(e)) => return Err(e),
+            }
+        }
+
+        let params = self
+            .ctrl
+            .params
+            .iter()
+            .zip(&self.params)
+            .map(|(param, &loc)| (param.name.clone(), m.store.read(loc).clone()))
+            .collect();
+        Ok(ControlOutcome { params, exited })
+    }
+}
+
+/// A declaration with its names interned and its types resolved: what
+/// [`Machine::declare`] binds. Closures and tables are held without their
+/// environment, which is captured at the point of declaration.
+enum Decl<'a> {
+    /// A `var`; the initializer, if any, is evaluated at declaration.
+    Var { sym: Symbol, ty: SecTy, init: Option<&'a Expr> },
+    /// A function or action.
+    Closure(Symbol, Closure),
+    /// A table.
+    Table(Symbol, TableValue),
+}
+
+/// One execution in progress: the store μ, the ambient `C` and Δ, and the
+/// remaining fuel.
+struct Machine<'a> {
+    typed: &'a TypedProgram,
+    cp: &'a ControlPlane,
+    store: Store,
+    fuel: u64,
+}
+
+impl Machine<'_> {
     fn burn(&mut self) -> Result<(), EvalError> {
         if self.fuel == 0 {
             return Err(EvalError::FuelExhausted);
@@ -281,7 +512,7 @@ impl<'a> Interp<'a> {
         &self,
         params: &[Param],
         is_action: bool,
-    ) -> Result<Vec<FnParam>, EvalError> {
+    ) -> Result<Rc<[FnParam]>, EvalError> {
         params
             .iter()
             .map(|p| {
@@ -295,146 +526,38 @@ impl<'a> Interp<'a> {
             .collect()
     }
 
-    /// Runs a control block; see [`run_control`].
-    pub fn run_control(
-        &mut self,
-        control: &str,
-        args: Vec<Value>,
-    ) -> Result<ControlOutcome, EvalError> {
-        let decl = self
-            .typed
-            .program
-            .controls()
-            .find(|c| c.name.node == control)
-            .ok_or_else(|| EvalError::UnknownControl(control.to_string()))?;
-        let typed_ctrl = self
-            .typed
-            .control(control)
-            .ok_or_else(|| EvalError::UnknownControl(control.to_string()))?;
-        if args.len() != typed_ctrl.params.len() {
-            return Err(EvalError::ArgCount { expected: typed_ctrl.params.len(), got: args.len() });
-        }
-
-        // Global scope: prelude and top-level functions/actions.
-        let mut env = Env::new();
-        for item in self.typed.program.items() {
-            match item {
-                Item::Function(f) => self.declare_function(&mut env, f)?,
-                Item::Action(a) => self.declare_action(&mut env, a)?,
-                _ => {}
-            }
-        }
-
-        // Copy the packet into the parameter locations.
-        let mut param_locs = Vec::with_capacity(args.len());
-        for (param, arg) in typed_ctrl.params.iter().zip(args) {
-            let v = self.coerce(arg, param.ty);
-            let loc = self.store.alloc(v);
-            env.bind(param.sym, loc);
-            param_locs.push((param.name.clone(), loc));
-        }
-
-        // Control-body declarations, in order.
-        for d in &decl.decls {
-            match d {
-                CtrlDecl::Var(v) => self.declare_var(&mut env, v)?,
-                CtrlDecl::Action(a) => self.declare_action(&mut env, a)?,
-                CtrlDecl::Function(f) => self.declare_function(&mut env, f)?,
-                CtrlDecl::Table(t) => self.declare_table(&mut env, t)?,
-            }
-        }
-
-        // The apply block.
-        let mut exited = false;
-        let mut apply_env = env.clone();
-        for s in &decl.apply {
-            match self.eval_stmt(&mut apply_env, s) {
-                Ok(Signal::Cont) => {}
-                Ok(Signal::Exit) => {
-                    exited = true;
-                    break;
-                }
-                Ok(Signal::Return(_)) => {
-                    return Err(EvalError::Internal(
-                        "`return` escaped to the control level".into(),
-                    ));
-                }
-                Err(Interrupt::Exit) => {
-                    exited = true;
-                    break;
-                }
-                Err(Interrupt::Fail(e)) => return Err(e),
-            }
-        }
-
-        let params = param_locs
-            .into_iter()
-            .map(|(name, loc)| (name, self.store.read(loc).clone()))
-            .collect();
-        Ok(ControlOutcome { params, exited })
-    }
-
     // ------------------------------------------------------------------
     // Declarations
     // ------------------------------------------------------------------
 
-    fn declare_var(&mut self, env: &mut Env, v: &VarDecl) -> Result<(), EvalError> {
-        let ty = self.resolve(&v.ty)?;
-        let value = match &v.init {
-            None => self.init_value(ty),
-            Some(init) => {
-                let val = match self.eval_expr(env, init) {
-                    Ok(v) => v,
-                    Err(Interrupt::Fail(e)) => return Err(e),
-                    Err(Interrupt::Exit) => {
-                        return Err(EvalError::Internal(
-                            "`exit` during variable initialization".into(),
-                        ));
-                    }
-                };
-                self.coerce(val, ty)
-            }
-        };
-        let loc = self.store.alloc(value);
-        env.bind(self.intern(&v.name.node), loc);
-        Ok(())
-    }
-
-    fn declare_action(&mut self, env: &mut Env, a: &ActionDecl) -> Result<(), EvalError> {
-        let params = self.resolve_fn_params(&a.params, true)?;
+    fn action_decl(&self, a: &ActionDecl) -> Result<Decl<'static>, EvalError> {
         let clos = Closure {
-            name: a.name.node.clone(),
-            env: env.clone(),
-            params,
+            name: a.name.node.as_str().into(),
+            env: Env::new(),
+            params: self.resolve_fn_params(&a.params, true)?,
             ret: SecTy::unit(&self.typed.lattice),
-            body: Rc::new(a.body.clone()),
+            body: a.body.as_slice().into(),
             is_action: true,
         };
-        let loc = self.store.alloc(Value::Closure(Rc::new(clos)));
-        env.bind(self.intern(&a.name.node), loc);
-        Ok(())
+        Ok(Decl::Closure(self.intern(&a.name.node), clos))
     }
 
-    fn declare_function(&mut self, env: &mut Env, f: &FunctionDecl) -> Result<(), EvalError> {
-        let params = self.resolve_fn_params(&f.params, false)?;
-        let ret = self.resolve(&f.ret)?;
+    fn function_decl(&self, f: &FunctionDecl) -> Result<Decl<'static>, EvalError> {
         let clos = Closure {
-            name: f.name.node.clone(),
-            env: env.clone(),
-            params,
-            ret,
-            body: Rc::new(f.body.clone()),
+            name: f.name.node.as_str().into(),
+            env: Env::new(),
+            params: self.resolve_fn_params(&f.params, false)?,
+            ret: self.resolve(&f.ret)?,
+            body: f.body.as_slice().into(),
             is_action: false,
         };
-        let loc = self.store.alloc(Value::Closure(Rc::new(clos)));
-        env.bind(self.intern(&f.name.node), loc);
-        Ok(())
+        Ok(Decl::Closure(self.intern(&f.name.node), clos))
     }
 
-    fn declare_table(&mut self, env: &mut Env, t: &TableDecl) -> Result<(), EvalError> {
+    fn table_decl(&self, t: &TableDecl) -> Decl<'static> {
         let tv = TableValue {
-            name: t.name.node.clone(),
-            env: env.clone(),
+            name: t.name.node.as_str().into(),
+            env: Env::new(),
             keys: t
                 .keys
                 .iter()
@@ -443,12 +566,48 @@ impl<'a> Interp<'a> {
             actions: t
                 .actions
                 .iter()
-                .map(|a| (self.intern(&a.name.node), a.args.clone()))
+                .map(|a| TableAction {
+                    name: a.name.node.as_str().into(),
+                    sym: self.intern(&a.name.node),
+                    args: a.args.clone(),
+                })
                 .collect(),
             default_action: t.default_action.as_ref().map(|d| self.intern(&d.node)),
         };
-        let loc = self.store.alloc(Value::Table(Rc::new(tv)));
-        env.bind(self.intern(&t.name.node), loc);
+        Decl::Table(self.intern(&t.name.node), tv)
+    }
+
+    /// Makes a declaration: evaluates a `var`'s initial value or captures
+    /// the current environment in a closure or table, allocates its
+    /// location and binds the name.
+    fn declare(&mut self, env: &mut Env, d: &Decl<'_>) -> Result<(), EvalError> {
+        let (sym, value) = match d {
+            Decl::Var { sym, ty, init } => {
+                let value = match init {
+                    None => self.init_value(*ty),
+                    Some(init) => match self.eval_expr(env, init) {
+                        Ok(v) => self.coerce(v, *ty),
+                        Err(Interrupt::Fail(e)) => return Err(e),
+                        Err(Interrupt::Exit) => {
+                            return Err(EvalError::Internal(
+                                "`exit` during variable initialization".into(),
+                            ));
+                        }
+                    },
+                };
+                (*sym, value)
+            }
+            Decl::Closure(sym, template) => {
+                let clos = Closure { env: env.clone(), ..template.clone() };
+                (*sym, Value::Closure(Rc::new(clos)))
+            }
+            Decl::Table(sym, template) => {
+                let tv = TableValue { env: env.clone(), ..template.clone() };
+                (*sym, Value::Table(Rc::new(tv)))
+            }
+        };
+        let loc = self.store.alloc(value);
+        env.bind(sym, loc);
         Ok(())
     }
 
@@ -460,7 +619,12 @@ impl<'a> Interp<'a> {
         self.burn()?;
         match &s.kind {
             StmtKind::VarDecl(v) => {
-                self.declare_var(env, v)?;
+                let d = Decl::Var {
+                    sym: self.intern(&v.name.node),
+                    ty: self.resolve(&v.ty)?,
+                    init: v.init.as_ref(),
+                };
+                self.declare(env, &d)?;
                 Ok(Signal::Cont)
             }
             StmtKind::Block(stmts) => {
@@ -515,7 +679,7 @@ impl<'a> Interp<'a> {
                         Ok(Signal::Cont)
                     }
                     Value::Closure(clos) => {
-                        self.call_closure(&clos, env, args, &[])?;
+                        self.call_closure(&clos, env, args, Vec::new())?;
                         Ok(Signal::Cont)
                     }
                     other => self.internal(format!("`{other}` is not callable")),
@@ -584,7 +748,7 @@ impl<'a> Interp<'a> {
             ExprKind::Call(callee, args) => {
                 let cv = self.eval_expr(env, callee)?;
                 match cv {
-                    Value::Closure(clos) => self.call_closure(&clos, env, args, &[]),
+                    Value::Closure(clos) => self.call_closure(&clos, env, args, Vec::new()),
                     other => self.internal(format!("`{other}` is not callable")),
                 }
             }
@@ -670,7 +834,7 @@ impl<'a> Interp<'a> {
         clos: &Closure,
         caller_env: &Env,
         args: &[Expr],
-        extra_values: &[Value],
+        extra_values: Vec<Value>,
     ) -> EResult<Value> {
         self.burn()?;
         let supplied = args.len() + extra_values.len();
@@ -697,9 +861,7 @@ impl<'a> Interp<'a> {
                 }
             }
         }
-        for v in extra_values {
-            preargs.push(PreArg::Val(v.clone()));
-        }
+        preargs.extend(extra_values.into_iter().map(PreArg::Val));
 
         // Bind parameters to fresh locations in the closure environment.
         let mut callee_env = clos.env.clone();
@@ -754,86 +916,69 @@ impl<'a> Interp<'a> {
 
     fn apply_table(&mut self, tv: &TableValue) -> EResult<()> {
         // Evaluate the keys in the table's captured environment.
-        let key_env = tv.env.clone();
         let mut keys = Vec::with_capacity(tv.keys.len());
-        for (expr, _kind) in &tv.keys {
-            keys.push(self.eval_expr(&key_env, expr)?);
+        for (expr, _kind) in tv.keys.iter() {
+            keys.push(self.eval_expr(&tv.env, expr)?);
         }
 
         // Ask the control plane; fall back to the declared default. The
-        // controller speaks strings — one interner probe converts its
-        // answer to a symbol, and everything after is symbol compares.
-        let matched = self.cp.lookup(&tv.name, &keys);
-        let (action_sym, cp_args, from_controller) = match matched {
-            Some((name, args)) => {
-                let Some(sym) = self.sym(&name) else {
-                    // A name the checker never interned cannot be one of
-                    // the table's declared actions.
-                    return Err(Interrupt::Fail(EvalError::UnknownEntryAction {
-                        table: tv.name.clone(),
-                        action: name,
-                    }));
-                };
-                (sym, args, true)
-            }
+        // controller speaks strings, compared with the declared action
+        // names; the invoked action must be one the table declared.
+        let unknown = |action: String| {
+            Interrupt::Fail(EvalError::UnknownEntryAction { table: tv.name.to_string(), action })
+        };
+        let (action, cp_args, from_controller) = match self.cp.lookup(&tv.name, &keys) {
+            Some((name, args)) => match tv.actions.iter().find(|a| *a.name == *name) {
+                Some(action) => (action, args, true),
+                None => return Err(unknown(name.to_string())),
+            },
             None => match tv.default_action {
-                Some(sym) => (sym, Vec::new(), false),
+                Some(sym) => match tv.actions.iter().find(|a| a.sym == sym) {
+                    Some(action) => (action, &[][..], false),
+                    None => return Err(unknown(self.sym_name(sym))),
+                },
                 None => return Ok(()), // no entry, no default: no-op
             },
         };
 
-        // The invoked action must be one the table declared.
-        let Some((_, bound_args)) = tv.actions.iter().find(|(n, _)| *n == action_sym) else {
-            return Err(Interrupt::Fail(EvalError::UnknownEntryAction {
-                table: tv.name.clone(),
-                action: self.sym_name(action_sym),
-            }));
-        };
-
-        let clos = match tv.env.lookup(action_sym) {
+        let clos = match tv.env.lookup(action.sym) {
             Some(loc) => match self.store.read(loc) {
                 Value::Closure(c) => Rc::clone(c),
                 other => {
-                    let msg = format!(
-                        "table action `{}` is `{other}`, not a closure",
-                        self.sym_name(action_sym)
-                    );
+                    let msg = format!("table action `{}` is `{other}`, not a closure", action.name);
                     return self.internal(msg);
                 }
             },
-            None => {
-                let msg = format!("table action `{}` not in scope", self.sym_name(action_sym));
-                return self.internal(msg);
-            }
+            None => return self.internal(format!("table action `{}` not in scope", action.name)),
         };
 
         // Control-plane arguments fill the directionless parameter suffix;
         // validate and coerce them (the paper assumes the controller
         // installs well-typed arguments — we enforce it).
-        let ctrl_params: Vec<&FnParam> = clos.params.iter().filter(|p| p.control_plane).collect();
+        let ctrl_params = || clos.params.iter().filter(|p| p.control_plane);
         let cp_args = if from_controller || !cp_args.is_empty() {
-            if cp_args.len() != ctrl_params.len() {
+            let expected = ctrl_params().count();
+            if cp_args.len() != expected {
                 return Err(Interrupt::Fail(EvalError::EntryArgMismatch {
-                    table: tv.name.clone(),
-                    action: self.sym_name(action_sym),
+                    table: tv.name.to_string(),
+                    action: action.name.to_string(),
                     detail: format!(
-                        "expected {} control-plane argument(s), got {}",
-                        ctrl_params.len(),
+                        "expected {expected} control-plane argument(s), got {}",
                         cp_args.len()
                     ),
                 }));
             }
             let mut coerced = Vec::with_capacity(cp_args.len());
-            for (param, value) in ctrl_params.iter().zip(cp_args) {
-                let v = self.coerce(value, param.ty);
+            for (param, value) in ctrl_params().zip(cp_args) {
+                let v = self.coerce(value.clone(), param.ty);
                 let fits = {
                     let ctx = self.typed.ctx.borrow();
                     value_fits_kind(&v, ctx.types.kind(param.ty.ty))
                 };
                 if !fits {
                     return Err(Interrupt::Fail(EvalError::EntryArgMismatch {
-                        table: tv.name.clone(),
-                        action: self.sym_name(action_sym),
+                        table: tv.name.to_string(),
+                        action: action.name.to_string(),
                         detail: format!(
                             "argument `{}` does not fit parameter `{}`",
                             v.display_with(&self.typed.ctx.borrow().syms),
@@ -847,11 +992,10 @@ impl<'a> Interp<'a> {
         } else {
             // Declared default action run with zero-initialized
             // control-plane arguments.
-            ctrl_params.iter().map(|p| self.init_value(p.ty)).collect()
+            ctrl_params().map(|p| self.init_value(p.ty)).collect()
         };
 
-        let table_env = tv.env.clone();
-        self.call_closure(&clos, &table_env, bound_args, &cp_args)?;
+        self.call_closure(&clos, &tv.env, &action.args, cp_args)?;
         Ok(())
     }
 }

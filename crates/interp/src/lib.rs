@@ -13,9 +13,26 @@
 //! * [`Store`]/[`Env`] — the memory store μ and environment ε;
 //! * [`ControlPlane`] — installed table entries (`C`), with `exact`,
 //!   `lpm`, and `ternary` matching;
-//! * [`run_control`] — evaluates one control block on a packet
-//!   (copy-in/copy-out of the control parameters, signals, table
-//!   application).
+//! * [`Interp::prepare`] / [`PreparedControl::run`] — evaluate one
+//!   control block on packets (copy-in/copy-out of the control
+//!   parameters, signals, table application); [`run_control`] is one
+//!   prepare plus one run.
+//!
+//! # Prepare once, run many
+//!
+//! Preparing a control looks it up, declares the prelude and top-level
+//! functions and actions, allocates its parameter cells and declares its
+//! actions, functions and tables, all into one store-and-environment
+//! image. Each run clones that image (closures and tables are `Rc`
+//! bumps), writes the coerced packet into the parameter cells and
+//! evaluates `apply`. A control-level `var` with an initializer, and
+//! every declaration after it, is replayed on each run from pre-resolved
+//! parts, because evaluating the initializer depends on the packet and
+//! may allocate. Locations are therefore allocated in the same order as
+//! a from-scratch execution and declarations burn no fuel, so a run's
+//! outcome and fuel use are exactly those of a fresh [`run_control`].
+//! The non-interference harness prepares once per check and runs every
+//! pair on the one image.
 //!
 //! # Examples
 //!
@@ -47,6 +64,8 @@ pub mod store;
 pub mod value;
 
 pub use control_plane::{ControlPlane, KeyPattern, TableConfig, TableEntry};
-pub use eval::{run_control, ControlOutcome, EvalError, Interp, Signal, DEFAULT_FUEL};
+pub use eval::{
+    run_control, ControlOutcome, EvalError, Interp, PreparedControl, Signal, DEFAULT_FUEL,
+};
 pub use store::{Env, Loc, Store};
-pub use value::{Closure, TableValue, Value};
+pub use value::{Closure, TableAction, TableValue, Value};

@@ -60,42 +60,60 @@ pub enum Value {
 
 /// A function/action closure: the captured environment, the resolved
 /// parameter signature, and the body.
+///
+/// Everything but the environment is shared by `Rc`, so a prepared
+/// control's declarations are built once and each run that re-declares one
+/// (see [`PreparedControl`](crate::PreparedControl)) only captures a fresh
+/// environment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Closure {
-    /// Name, for diagnostics and control-plane action lookup.
-    pub name: String,
+    /// Name, for diagnostics.
+    pub name: Rc<str>,
     /// Environment captured at declaration (Core P4 closures).
     pub env: Env,
     /// Resolved parameters (direction + type + control-plane flag).
-    pub params: Vec<p4bid_ast::sectype::FnParam>,
+    pub params: Rc<[p4bid_ast::sectype::FnParam]>,
     /// Resolved return type.
     pub ret: SecTy,
-    /// Body statements (shared with the AST).
-    pub body: Rc<Vec<p4bid_ast::surface::Stmt>>,
+    /// Body statements.
+    pub body: Rc<[p4bid_ast::surface::Stmt]>,
     /// Whether this is an action.
     pub is_action: bool,
 }
 
 /// A table closure: captured environment, key expressions with their match
 /// kinds, and the candidate actions with their bound argument expressions.
-///
-/// Action names are interned: the per-packet "which action did the control
-/// plane pick" comparison is a symbol compare, with the single
-/// string-to-symbol probe at the control-plane boundary.
+/// The parts other than the environment are shared by `Rc`, as for
+/// [`Closure`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableValue {
     /// Table name (the control-plane configuration key; the control plane
     /// is a user-facing, string-keyed boundary).
-    pub name: String,
+    pub name: Rc<str>,
     /// Environment captured at declaration.
     pub env: Env,
     /// `(key expression, match kind)` pairs.
-    pub keys: Vec<(Expr, Symbol)>,
-    /// Candidate actions: `(name, bound data-plane argument expressions)`.
-    pub actions: Vec<(Symbol, Vec<Expr>)>,
+    pub keys: Rc<[(Expr, Symbol)]>,
+    /// Candidate actions, in declaration order.
+    pub actions: Rc<[TableAction]>,
     /// Default action name (must be one of `actions`); `NoAction`-like
     /// no-op when `None` and no control-plane default is configured.
     pub default_action: Option<Symbol>,
+}
+
+/// One candidate action of a table.
+///
+/// The name is kept in both forms: the control plane answers a lookup with
+/// a string, which is compared with `name` directly, and the interned
+/// `sym` finds the action's closure in the table's environment.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TableAction {
+    /// The action name as declared (and as the control plane spells it).
+    pub name: Rc<str>,
+    /// The interned action name.
+    pub sym: Symbol,
+    /// Bound data-plane argument expressions.
+    pub args: Vec<Expr>,
 }
 
 impl Value {

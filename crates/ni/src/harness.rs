@@ -14,9 +14,17 @@
 //! For programs accepted by the IFC checker the theorem says no difference
 //! can ever appear; for the seeded-buggy case-study variants the harness
 //! finds a concrete [`LeakWitness`] demonstrating the interference.
+//!
+//! A check prepares the control once ([`Interp::prepare`]) and runs both
+//! packets of every pair on that one image, as the sequence check does for
+//! every round; only `apply` (and any control-level `var` initializer) is
+//! evaluated per execution. A prepared run gives exactly the outcome of a
+//! fresh [`run_control`](p4bid_interp::run_control) (see the module docs of
+//! `p4bid_interp`), so the witnesses are the ones an unprepared harness
+//! would find.
 
 use crate::lowequiv::{observable_differences, random_value, scramble_unobservable, Difference};
-use p4bid_interp::{run_control, ControlOutcome, ControlPlane, EvalError, Value};
+use p4bid_interp::{ControlOutcome, ControlPlane, EvalError, Interp, PreparedControl, Value};
 use p4bid_lattice::{Label, Lattice};
 use p4bid_typeck::{TypedControl, TypedProgram};
 use rand::rngs::StdRng;
@@ -156,9 +164,8 @@ pub fn run_pair(
     args_a: Vec<Value>,
     args_b: Vec<Value>,
 ) -> Result<PairResult, EvalError> {
-    let ctrl =
-        typed.control(control).ok_or_else(|| EvalError::UnknownControl(control.to_string()))?;
-    let run = run_both(typed, cp, ctrl, observe, args_a, args_b)?;
+    let prepared = Interp::new(typed, cp).prepare(control)?;
+    let run = run_both(typed, &prepared, observe, &args_a, &args_b)?;
     Ok((run.differences, (run.a.exited, run.b.exited)))
 }
 
@@ -189,21 +196,21 @@ impl PairRun {
     }
 }
 
-/// Runs `ctrl` on both inputs of a pair and collects the observable
-/// differences of the outputs.
+/// Runs the prepared control on both inputs of a pair and collects the
+/// observable differences of the outputs.
 pub(crate) fn run_both(
     typed: &TypedProgram,
-    cp: &ControlPlane,
-    ctrl: &TypedControl,
+    prepared: &PreparedControl<'_>,
     observe: Label,
-    args_a: Vec<Value>,
-    args_b: Vec<Value>,
+    args_a: &[Value],
+    args_b: &[Value],
 ) -> Result<PairRun, EvalError> {
-    let a = run_control(typed, cp, &ctrl.name, args_a)?;
-    let b = run_control(typed, cp, &ctrl.name, args_b)?;
+    let a = prepared.run(args_a)?;
+    let b = prepared.run(args_b)?;
     let ctx = typed.ctx.borrow();
     let mut differences = Vec::new();
-    for (param, ((name, va), (_, vb))) in ctrl.params.iter().zip(a.params.iter().zip(&b.params)) {
+    let params = &prepared.control().params;
+    for (param, ((name, va), (_, vb))) in params.iter().zip(a.params.iter().zip(&b.params)) {
         for mut d in observable_differences(&ctx, &typed.lattice, observe, param.ty, va, vb) {
             d.path = if d.path.is_empty() { name.clone() } else { format!("{name}.{}", d.path) };
             differences.push(d);
@@ -254,9 +261,11 @@ pub fn check_non_interference(
     control: &str,
     config: &NiConfig,
 ) -> NiOutcome {
-    let Some(ctrl) = typed.control(control) else {
-        return NiOutcome::Error(EvalError::UnknownControl(control.to_string()));
+    let prepared = match Interp::new(typed, cp).prepare(control) {
+        Ok(p) => p,
+        Err(e) => return NiOutcome::Error(e),
     };
+    let ctrl = prepared.control();
     let observe = match observation_label(&typed.lattice, config.observe.as_deref()) {
         Ok(l) => l,
         Err(e) => return NiOutcome::Error(e),
@@ -264,7 +273,7 @@ pub fn check_non_interference(
     let mut rng = StdRng::seed_from_u64(config.seed);
     for run_index in 0..config.runs {
         let (args_a, args_b) = low_equivalent_pair(&mut rng, typed, ctrl, observe);
-        let run = match run_both(typed, cp, ctrl, observe, args_a.clone(), args_b.clone()) {
+        let run = match run_both(typed, &prepared, observe, &args_a, &args_b) {
             Ok(run) => run,
             Err(e) => return NiOutcome::Error(e),
         };

@@ -29,7 +29,7 @@
 
 use crate::harness::{low_equivalent_pair, observation_label, run_both, NiOutcome};
 use crate::lowequiv::scramble_unobservable;
-use p4bid_interp::{ControlOutcome, ControlPlane, EvalError, Value};
+use p4bid_interp::{ControlOutcome, ControlPlane, Interp, Value};
 use p4bid_typeck::TypedProgram;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -111,9 +111,11 @@ pub fn check_sequence_non_interference(
     control: &str,
     config: &SequenceConfig,
 ) -> NiOutcome {
-    let Some(ctrl) = typed.control(control) else {
-        return NiOutcome::Error(EvalError::UnknownControl(control.to_string()));
+    let prepared = match Interp::new(typed, cp).prepare(control) {
+        Ok(p) => p,
+        Err(e) => return NiOutcome::Error(e),
     };
+    let ctrl = prepared.control();
     let lat = &typed.lattice;
     let observe = match observation_label(lat, config.observe.as_deref()) {
         Ok(l) => l,
@@ -125,7 +127,7 @@ pub fn check_sequence_non_interference(
         let (mut args_a, mut args_b) = low_equivalent_pair(&mut rng, typed, ctrl, observe);
 
         for round in 0..config.rounds {
-            let run = match run_both(typed, cp, ctrl, observe, args_a.clone(), args_b.clone()) {
+            let run = match run_both(typed, &prepared, observe, &args_a, &args_b) {
                 Ok(run) => run,
                 Err(e) => return NiOutcome::Error(e),
             };
@@ -159,6 +161,7 @@ pub fn check_sequence_non_interference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p4bid_interp::EvalError;
     use p4bid_typeck::{check_source, CheckOptions};
 
     #[test]
