@@ -566,7 +566,7 @@ fn cmd_topo(args: &Args) -> ExitCode {
         match result {
             Ok(summary) => {
                 eprintln!("watched {} epoch(s)", summary.epochs);
-                if summary.any_bad {
+                if summary.any_rejected {
                     ExitCode::FAILURE
                 } else {
                     ExitCode::SUCCESS

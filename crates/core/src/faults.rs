@@ -11,13 +11,13 @@
 //!
 //! where `<spec>` is a comma-separated list of `site=value` pairs:
 //!
-//! | site       | value     | effect                                          |
-//! |------------|-----------|-------------------------------------------------|
-//! | `panic`    | percent   | a checking worker panics on this program        |
-//! | `slow`     | percent   | a check sleeps `slow-ms` before running         |
-//! | `slow-ms`  | millis    | sleep duration for `slow` (default 50)          |
-//! | `scan-eio` | percent   | the watch scanner's file read fails with `EIO`  |
-//! | `sock-eio` | percent   | a socket connection read fails with `EIO`       |
+//! | site       | value   | effect                                                          |
+//! |------------|---------|-----------------------------------------------------------------|
+//! | `panic`    | percent | a checking worker panics on this program                        |
+//! | `slow`     | percent | a check sleeps `slow-ms` before running                         |
+//! | `slow-ms`  | millis  | sleep duration for `slow` (default 50)                          |
+//! | `scan-eio` | percent | a watch scanner read fails with `EIO` (`watch`, `topo --watch`) |
+//! | `sock-eio` | percent | a socket connection read fails with `EIO`                       |
 //!
 //! e.g. `P4BID_FAULTS=42:panic=10,slow=5,slow-ms=20`.
 //!
@@ -42,7 +42,7 @@ pub enum Site {
     WorkerPanic,
     /// A per-program artificial delay before checking.
     SlowCheck,
-    /// An `EIO` from the directory scanner's file read.
+    /// An `EIO` from a watch scanner's file read (`watch`, `topo --watch`).
     ScanRead,
     /// An `EIO` from a socket connection read.
     SocketRead,

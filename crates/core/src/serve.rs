@@ -8,7 +8,10 @@
 //! * a **watched directory** ([`DirScanner`]) — a dependency-free,
 //!   poll-based scanner that fingerprints every `.p4` file by
 //!   `(mtime, size)` with a content-hash tiebreaker, so touch-without-edit
-//!   does not re-check and edit-within-one-mtime-tick does;
+//!   does not re-check and edit-within-one-mtime-tick does. The same
+//!   scanner, pointed at a named file set, and the same poll loop
+//!   ([`run_watch`]'s) also drive `p4bid topo --watch`
+//!   ([`crate::topo::run_topo_watch`]);
 //! * a **line-delimited request feed** ([`run_feed`]) on stdin or a Unix
 //!   socket ([`run_socket`]) — one JSON object per line, `{"id": …,
 //!   "path": "…"}` or `{"id": …, "source": "…"}` ([`parse_request`];
@@ -75,7 +78,7 @@ use crate::policy::PolicyPack;
 use p4bid_ast::hash;
 use p4bid_typeck::{CheckOptions, SharedSessionCore};
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
 use std::path::{Path, PathBuf};
@@ -690,10 +693,10 @@ struct Fingerprint {
 }
 
 /// Cap on the per-path read-retry backoff, in scan ticks. With the
-/// default 2-second watch interval this retries a persistently
-/// unreadable file about once a minute instead of every tick, while a
-/// transient failure (editor rename window, NFS hiccup) still recovers
-/// within a tick or two.
+/// 500 ms interval both watchers default to, this retries a
+/// persistently unreadable file once every 16 s instead of every tick,
+/// while a transient failure (editor rename window, NFS hiccup) still
+/// recovers within a tick or two.
 const MAX_READ_BACKOFF: u32 = 32;
 
 /// Files whose mtime is younger than this are always re-read and hashed,
@@ -704,7 +707,8 @@ const MAX_READ_BACKOFF: u32 = 32;
 /// the window, the idle tick goes back to stat-only.
 const RACY_WINDOW: Duration = Duration::from_secs(2);
 
-/// A poll-based scanner over one directory's `.p4` files.
+/// A poll-based scanner over one directory's `.p4` files, or over a
+/// named file set ([`DirScanner::set_files`]).
 ///
 /// Deliberately notification-free (no inotify/kqueue crate, consistent
 /// with the dependency-free workspace): callers poll [`scan`] on their own
@@ -723,6 +727,9 @@ const RACY_WINDOW: Duration = Duration::from_secs(2);
 #[derive(Debug)]
 pub struct DirScanner {
     dir: PathBuf,
+    /// The named file set, sorted and deduplicated; `None` lists `dir`'s
+    /// `.p4` files instead. A named file is reported under its path.
+    files: Option<Vec<PathBuf>>,
     seen: BTreeMap<String, Fingerprint>,
     /// File reads attempted across all ticks — lets tests pin the
     /// backoff schedule (a cooled-down path must not be re-read).
@@ -732,7 +739,20 @@ pub struct DirScanner {
 impl DirScanner {
     /// A scanner over `dir` that has seen nothing yet.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        DirScanner { dir: dir.into(), seen: BTreeMap::new(), reads: 0 }
+        DirScanner { dir: dir.into(), files: None, seen: BTreeMap::new(), reads: 0 }
+    }
+
+    /// Points the scanner at exactly `files` (deduplicated) instead of its
+    /// directory's `.p4` files. Kept paths keep their fingerprints and
+    /// dropped ones are forgotten, not `removed`; the next scan reports
+    /// newly named paths as changed.
+    pub fn set_files(&mut self, files: impl IntoIterator<Item = PathBuf>) {
+        let mut files: Vec<PathBuf> = files.into_iter().collect();
+        files.sort();
+        files.dedup();
+        let names: BTreeSet<String> = files.iter().map(|p| p.display().to_string()).collect();
+        self.seen.retain(|name, _| names.contains(name));
+        self.files = Some(files);
     }
 
     /// The watched directory.
@@ -747,42 +767,58 @@ impl DirScanner {
         self.seen.len()
     }
 
-    /// One poll tick: lists the directory's `.p4` files and returns the
-    /// added/modified ones (with their content), the removed names, and
-    /// the names whose read failed (non-UTF-8, permissions). An
-    /// unreadable file is reported once per observed change — not every
-    /// tick — and stays tracked, so it is never mis-reported as removed;
-    /// it joins an epoch as soon as it becomes readable. Files that
-    /// vanish mid-scan are treated as not present this tick.
+    /// One poll tick: returns the added/modified files (with their
+    /// content), the removed names, and the names whose read failed
+    /// (non-UTF-8, permissions). An unreadable file is reported once per
+    /// observed change — not every tick — and stays tracked, so it is
+    /// never mis-reported as removed; it joins an epoch as soon as it
+    /// becomes readable. Files that vanish mid-scan are treated as not
+    /// present this tick.
     ///
     /// # Errors
     ///
     /// Only listing the directory itself can fail (e.g. it was deleted);
-    /// per-file races are absorbed as described above.
+    /// per-file races, and every named path, are absorbed as described
+    /// above.
     pub fn scan(&mut self) -> io::Result<ScanDelta> {
         let now = SystemTime::now();
-        // One stat per entry (via the DirEntry), names sorted for the
-        // input-order contract.
-        let mut entries: Vec<(String, PathBuf, Option<SystemTime>, u64)> = Vec::new();
-        for entry in std::fs::read_dir(&self.dir)? {
-            let Ok(entry) = entry else { continue };
-            let path = entry.path();
-            if path.extension().is_none_or(|e| e != "p4") {
-                continue;
+        // The regular files present this tick, names sorted for the
+        // input-order contract: the named set's existing paths, or the
+        // directory's `.p4` files with one stat per entry.
+        let mut entries = Vec::new();
+        let mut push = |name: String, path: PathBuf, meta: std::fs::Metadata| {
+            if meta.is_file() {
+                entries.push((name, path, meta.modified().ok(), meta.len()));
             }
-            let Ok(meta) = entry.metadata() else { continue };
-            if !meta.is_file() {
-                continue;
+        };
+        if let Some(files) = &self.files {
+            for path in files {
+                if let Ok(meta) = std::fs::metadata(path) {
+                    push(path.display().to_string(), path.clone(), meta);
+                }
             }
-            let name = path
-                .file_name()
-                .map_or_else(|| path.display().to_string(), |n| n.to_string_lossy().into_owned());
-            entries.push((name, path, meta.modified().ok(), meta.len()));
+        } else {
+            for entry in std::fs::read_dir(&self.dir)? {
+                let Ok(entry) = entry else { continue };
+                let path = entry.path();
+                if path.extension().is_none_or(|e| e != "p4") {
+                    continue;
+                }
+                let Ok(meta) = entry.metadata() else { continue };
+                let name = path.file_name().map_or_else(
+                    || path.display().to_string(),
+                    |n| n.to_string_lossy().into_owned(),
+                );
+                push(name, path, meta);
+            }
         }
         entries.sort_by(|a, b| a.0.cmp(&b.0));
-
         let mut delta = ScanDelta::default();
-        let mut present = std::collections::BTreeSet::new();
+        let gone = |name: &&String| entries.binary_search_by(|e| e.0.cmp(*name)).is_err();
+        delta.removed = self.seen.keys().filter(gone).cloned().collect();
+        for name in &delta.removed {
+            self.seen.remove(name);
+        }
         for (name, path, mtime, size) in entries {
             if let Some(fp) = self.seen.get_mut(&name) {
                 // An unreadable file in its backoff window is skipped
@@ -791,11 +827,8 @@ impl DirScanner {
                 // failing path from being re-failed on every poll.
                 if !fp.readable && fp.cooldown > 0 {
                     fp.cooldown -= 1;
-                    present.insert(name);
                     continue;
                 }
-            }
-            if let Some(fp) = self.seen.get(&name) {
                 // The fast path needs a *settled* mtime: files modified
                 // within RACY_WINDOW of now are always re-hashed, so a
                 // same-size rewrite inside one mtime tick is still seen.
@@ -809,7 +842,6 @@ impl DirScanner {
                     Err(_) => true, // future mtime
                 });
                 if fp.readable && settled && fp.mtime == mtime && fp.size == size {
-                    present.insert(name);
                     continue; // unchanged fast path: no read
                 }
             }
@@ -831,7 +863,6 @@ impl DirScanner {
                         // racy window): keep the stored chains.
                         fp.mtime = mtime;
                         fp.size = size;
-                        present.insert(name);
                         continue;
                     }
                     // Attribute the edit to the first top-level item whose
@@ -886,17 +917,10 @@ impl DirScanner {
                         },
                     );
                     if !already {
-                        delta.unreadable.push(name.clone());
+                        delta.unreadable.push(name);
                     }
                 }
             }
-            present.insert(name);
-        }
-
-        delta.removed =
-            self.seen.keys().filter(|k| !present.contains(*k)).cloned().collect::<Vec<_>>();
-        for name in &delta.removed {
-            self.seen.remove(name);
         }
         Ok(delta)
     }
@@ -1282,7 +1306,7 @@ fn flush_epoch(
     }
     // Colliding ids make report rows (and anything keyed by id
     // downstream) ambiguous; surface them without refusing the work.
-    let mut seen = std::collections::BTreeSet::new();
+    let mut seen = BTreeSet::new();
     for input in pending.iter() {
         if !seen.insert(input.name.as_str()) {
             let _ = writeln!(log, "notice: duplicate id `{}` in epoch", input.name);
@@ -1375,18 +1399,13 @@ pub fn run_feed(
     result.map(|()| summary)
 }
 
-/// Drives the watched-directory loop: scans every `interval`, and every
-/// tick whose [`ScanDelta`] contains changed files becomes one epoch
-/// (removed files are logged, not checked). The first tick checks the
-/// whole directory. Runs until `max_epochs` epochs were emitted; with
-/// `None` it serves forever (the daemon form).
-///
-/// Once the first scan has succeeded, later scan failures (the watched
-/// directory vanished, transient `EIO`) are absorbed: logged, then
-/// retried on a bounded exponential backoff — the daemon neither dies
-/// nor spins hot, and resumes the moment the directory returns. A
-/// graceful drain ([`install_drain_handler`]/[`request_drain`]) ends the
-/// loop at the next tick.
+/// Drives the watched-directory loop, the poll loop `topo --watch`
+/// shares: every tick whose [`ScanDelta`] contains changed files becomes
+/// one epoch over them (removed files are logged, not checked); the
+/// first tick checks the whole directory. A failed scan after the first
+/// is logged and backed off, never fatal. Runs until `max_epochs` epochs
+/// were emitted (`Some(0)`: none, and no scan) or a graceful drain
+/// ([`install_drain_handler`]); with `None` it serves forever.
 ///
 /// # Errors
 ///
@@ -1401,6 +1420,30 @@ pub fn run_watch(
     json: bool,
     max_epochs: Option<u64>,
     interval: Duration,
+) -> io::Result<ServeSummary> {
+    watch_loop(scanner, log, max_epochs, interval, |delta, _, log, summary| {
+        let mut pending = delta.changed;
+        flush_epoch(engine, &mut pending, out, log, json, summary)
+    })
+}
+
+/// The poll loop behind [`run_watch`] and [`crate::topo::run_topo_watch`]:
+/// scans every `interval`, logs each non-empty delta and hands it to
+/// `on_change`, which runs the driver's epoch (if any) and counts it in
+/// the summary. Scan failures after the first back off exponentially, so
+/// the daemon neither dies nor spins hot; a first failure is returned,
+/// as is any error from `on_change`.
+pub(crate) fn watch_loop(
+    scanner: &mut DirScanner,
+    log: &mut dyn Write,
+    max_epochs: Option<u64>,
+    interval: Duration,
+    mut on_change: impl FnMut(
+        ScanDelta,
+        &mut DirScanner,
+        &mut dyn Write,
+        &mut ServeSummary,
+    ) -> io::Result<()>,
 ) -> io::Result<ServeSummary> {
     let mut summary = ServeSummary::default();
     let done = |s: &ServeSummary| max_epochs.is_some_and(|m| s.epochs >= m);
@@ -1422,45 +1465,38 @@ pub fn run_watch(
                 );
                 // Back off in whole intervals, with a floor so a
                 // zero-interval caller still cannot spin hot.
-                for _ in 0..scan_backoff {
-                    if drain_requested() {
-                        break;
-                    }
-                    drainable_sleep(interval.max(Duration::from_millis(25)));
-                }
+                drainable_sleep(interval.max(Duration::from_millis(25)) * scan_backoff);
                 continue;
             }
             Err(e) => return Err(e),
         };
-        for name in &delta.removed {
-            let _ = writeln!(log, "removed: {name}");
+        if !delta.is_empty() {
+            log_delta(log, &delta);
+            on_change(delta, scanner, log, &mut summary)?;
         }
-        for name in &delta.unreadable {
-            let _ = writeln!(log, "cannot read: {name}");
-        }
-        for c in &delta.item_changes {
-            match c.first_changed {
-                Some(ix) => {
-                    let _ = writeln!(
-                        log,
-                        "changed: {} (first change at item {}/{})",
-                        c.name,
-                        ix + 1,
-                        c.items,
-                    );
-                }
-                None => {
-                    let _ = writeln!(log, "changed: {}", c.name);
-                }
-            }
-        }
-        let mut pending = delta.changed;
-        flush_epoch(engine, &mut pending, out, log, json, &mut summary)?;
         if !done(&summary) {
             drainable_sleep(interval);
         }
     }
     Ok(summary)
+}
+
+/// Logs a scan tick's `removed:`, `cannot read:` and `changed:` lines.
+pub(crate) fn log_delta(log: &mut dyn Write, delta: &ScanDelta) {
+    for name in &delta.removed {
+        let _ = writeln!(log, "removed: {name}");
+    }
+    for name in &delta.unreadable {
+        let _ = writeln!(log, "cannot read: {name}");
+    }
+    for c in &delta.item_changes {
+        let _ = match c.first_changed {
+            Some(ix) => {
+                writeln!(log, "changed: {} (first change at item {}/{})", c.name, ix + 1, c.items)
+            }
+            None => writeln!(log, "changed: {}", c.name),
+        };
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -2166,6 +2202,75 @@ mod tests {
         }
         assert!(healed, "a healed file joins an epoch within one backoff window");
         assert_eq!(scanner.seen["bad.p4"].backoff, 0, "success resets the schedule");
+
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn scanner_watches_a_named_file_set() {
+        // The `topo --watch` form: a manifest plus the programs it names,
+        // one program named by several switches, one bystander file.
+        let dir = scratch_dir("named");
+        let (manifest, fwd, other) = (dir.join("net.topo"), dir.join("fwd.p4"), dir.join("o.p4"));
+        let name = |path: &PathBuf| path.display().to_string();
+        // Settled mtimes, distinct per write, so the fast path applies.
+        let aged = |path: &PathBuf, secs: u64| {
+            let at = SystemTime::now() - Duration::from_secs(secs);
+            std::fs::File::options().append(true).open(path).unwrap().set_modified(at).unwrap();
+        };
+        for (path, text) in [(&manifest, "[switch a]"), (&fwd, OK), (&other, OK)] {
+            std::fs::write(path, text).unwrap();
+            aged(path, 90);
+        }
+        let mut scanner = DirScanner::new(&dir);
+        scanner.set_files([manifest.clone(), fwd.clone(), fwd.clone(), fwd.clone()]);
+        let delta = scanner.scan().expect("scan");
+        let names: Vec<&str> = delta.changed.iter().map(|i| i.name.as_str()).collect();
+        assert_eq!(names, [name(&fwd), name(&manifest)], "each named file once, sorted");
+        assert_eq!(scanner.reads, 2, "a file named three times is read once");
+
+        // The idle, settled tick stats and reads nothing.
+        assert!(scanner.scan().expect("scan").is_empty());
+        assert_eq!(scanner.reads, 2);
+
+        // An edit to the shared program is one change and one read.
+        std::fs::write(&fwd, LEAK).unwrap();
+        aged(&fwd, 80);
+        let delta = scanner.scan().expect("scan");
+        assert_eq!(delta.changed.len(), 1);
+        assert_eq!(
+            (delta.changed[0].name.as_str(), delta.changed[0].source.as_str()),
+            (name(&fwd).as_str(), LEAK)
+        );
+        assert_eq!(scanner.reads, 3);
+
+        // A missing named file is removed once; restored, it is changed.
+        std::fs::remove_file(&fwd).unwrap();
+        assert_eq!(scanner.scan().expect("scan").removed, [name(&fwd)]);
+        assert!(scanner.scan().expect("scan").is_empty(), "reported once");
+        std::fs::write(&fwd, OK).unwrap();
+        aged(&fwd, 70);
+        let delta = scanner.scan().expect("scan");
+        assert_eq!(delta.changed.len(), 1);
+        assert_eq!(delta.changed[0].name, name(&fwd));
+        assert_eq!(scanner.reads, 4);
+
+        // Re-pointing reports no change of its own: the same set in
+        // another order reads nothing, a dropped path is forgotten rather
+        // than removed, and kept paths keep their fingerprints, so only a
+        // newly named path is read and reported.
+        scanner.set_files([fwd.clone(), manifest.clone()]);
+        assert!(scanner.scan().expect("scan").is_empty());
+        assert_eq!(scanner.reads, 4);
+        scanner.set_files([manifest.clone()]);
+        assert!(scanner.scan().expect("scan").is_empty(), "no `removed` for a dropped path");
+        scanner.set_files([manifest.clone(), fwd.clone(), other.clone()]);
+        let delta = scanner.scan().expect("scan");
+        let names: Vec<&str> = delta.changed.iter().map(|i| i.name.as_str()).collect();
+        assert_eq!(names, [name(&fwd), name(&other)]);
+        assert_eq!(scanner.reads, 6);
+        assert!(scanner.scan().expect("scan").is_empty());
+        assert_eq!(scanner.reads, 6);
 
         let _ = std::fs::remove_dir_all(dir);
     }

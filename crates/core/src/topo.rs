@@ -40,6 +40,11 @@
 //! each verdict through an `Arc`, and [`TopoReport::to_json`] writes the
 //! whole document into one buffer.
 //!
+//! `p4bid topo --watch` ([`run_topo_watch`]) has no poller of its own: it
+//! runs on the serve layer's [`DirScanner`], pointed at the manifest and
+//! the programs it names, and on the poll loop `p4bid watch` uses. A tick
+//! with any change reloads the topology and runs one epoch.
+//!
 //! # Examples
 //!
 //! ```
@@ -77,6 +82,7 @@
 use crate::batch::{json_string_into, program_json_into, BatchReport, BatchStats, ProgramReport};
 use crate::engine::{is_transient, CheckEngine, Submission};
 use crate::policy::{parse_bool, parse_lattice, read_flat, FlatLine};
+use crate::serve::{DirScanner, ServeSummary};
 use p4bid_lattice::{Label, Lattice};
 use p4bid_typeck::{CheckOptions, DEFAULT_PREFIX_CACHE_CAP};
 use std::collections::HashMap;
@@ -509,13 +515,6 @@ impl Topology {
     #[must_use]
     pub fn links(&self) -> &[TopoLink] {
         &self.layout.links
-    }
-
-    /// The program paths the topology depends on (for watch-mode change
-    /// polling), in switch order.
-    #[must_use]
-    pub fn program_paths(&self) -> Vec<String> {
-        self.switches().iter().map(|s| s.program.clone()).collect()
     }
 }
 
@@ -1111,50 +1110,15 @@ pub fn check_topology(topo: &Topology, base: &CheckOptions, jobs: usize) -> Topo
     TopoEngine::new(topo.clone(), base.clone(), jobs).run_epoch()
 }
 
-/// What a [`run_topo_watch`] loop did before it stopped.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TopoWatchSummary {
-    /// Fixpoint epochs actually run (the first on startup, then one per
-    /// observed change).
-    pub epochs: u64,
-    /// Whether any epoch had a rejected switch or a topology violation.
-    pub any_bad: bool,
-}
-
-/// A content fingerprint over the manifest and every program it names —
-/// mtimes lie across editors and filesystems, so watch mode re-reads and
-/// hashes, exactly like the serve-layer [`crate::serve::DirScanner`].
-/// Unreadable files hash as absent, so deletion (and reappearance) is a
-/// change.
-fn watch_fingerprint(manifest_path: &Path, base_dir: &Path, programs: &[String]) -> u64 {
-    let mut acc: u64 = 0;
-    let mut mix = |path: &Path| {
-        let h = std::fs::read(path).map_or(0, |b| p4bid_ast::hash::fnv1a(&b));
-        acc = acc
-            .rotate_left(7)
-            .wrapping_mul(0x100_0000_01b3)
-            .wrapping_add(h ^ p4bid_ast::hash::fnv1a(path.to_string_lossy().as_bytes()));
-    };
-    mix(manifest_path);
-    for p in programs {
-        mix(&base_dir.join(p));
-    }
-    acc
-}
-
-/// The `p4bid topo --watch` loop: run one epoch now, then poll the
-/// manifest and its program files every `interval` and re-run the
-/// fixpoint whenever any content changes. The engine persists across
-/// epochs: each epoch reruns the label rounds, and only the switches
-/// whose source, options or final ingress label changed reach the
-/// engine; of those, the verdict cache answers the ones it has recently
-/// seen (a revert). `switch_rechecks` in each epoch's report counts the
-/// rest.
-///
-/// A reload that fails (manifest syntax error, unreadable program) is
-/// logged and the previous topology stays live; SIGTERM/SIGINT (via
-/// [`crate::serve::install_drain_handler`]) and `--max-epochs` end the
-/// loop.
+/// The `p4bid topo --watch` driver on [`crate::serve::run_watch`]'s poll
+/// loop, with a [`DirScanner`] over the manifest and the programs it
+/// names. The first tick and every tick with a change reload the topology
+/// into the persistent engine and run one epoch. A reload parses the
+/// manifest, points the scanner at the programs it now names and scans
+/// them, then reads them: every fingerprint predates the live topology,
+/// so no edit goes unchecked, and adding a switch is one epoch. A failed
+/// reload is logged and the last good topology stays live.
+/// `any_rejected` marks an epoch with a rejected switch or a violation.
 ///
 /// # Errors
 ///
@@ -1168,61 +1132,55 @@ pub fn run_topo_watch(
     json: bool,
     max_epochs: Option<u64>,
     interval: std::time::Duration,
-) -> std::io::Result<TopoWatchSummary> {
-    let mut summary = TopoWatchSummary::default();
-    let base_dir = manifest_path.parent().unwrap_or_else(|| Path::new(".")).to_path_buf();
-    let mut fp = watch_fingerprint(manifest_path, &base_dir, &engine.topology().program_paths());
-    let mut pending = true; // the startup epoch
-    loop {
-        if pending {
-            pending = false;
-            let start = std::time::Instant::now();
-            let report = engine.run_epoch();
-            if json {
-                out.write_all(report.to_json().as_bytes())?;
-            } else {
-                out.write_all(report.render_table().as_bytes())?;
+) -> std::io::Result<ServeSummary> {
+    let base_dir = manifest_path.parent().unwrap_or_else(|| Path::new("."));
+    let mut scanner = DirScanner::new(base_dir);
+    scanner.set_files([manifest_path.to_path_buf()]);
+    crate::serve::watch_loop(&mut scanner, log, max_epochs, interval, |_, scanner, log, summary| {
+        let reload = TopoManifest::load(manifest_path).and_then(|manifest| {
+            let programs = manifest.programs.iter().map(|(program, _)| base_dir.join(program));
+            scanner.set_files(std::iter::once(manifest_path.to_path_buf()).chain(programs));
+            // Scan before reading the programs: every fingerprint then
+            // predates the topology, and newly named programs are taken
+            // in now rather than as a second epoch on the next tick.
+            if let Ok(delta) = scanner.scan() {
+                crate::serve::log_delta(log, &delta);
             }
-            out.flush()?;
-            let _ = writeln!(
-                log,
-                "epoch {}: {} switch(es), {} round(s), {} recheck(s) in {:.1} ms on {} worker(s)",
-                engine.epochs(),
-                report.switches.len(),
-                report.rounds,
-                report.switch_rechecks,
-                start.elapsed().as_secs_f64() * 1e3,
-                report.jobs,
-            );
-            summary.epochs += 1;
-            summary.any_bad |= !report.all_ok();
-        }
-        if max_epochs.is_some_and(|m| summary.epochs >= m) || crate::serve::drain_requested() {
-            break;
-        }
-        crate::serve::drainable_sleep(interval);
-        if crate::serve::drain_requested() {
-            break;
-        }
-        let now = watch_fingerprint(manifest_path, &base_dir, &engine.topology().program_paths());
-        if now != fp {
-            fp = now;
-            match Topology::load(manifest_path) {
-                Ok(topo) => {
-                    engine.set_topology(topo);
-                    pending = true;
-                }
-                Err(e) => {
-                    // The security stance a live checker must take: a
-                    // broken edit never silently disables checking — the
-                    // last good topology stays live and the error is
-                    // surfaced every time the content changes.
-                    let _ = writeln!(log, "cannot reload {}: {e}", manifest_path.display());
-                }
+            manifest.resolve(base_dir)
+        });
+        match reload {
+            Ok(topo) => engine.set_topology(topo),
+            Err(e) => {
+                // The security stance a live checker must take: a
+                // broken edit never silently disables checking — the
+                // last good topology stays live and the error is
+                // surfaced every time the content changes.
+                let _ = writeln!(log, "cannot reload {}: {e}", manifest_path.display());
+                return Ok(());
             }
         }
-    }
-    Ok(summary)
+        let start = std::time::Instant::now();
+        let report = engine.run_epoch();
+        if json {
+            out.write_all(report.to_json().as_bytes())?;
+        } else {
+            out.write_all(report.render_table().as_bytes())?;
+        }
+        out.flush()?;
+        let _ = writeln!(
+            log,
+            "epoch {}: {} switch(es), {} round(s), {} recheck(s) in {:.1} ms on {} worker(s)",
+            engine.epochs(),
+            report.switches.len(),
+            report.rounds,
+            report.switch_rechecks,
+            start.elapsed().as_secs_f64() * 1e3,
+            report.jobs,
+        );
+        summary.epochs += 1;
+        summary.any_rejected |= !report.all_ok();
+        Ok(())
+    })
 }
 
 #[cfg(test)]

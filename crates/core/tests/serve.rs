@@ -2,7 +2,8 @@
 //! `p4bid watch`): the real binary, fed over stdin / a Unix socket / a
 //! watched directory, with per-epoch stdout asserted **byte-identical**
 //! to `p4bid batch` on the same inputs — the serve determinism contract,
-//! across `--jobs 1/2/8`.
+//! across `--jobs 1/2/8`. `p4bid topo --watch` shares the watch loop, so
+//! its edit-to-epoch contract is pinned here too.
 
 use std::io::{Read as _, Write as _};
 use std::path::PathBuf;
@@ -329,6 +330,105 @@ fn watch_log_attributes_the_first_changed_item() {
     assert!(
         log.contains("changed: multi.p4 (first change at item 3/3)"),
         "the edit is pinned to the last item: {log}"
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// `--max-epochs 0` means one thing on both watchers: no scan and no
+/// epoch, so a rejecting program still exits 0 with an empty stdout.
+#[test]
+fn max_epochs_zero_runs_no_epoch_on_either_watcher() {
+    let dir = scratch_dir("max-epochs-zero");
+    std::fs::write(dir.join("leak.p4"), LEAK).unwrap();
+    let manifest = dir.join("net.topo");
+    std::fs::write(&manifest, "[switch s]\nprogram = \"leak.p4\"\n").unwrap();
+    let watch = p4bid()
+        .args(["watch", dir.to_str().unwrap(), "--max-epochs", "0"])
+        .output()
+        .expect("watch runs");
+    let topo = p4bid()
+        .args(["topo", manifest.to_str().unwrap(), "--watch", "--max-epochs", "0"])
+        .output()
+        .expect("topo runs");
+    for (out, last) in [(watch, "served 0 epoch(s)"), (topo, "watched 0 epoch(s)")] {
+        let log = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{log}");
+        assert!(out.stdout.is_empty(), "{log}");
+        assert!(log.contains(last) && !log.contains("epoch 1"), "{log}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// `topo --watch` runs on the watch loop: an atomic manifest edit that
+/// adds a switch (with a program the watch has not read yet) is exactly
+/// one epoch, whose report matches a one-shot check of the edited
+/// manifest byte for byte. Deleting a program is logged, runs no epoch
+/// and keeps the last good topology; restoring it is one epoch, served
+/// from that topology's memo.
+#[cfg(unix)]
+#[test]
+fn topo_watch_runs_one_epoch_per_edit() {
+    const FWD: &str = "control F(inout <bit<8>, high> x) { apply { x = x + 8w1; } }";
+    const SEED: &str = "control S(inout <bit<8>, high> y) { apply { y = y + 8w2; } }";
+    let dir = scratch_dir("topo-watch-edit");
+    let (manifest, program) = (dir.join("net.topo"), dir.join("a.p4"));
+    // Writes `text` to `path` in one rename, as an editor would.
+    let replace = |path: &std::path::Path, text: &str| {
+        let tmp = path.with_extension("tmp");
+        std::fs::write(&tmp, text).unwrap();
+        std::fs::rename(&tmp, path).unwrap();
+    };
+    std::fs::write(&program, FWD).unwrap();
+    std::fs::write(&manifest, "[switch a]\nprogram = \"a.p4\"\n").unwrap();
+    let mut child = p4bid()
+        .args(["topo", manifest.to_str().unwrap(), "--watch", "--json"])
+        .args(["--interval-ms", "20", "--max-epochs", "3"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("topo spawns");
+    let stdout = Tail::new(child.stdout.take().expect("stdout piped"));
+    let stderr = Tail::new(child.stderr.take().expect("stderr piped"));
+    let epochs = || stderr.contents().matches("epoch ").count();
+    // Fifteen ticks: long enough for any follow-up epoch to show.
+    let settle = || std::thread::sleep(Duration::from_millis(300));
+    stderr.wait_for("epoch 1: 1 switch(es)");
+
+    // A `high` seed upstream of `a`: both switches check anew.
+    std::fs::write(dir.join("seed.p4"), SEED).unwrap();
+    replace(
+        &manifest,
+        "[switch seed]\nprogram = \"seed.p4\"\ningress = \"high\"\n\
+         [link seed:p1 -> a:p1]\n[switch a]\nprogram = \"a.p4\"\n",
+    );
+    stderr.wait_for("epoch 2: 2 switch(es)");
+    settle();
+    assert_eq!(epochs(), 2, "one manifest edit, one epoch: {}", stderr.contents());
+
+    std::fs::remove_file(&program).unwrap();
+    stderr.wait_for(&format!("removed: {}", program.display()));
+    stderr.wait_for("cannot reload");
+    settle();
+    assert_eq!(epochs(), 2, "a failed reload runs no epoch: {}", stderr.contents());
+
+    replace(&program, FWD);
+    let out = wait_with_deadline(child, Duration::from_secs(30));
+    let log = stderr.contents();
+    assert_eq!(out.status.code(), Some(0), "{log}");
+    assert_eq!(epochs(), 3, "{log}");
+    assert!(log.contains("epoch 3: 2 switch(es), 2 round(s), 0 recheck(s)"), "{log}");
+
+    let reports = stdout.contents();
+    let reports: Vec<&str> = reports.split_inclusive("\n}\n").collect();
+    assert_eq!(reports.len(), 3, "{reports:?}");
+    let oneshot =
+        p4bid().args(["topo", manifest.to_str().unwrap(), "--json"]).output().expect("topo runs");
+    assert_eq!(reports[1], String::from_utf8_lossy(&oneshot.stdout));
+    assert!(reports[1].contains("\"switch_rechecks\": 2,"), "{}", reports[1]);
+    assert_eq!(
+        reports[2],
+        reports[1].replace("\"switch_rechecks\": 2,", "\"switch_rechecks\": 0,"),
+        "the restored program meets the last good topology"
     );
     let _ = std::fs::remove_dir_all(dir);
 }
