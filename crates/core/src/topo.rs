@@ -82,13 +82,13 @@
 use crate::batch::{json_string_into, program_json_into, BatchReport, BatchStats, ProgramReport};
 use crate::engine::{is_transient, CheckEngine, Submission};
 use crate::policy::{parse_bool, parse_lattice, read_flat, FlatLine};
-use crate::serve::{DirScanner, ServeSummary};
+use crate::serve::{DirScanner, ScanDelta, ServeSummary};
 use p4bid_lattice::{Label, Lattice};
 use p4bid_typeck::{CheckOptions, DEFAULT_PREFIX_CACHE_CAP};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::fmt::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// A topology-manifest load error, pointing at the offending line.
@@ -1115,10 +1115,13 @@ pub fn check_topology(topo: &Topology, base: &CheckOptions, jobs: usize) -> Topo
 /// names. The first tick and every tick with a change reload the topology
 /// into the persistent engine and run one epoch. A reload parses the
 /// manifest, points the scanner at the programs it now names and scans
-/// them, then reads them: every fingerprint predates the live topology,
-/// so no edit goes unchecked, and adding a switch is one epoch. A failed
-/// reload is logged and the last good topology stays live.
-/// `any_rejected` marks an epoch with a rejected switch or a violation.
+/// them, then resolves the topology. Every file is checked as the scanner
+/// last read it, never read a second time: each fingerprint then matches
+/// the content checked, no edit goes unchecked, and adding a switch is one
+/// epoch. A reload fails when the manifest or a program it names is
+/// unreadable or removed; the failure is logged and the last good topology
+/// stays live. `any_rejected` marks an epoch with a rejected switch or a
+/// violation.
 ///
 /// # Errors
 ///
@@ -1136,51 +1139,99 @@ pub fn run_topo_watch(
     let base_dir = manifest_path.parent().unwrap_or_else(|| Path::new("."));
     let mut scanner = DirScanner::new(base_dir);
     scanner.set_files([manifest_path.to_path_buf()]);
-    crate::serve::watch_loop(&mut scanner, log, max_epochs, interval, |_, scanner, log, summary| {
-        let reload = TopoManifest::load(manifest_path).and_then(|manifest| {
-            let programs = manifest.programs.iter().map(|(program, _)| base_dir.join(program));
-            scanner.set_files(std::iter::once(manifest_path.to_path_buf()).chain(programs));
-            // Scan before reading the programs: every fingerprint then
-            // predates the topology, and newly named programs are taken
-            // in now rather than as a second epoch on the next tick.
-            if let Ok(delta) = scanner.scan() {
-                crate::serve::log_delta(log, &delta);
+    let mut contents = WatchedContents::default();
+    crate::serve::watch_loop(
+        &mut scanner,
+        log,
+        max_epochs,
+        interval,
+        |delta, scanner, log, summary| {
+            contents.take(delta);
+            let reload = contents.reload(manifest_path, base_dir, scanner, log);
+            match reload {
+                Ok(topo) => engine.set_topology(topo),
+                Err(e) => {
+                    // The security stance a live checker must take: a
+                    // broken edit never silently disables checking — the
+                    // last good topology stays live and the error is
+                    // surfaced every time the content changes.
+                    let _ = writeln!(log, "cannot reload {}: {e}", manifest_path.display());
+                    return Ok(());
+                }
             }
-            manifest.resolve(base_dir)
-        });
-        match reload {
-            Ok(topo) => engine.set_topology(topo),
-            Err(e) => {
-                // The security stance a live checker must take: a
-                // broken edit never silently disables checking — the
-                // last good topology stays live and the error is
-                // surfaced every time the content changes.
-                let _ = writeln!(log, "cannot reload {}: {e}", manifest_path.display());
-                return Ok(());
+            let start = std::time::Instant::now();
+            let report = engine.run_epoch();
+            if json {
+                out.write_all(report.to_json().as_bytes())?;
+            } else {
+                out.write_all(report.render_table().as_bytes())?;
             }
+            out.flush()?;
+            let _ = writeln!(
+                log,
+                "epoch {}: {} switch(es), {} round(s), {} recheck(s) in {:.1} ms on {} worker(s)",
+                engine.epochs(),
+                report.switches.len(),
+                report.rounds,
+                report.switch_rechecks,
+                start.elapsed().as_secs_f64() * 1e3,
+                report.jobs,
+            );
+            summary.epochs += 1;
+            summary.any_rejected |= !report.all_ok();
+            Ok(())
+        },
+    )
+}
+
+/// The last content the `topo --watch` scanner read of each watched path,
+/// keyed by the scanner's name for it. A path it could not read, or found
+/// removed, has no entry, so a reload that needs it fails.
+#[derive(Default)]
+struct WatchedContents(BTreeMap<String, String>);
+
+impl WatchedContents {
+    /// Takes in one scan tick's reads, removals and read failures.
+    fn take(&mut self, delta: ScanDelta) {
+        for name in delta.removed.into_iter().chain(delta.unreadable) {
+            self.0.remove(&name);
         }
-        let start = std::time::Instant::now();
-        let report = engine.run_epoch();
-        if json {
-            out.write_all(report.to_json().as_bytes())?;
-        } else {
-            out.write_all(report.render_table().as_bytes())?;
+        self.0.extend(delta.changed.into_iter().map(|input| (input.name, input.source)));
+    }
+
+    /// The content of `path`, as the scanner names it.
+    fn get(&self, path: &Path) -> Result<&String, String> {
+        self.0
+            .get(&path.display().to_string())
+            .ok_or_else(|| format!("cannot read {}", path.display()))
+    }
+
+    /// Parses the manifest, points `scanner` at it and the programs it
+    /// names, scans them (logging the tick) and resolves the topology, all
+    /// from the content read.
+    fn reload(
+        &mut self,
+        manifest_path: &Path,
+        base_dir: &Path,
+        scanner: &mut DirScanner,
+        log: &mut dyn std::io::Write,
+    ) -> Result<Topology, TopoError> {
+        let manifest =
+            TopoManifest::parse(self.get(manifest_path).map_err(|e| TopoError::at(0, e))?)?;
+        let files: BTreeSet<PathBuf> = std::iter::once(manifest_path.to_path_buf())
+            .chain(manifest.programs.iter().map(|(program, _)| base_dir.join(program)))
+            .collect();
+        let names: BTreeSet<String> = files.iter().map(|p| p.display().to_string()).collect();
+        self.0.retain(|name, _| names.contains(name));
+        scanner.set_files(files);
+        // Scan before resolving: newly named programs are taken in now
+        // rather than as a second epoch on the next tick.
+        if let Ok(delta) = scanner.scan() {
+            crate::serve::log_delta(log, &delta);
+            self.take(delta);
         }
-        out.flush()?;
-        let _ = writeln!(
-            log,
-            "epoch {}: {} switch(es), {} round(s), {} recheck(s) in {:.1} ms on {} worker(s)",
-            engine.epochs(),
-            report.switches.len(),
-            report.rounds,
-            report.switch_rechecks,
-            start.elapsed().as_secs_f64() * 1e3,
-            report.jobs,
-        );
-        summary.epochs += 1;
-        summary.any_rejected |= !report.all_ok();
-        Ok(())
-    })
+        manifest.resolve_with(|program| self.get(&base_dir.join(program)).cloned())
+    }
 }
 
 #[cfg(test)]

@@ -433,6 +433,40 @@ fn topo_watch_runs_one_epoch_per_edit() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// `topo --watch` checks each file as the scanner read it: when every
+/// scanner read fails (the `scan-eio` fault), the manifest and program
+/// are logged unreadable, the reload fails and no epoch runs, even
+/// though both files are on disk.
+#[test]
+fn topo_watch_runs_no_epoch_on_content_the_scanner_could_not_read() {
+    let dir = scratch_dir("topo-watch-eio");
+    let manifest = dir.join("net.topo");
+    std::fs::write(dir.join("fwd.p4"), OK).unwrap();
+    std::fs::write(&manifest, "[switch a]\nprogram = \"fwd.p4\"\n").unwrap();
+    let mut child = p4bid()
+        .args(["topo", manifest.to_str().unwrap(), "--watch", "--max-epochs", "1"])
+        .args(["--interval-ms", "20"])
+        .env("P4BID_FAULTS", "1:scan-eio=100")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("topo spawns");
+    let stdout = Tail::new(child.stdout.take().expect("stdout piped"));
+    let stderr = Tail::new(child.stderr.take().expect("stderr piped"));
+    stderr.wait_for(&format!("cannot read: {}", manifest.display()));
+    stderr.wait_for("cannot reload");
+    // Fifteen ticks: long enough for an epoch to show if one ran.
+    std::thread::sleep(Duration::from_millis(300));
+    let exited = child.try_wait().expect("poll child");
+    let _ = child.kill();
+    let _ = child.wait();
+    let log = stderr.contents();
+    assert!(exited.is_none(), "the watch stopped although no epoch ran: {log}");
+    assert!(!log.contains("epoch 1"), "{log}");
+    assert_eq!(stdout.contents(), "", "{log}");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[cfg(unix)]
 #[test]
 fn serve_socket_accepts_a_connection() {
