@@ -98,8 +98,8 @@ pub mod syntax {
 /// The Core P4 interpreter and control plane.
 pub mod interp {
     pub use p4bid_interp::{
-        run_control, Closure, ControlOutcome, ControlPlane, EvalError, Interp, KeyPattern,
-        PreparedControl, Signal, TableAction, TableConfig, TableEntry, TableValue, Value,
+        run_control, ControlOutcome, ControlPlane, EvalError, Interp, KeyPattern, PreparedControl,
+        Signal, TableConfig, TableEntry, Value,
     };
 }
 

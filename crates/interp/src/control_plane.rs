@@ -165,36 +165,41 @@ impl ControlPlane {
     /// default at all — the caller then runs nothing, like `NoAction`).
     #[must_use]
     pub fn lookup(&self, table: &str, keys: &[Value]) -> Option<(&str, &[Value])> {
-        let config = self.tables.get(table);
-        if let Some(config) = config {
-            let mut best: Option<(usize, &TableEntry)> = None;
-            for (ix, entry) in config.entries.iter().enumerate() {
-                if entry.patterns.len() != keys.len() {
-                    continue;
-                }
-                if !entry.patterns.iter().zip(keys).all(|(p, k)| p.matches(k)) {
-                    continue;
-                }
-                let better = match best {
-                    None => true,
-                    Some((bix, b)) => {
-                        let cand = (entry.priority, total_lpm(entry), std::cmp::Reverse(ix));
-                        let cur = (b.priority, total_lpm(b), std::cmp::Reverse(bix));
-                        cand > cur
-                    }
-                };
-                if better {
-                    best = Some((ix, entry));
-                }
+        let config = self.tables.get(table)?;
+        match config.best_entry(keys) {
+            Some(ix) => Some((&config.entries[ix].action, &config.entries[ix].args)),
+            None => config.default_action.as_ref().map(|(name, args)| (name.as_str(), &args[..])),
+        }
+    }
+}
+
+impl TableConfig {
+    /// The index of the entry that matches `keys` best: the highest
+    /// priority, then the longest total `lpm` prefix, then the earliest
+    /// installed. `None` on a miss.
+    #[must_use]
+    pub fn best_entry(&self, keys: &[Value]) -> Option<usize> {
+        let mut best: Option<(usize, &TableEntry)> = None;
+        for (ix, entry) in self.entries.iter().enumerate() {
+            if entry.patterns.len() != keys.len() {
+                continue;
             }
-            if let Some((_, e)) = best {
-                return Some((&e.action, &e.args));
+            if !entry.patterns.iter().zip(keys).all(|(p, k)| p.matches(k)) {
+                continue;
             }
-            if let Some((name, args)) = &config.default_action {
-                return Some((name, args));
+            let better = match best {
+                None => true,
+                Some((bix, b)) => {
+                    let cand = (entry.priority, total_lpm(entry), std::cmp::Reverse(ix));
+                    let cur = (b.priority, total_lpm(b), std::cmp::Reverse(bix));
+                    cand > cur
+                }
+            };
+            if better {
+                best = Some((ix, entry));
             }
         }
-        None
+        best.map(|(ix, _)| ix)
     }
 }
 

@@ -15,40 +15,40 @@
 //! `cont` / `return val` / `exit`.
 //!
 //! Execution is split in two. [`Interp::prepare`] runs the declaration
-//! judgements of a control once: it resolves every declaration's types
-//! and names (a `Decl`), declares the global functions and actions,
-//! allocates the parameter cells and declares the control's own
-//! declarations, giving a [`PreparedControl`] image of μ and ε.
-//! [`PreparedControl::run`] clones the image, writes the packet into the
-//! parameter cells, replays what could not be declared ahead, and
-//! evaluates `apply` on a fresh `Machine`, the evaluator of one
-//! execution. What is replayed is the first control-level `var` with an
-//! initializer and every declaration after it: the initializer reads the
-//! packet and may allocate (a function it calls may declare a local on
-//! one branch only), so the locations of what follows it are known only
-//! at run time. Replaying keeps the from-scratch allocation order, and
-//! since declarations burn no fuel while initializers burn exactly what
-//! they always did, every run's outcome, error and fuel use are those of
-//! an unprepared execution.
+//! judgements of a control once and lowers every body a run can reach —
+//! `apply`, the actions and functions it calls, control-level `var`
+//! initializers, table keys and the arguments tables bind — into a private
+//! resolved form. The environment ε exists only while preparing: every
+//! variable reference becomes a slot of one frame, field names become
+//! [`Symbol`]s, types become the coercion or zero value they stand for,
+//! and calls and table applications point straight at prepared code.
+//! Core P4 has no recursion (a closure captures ε before its own name is
+//! bound), so no body is ever active twice at once and every declaration
+//! site — a local, a parameter, the argument temporaries of a call, the
+//! evaluated index of an l-value — owns one fixed slot. Each table's
+//! control-plane configuration is looked up once, and each installed
+//! entry is resolved to its action and checked arguments, or to the error
+//! a match on it raises.
 //!
-//! Names are resolved against the typed program's shared interner: the
-//! per-occurrence cost of a variable or field access is one interner probe
-//! (a hash of the string) followed by symbol-indexed lookups; values,
-//! environments, and l-value paths are all keyed by [`Symbol`]. String
-//! comparison survives only at the control-plane boundary (the action
-//! name a controller's entry names is compared with the table's declared
-//! names, with no interner probe) and in diagnostics.
+//! [`PreparedControl::run`] is then: clone the frame, write the coerced
+//! packet into the parameter slots, evaluate the control-level
+//! initializers in order and run `apply` by indexing. No name is looked
+//! up, the type context is not touched and nothing is allocated beyond
+//! the frame, the outcome and the values the program itself builds.
+//! Fuel is burned at the same points as in the name-keyed semantics (each
+//! statement, each expression and each call), so a run's outcome, error
+//! and fuel use are those of the judgements above.
 //!
 //! Out-of-bounds stack reads produce the deterministic `havoc(τ)` (a
 //! zeroed value of the element shape) and out-of-bounds writes are no-ops,
 //! matching the `Eval 1 error` rules in Appendix I case 8 and keeping the
 //! evaluator total.
 
-use crate::control_plane::ControlPlane;
-use crate::store::{Env, Loc, Store};
-use crate::value::{eval_binop, eval_unop, Closure, TableAction, TableValue, Value};
+use crate::control_plane::{ControlPlane, TableConfig};
+use crate::value::{eval_binop, eval_unop, Value};
 use p4bid_ast::intern::Symbol;
-use p4bid_ast::sectype::{FnParam, SecTy};
+use p4bid_ast::pool::TyPool;
+use p4bid_ast::sectype::{SecTy, Ty};
 use p4bid_ast::surface::*;
 use p4bid_typeck::{TypedControl, TypedProgram};
 use std::error::Error;
@@ -135,8 +135,9 @@ pub enum Signal {
 pub struct ControlOutcome {
     /// Final values of all control parameters, in declaration order
     /// (`inout` parameters reflect the writes; `in` parameters are
-    /// returned as passed).
-    pub params: Vec<(String, Value)>,
+    /// returned as passed). The names are shared with the prepared
+    /// control, so a run copies none.
+    pub params: Vec<(Rc<str>, Value)>,
     /// Whether the control terminated via `exit`.
     pub exited: bool,
 }
@@ -145,7 +146,7 @@ impl ControlOutcome {
     /// Looks up a final parameter value by name.
     #[must_use]
     pub fn param(&self, name: &str) -> Option<&Value> {
-        self.params.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+        self.params.iter().find(|(n, _)| **n == *name).map(|(_, v)| v)
     }
 }
 
@@ -181,53 +182,12 @@ pub fn run_control(
     Interp::new(typed, cp).run_control(control, args)
 }
 
-/// An l-value: a base location plus a path of field/index steps
-/// (Appendix F: `lval ::= x | lval.f | lval[n]`, with
-/// `lval_base(lval) ∈ dom(ε)`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct LValueRef {
-    base: Loc,
-    path: Vec<PathSeg>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PathSeg {
-    Field(Symbol),
-    Index(usize),
-}
-
-/// Control-flow interrupts threaded through expression evaluation: an
-/// `exit` raised inside a callee aborts the whole control block.
-#[derive(Debug)]
-enum Interrupt {
-    Exit,
-    Fail(EvalError),
-}
-
-impl From<EvalError> for Interrupt {
-    fn from(e: EvalError) -> Self {
-        Interrupt::Fail(e)
-    }
-}
-
-type EResult<T> = Result<T, Interrupt>;
-
-/// An argument prepared for copy-in.
-enum PreArg {
-    /// Already-evaluated value (`in` and control-plane positions).
-    Val(Value),
-    /// L-value plus its current value (`inout` positions; the l-value is
-    /// written back at copy-out).
-    Lv(LValueRef, Value),
-}
-
 /// The ambient `C` and Δ of an execution, plus its fuel budget: the
 /// builder that prepares controls.
 ///
 /// The shared [`TyCtx`](p4bid_ast::pool::TyCtx) of the typed program is
-/// borrowed per leaf operation and never across an evaluation step, so
-/// interleaving interpretation with further checking on the owning session
-/// is safe.
+/// borrowed only while preparing, never by a run, so interleaving
+/// interpretation with further checking on the owning session is safe.
 pub struct Interp<'a> {
     typed: &'a TypedProgram,
     cp: &'a ControlPlane,
@@ -249,14 +209,14 @@ impl<'a> Interp<'a> {
     }
 
     /// Prepares a control block for any number of runs: looks it up,
-    /// declares the top-level functions and actions, allocates the
-    /// parameter cells and declares the control's own declarations into a
-    /// store-and-environment image (see [`PreparedControl`]).
+    /// makes its declarations and those of the top-level functions and
+    /// actions, and lowers every body a run can reach to slot-indexed code
+    /// (see [`PreparedControl`]).
     ///
     /// # Errors
     ///
     /// [`EvalError::UnknownControl`] when the program has no such control;
-    /// `Internal` if a declaration's type does not resolve (unreachable on
+    /// `Internal` if a name or type does not resolve (unreachable on
     /// typechecked programs).
     ///
     /// # Examples
@@ -281,58 +241,81 @@ impl<'a> Interp<'a> {
         let unknown = || EvalError::UnknownControl(control.to_string());
         let decl = typed.program.controls().find(|c| c.name.node == control).ok_or_else(unknown)?;
         let ctrl = typed.control(control).ok_or_else(unknown)?;
-        let mut m = Machine { typed, cp: self.cp, store: Store::new(), fuel: self.fuel };
+        let mut lower = Lower {
+            typed,
+            cp: self.cp,
+            slots: 0,
+            scope: Vec::new(),
+            closures: Vec::new(),
+            tables: Vec::new(),
+            code: Code { bodies: Vec::new(), tables: Vec::new() },
+            image: Vec::new(),
+        };
 
         // Global scope: prelude and top-level functions/actions.
-        let mut env = Env::new();
         for item in typed.program.items() {
-            let d = match item {
-                Item::Function(f) => m.function_decl(f)?,
-                Item::Action(a) => m.action_decl(a)?,
-                _ => continue,
-            };
-            m.declare(&mut env, &d)?;
-        }
-
-        // The parameter cells; each run writes its packet into them.
-        let mut params = Vec::with_capacity(ctrl.params.len());
-        for param in &ctrl.params {
-            let loc = m.store.alloc(Value::Unit);
-            env.bind(param.sym, loc);
-            params.push(loc);
-        }
-
-        // Control-body declarations, in order. The first `var` with an
-        // initializer, and everything after it, is left for each run.
-        let mut replay = Vec::new();
-        for d in &decl.decls {
-            let d = match d {
-                CtrlDecl::Var(v) => Decl::Var {
-                    sym: m.intern(&v.name.node),
-                    ty: m.resolve(&v.ty)?,
-                    init: v.init.as_ref(),
-                },
-                CtrlDecl::Action(a) => m.action_decl(a)?,
-                CtrlDecl::Function(f) => m.function_decl(f)?,
-                CtrlDecl::Table(t) => m.table_decl(t),
-            };
-            if replay.is_empty() && !matches!(d, Decl::Var { init: Some(_), .. }) {
-                m.declare(&mut env, &d)?;
-            } else {
-                replay.push(d);
+            match item {
+                Item::Function(f) => lower.declare_closure(&f.name.node, ClosureDecl::Function(f)),
+                Item::Action(a) => lower.declare_closure(&a.name.node, ClosureDecl::Action(a)),
+                _ => {}
             }
         }
 
+        // The parameter slots 0..n; each run writes its packet into them.
+        let mut params = Vec::with_capacity(ctrl.params.len());
+        for param in &ctrl.params {
+            let slot = lower.slot();
+            lower.scope.push((&param.name, Binding::Slot(slot)));
+            params.push((Rc::from(param.name.as_str()), lower.coerce(param.ty)));
+        }
+
+        // Control-body declarations, in order. A `var` without an
+        // initializer starts every run at its zero value in the frame
+        // image; one with an initializer is evaluated on each run.
+        let mut inits = Vec::new();
+        for d in &decl.decls {
+            match d {
+                CtrlDecl::Var(v) => {
+                    let ty = lower.resolve(&v.ty)?;
+                    let mut scope = lower.scope.clone();
+                    let init = v.init.as_ref().map(|e| lower.expr(&mut scope, e)).transpose()?;
+                    let slot = lower.slot();
+                    match init {
+                        Some(expr) => inits.push((slot, expr, lower.coerce(ty))),
+                        None => lower.image.push((slot, lower.zero(ty))),
+                    }
+                    lower.scope.push((&v.name.node, Binding::Slot(slot)));
+                }
+                CtrlDecl::Action(a) => lower.declare_closure(&a.name.node, ClosureDecl::Action(a)),
+                CtrlDecl::Function(f) => {
+                    lower.declare_closure(&f.name.node, ClosureDecl::Function(f));
+                }
+                CtrlDecl::Table(t) => {
+                    let captured = lower.scope.len();
+                    lower.tables.push(PendingTable { decl: t, captured, lowered: None });
+                    let ix = lower.tables.len() - 1;
+                    lower.scope.push((&t.name.node, Binding::Table(ix)));
+                }
+            }
+        }
+
+        // The apply block runs in the control's environment: its top-level
+        // declarations extend it.
+        let mut scope = lower.scope.clone();
+        let apply = lower.stmts(&mut scope, &decl.apply)?;
+
+        let mut frame = vec![Value::Unit; lower.slots];
+        for (slot, value) in lower.image {
+            frame[slot] = value;
+        }
         Ok(PreparedControl {
-            typed,
-            cp: self.cp,
-            fuel: self.fuel,
             ctrl,
-            apply: &decl.apply,
-            store: m.store,
-            env,
-            params,
-            replay,
+            fuel: self.fuel,
+            code: lower.code,
+            frame,
+            params: params.into(),
+            inits: inits.into(),
+            apply,
         })
     }
 
@@ -350,32 +333,26 @@ impl<'a> Interp<'a> {
     }
 }
 
-/// A control block ready to run: the store μ and environment ε as they
-/// stand once its declarations are made, plus whatever must be redone on
-/// every run.
+/// A control block ready to run: its lowered code and the frame image
+/// every run starts from.
 ///
-/// [`run`](Self::run) clones the image (closures and tables are `Rc`
-/// bumps), writes the coerced arguments into the parameter cells, replays
-/// the declarations that could not be made ahead, and evaluates `apply`.
-/// A control-level `var` with an initializer has to be evaluated on each
-/// run, and evaluating it may allocate, so it and every declaration after
-/// it are replayed, in order, from their pre-resolved parts. Locations are
-/// therefore allocated in the same order as a from-scratch execution, and
-/// since declarations burn no fuel, each run has the full budget.
+/// [`run`](Self::run) clones the frame, writes the coerced arguments into
+/// the parameter slots, evaluates the control-level `var` initializers in
+/// declaration order and runs `apply`. Declarations burn no fuel, so each
+/// run has the full budget, and a run never writes to the image, so runs
+/// are independent of each other.
 pub struct PreparedControl<'a> {
-    typed: &'a TypedProgram,
-    cp: &'a ControlPlane,
-    fuel: u64,
     ctrl: &'a TypedControl,
-    apply: &'a [Stmt],
-    /// μ after the prepared declarations; the parameter cells hold `Unit`.
-    store: Store,
-    /// ε after the prepared declarations.
-    env: Env,
-    /// The parameter cells, in declaration order.
-    params: Vec<Loc>,
-    /// The declarations each run makes, in order.
-    replay: Vec<Decl<'a>>,
+    fuel: u64,
+    code: Code<'a>,
+    /// The frame before a run: zero values for the control-level `var`s
+    /// without an initializer, `Unit` in every other slot.
+    frame: Vec<Value>,
+    /// Name and coercion of each parameter; parameter `i` is slot `i`.
+    params: Box<[(Rc<str>, Coerce)]>,
+    /// The control-level initializers: slot, initializer and coercion.
+    inits: Box<[(Slot, RExpr, Coerce)]>,
+    apply: Box<[RStmt]>,
 }
 
 impl<'a> PreparedControl<'a> {
@@ -395,24 +372,22 @@ impl<'a> PreparedControl<'a> {
         if args.len() != self.params.len() {
             return Err(EvalError::ArgCount { expected: self.params.len(), got: args.len() });
         }
-        let mut m =
-            Machine { typed: self.typed, cp: self.cp, store: self.store.clone(), fuel: self.fuel };
+        let mut m = Machine { code: &self.code, frame: self.frame.clone(), fuel: self.fuel };
 
-        // Copy the packet into the parameter cells.
-        for ((param, &loc), arg) in self.ctrl.params.iter().zip(&self.params).zip(args) {
-            let v = m.coerce(arg.clone(), param.ty);
-            m.store.write(loc, v);
+        // Copy the packet into the parameter slots.
+        for (slot, ((_, coerce), arg)) in self.params.iter().zip(args).enumerate() {
+            m.frame[slot] = coerce.apply(arg.clone());
         }
 
-        let mut env = self.env.clone();
-        for d in &self.replay {
-            m.declare(&mut env, d)?;
+        for (slot, init, coerce) in self.inits.iter() {
+            let v = m.initializer(init)?;
+            m.frame[*slot] = coerce.apply(v);
         }
 
         // The apply block.
         let mut exited = false;
-        for s in self.apply {
-            match m.eval_stmt(&mut env, s) {
+        for s in self.apply.iter() {
+            match m.exec(s) {
                 Ok(Signal::Cont) => {}
                 Ok(Signal::Exit) | Err(Interrupt::Exit) => {
                     exited = true;
@@ -427,79 +402,260 @@ impl<'a> PreparedControl<'a> {
             }
         }
 
-        let params = self
-            .ctrl
-            .params
-            .iter()
-            .zip(&self.params)
-            .map(|(param, &loc)| (param.name.clone(), m.store.read(loc).clone()))
-            .collect();
+        let mut frame = m.frame;
+        frame.truncate(self.params.len());
+        let params = self.params.iter().map(|(name, _)| Rc::clone(name)).zip(frame).collect();
         Ok(ControlOutcome { params, exited })
     }
 }
 
-/// A declaration with its names interned and its types resolved: what
-/// [`Machine::declare`] binds. Closures and tables are held without their
-/// environment, which is captured at the point of declaration.
-enum Decl<'a> {
-    /// A `var`; the initializer, if any, is evaluated at declaration.
-    Var { sym: Symbol, ty: SecTy, init: Option<&'a Expr> },
-    /// A function or action.
-    Closure(Symbol, Closure),
-    /// A table.
-    Table(Symbol, TableValue),
+// ----------------------------------------------------------------------
+// The resolved form
+// ----------------------------------------------------------------------
+
+/// A frame slot.
+type Slot = usize;
+
+/// The lowered actions, functions and tables of a prepared control,
+/// indexed by the ids calls and applications carry.
+struct Code<'a> {
+    bodies: Vec<RBody<'a>>,
+    tables: Vec<RTable<'a>>,
 }
 
-/// One execution in progress: the store μ, the ambient `C` and Δ, and the
-/// remaining fuel.
-struct Machine<'a> {
+/// The only conversions a resolved type makes of a value at copy-in,
+/// initialization and return: P4's implicit `int` → `bit<n>` (masking)
+/// and `bit<n>` → `int` (as [`Value::coerce_to_type`]).
+#[derive(Debug, Clone, Copy)]
+enum Coerce {
+    Keep,
+    Bit(u16),
+    Int,
+}
+
+impl Coerce {
+    fn of(pool: &TyPool, ty: SecTy) -> Coerce {
+        match pool.kind(ty.ty) {
+            Ty::Bit(w) => Coerce::Bit(*w),
+            Ty::Int => Coerce::Int,
+            _ => Coerce::Keep,
+        }
+    }
+
+    fn apply(self, v: Value) -> Value {
+        match (self, &v) {
+            (Coerce::Bit(w), Value::Int(i)) => Value::bit(w, *i as u128),
+            (Coerce::Int, Value::Bit { value, .. }) => Value::Int(*value as i128),
+            _ => v,
+        }
+    }
+}
+
+/// A resolved expression. Every node burns one unit of fuel, as the
+/// surface node it comes from does.
+#[derive(Debug)]
+enum RExpr {
+    /// A literal.
+    Const(Value),
+    /// A variable.
+    Var(Slot),
+    Field(Box<RExpr>, Symbol),
+    Index(Box<RExpr>, Box<RExpr>),
+    Binary(BinOp, Box<RExpr>, Box<RExpr>),
+    Unary(UnOp, Box<RExpr>),
+    Record(Box<[(Symbol, RExpr)]>),
+    /// A function call; also burns for its callee expression.
+    Call(Box<RCall>),
+}
+
+/// A resolved statement. Every statement burns one unit of fuel.
+#[derive(Debug)]
+enum RStmt {
+    /// A local `var`.
+    Var(Slot, Init),
+    Block(Box<[RStmt]>),
+    If(RExpr, Box<RStmt>, Option<Box<RStmt>>),
+    Assign(RPlace, RExpr),
+    Exit,
+    Return(Option<RExpr>),
+    /// A call statement; also burns for its callee expression.
+    Call(RCall),
+    /// `t.apply()`; also burns for its callee expression.
+    Apply(usize),
+}
+
+/// How a local `var` starts.
+#[derive(Debug)]
+enum Init {
+    /// Its initializer, evaluated and then coerced to its type.
+    Expr(RExpr, Coerce),
+    /// The zero value of its type.
+    Zero(Value),
+}
+
+/// A resolved l-value: a base slot plus a path of field and index steps.
+/// An index is evaluated into its own slot when the l-value is located,
+/// so an `inout` argument is written back where it was read.
+#[derive(Debug)]
+struct RPlace {
+    base: Slot,
+    path: Box<[RStep]>,
+}
+
+#[derive(Debug)]
+enum RStep {
+    Field(Symbol),
+    /// The index expression and the slot its value is kept in.
+    Index(RExpr, Slot),
+}
+
+/// A call of a lowered body with its data-plane arguments.
+#[derive(Debug)]
+struct RCall {
+    body: usize,
+    args: Box<[RArg]>,
+    /// The first of `args.len()` slots the arguments are evaluated into
+    /// before they are bound, when an argument makes a call that could
+    /// overwrite the callee's parameter slots (`f(a, f(b, c))`); `None`
+    /// binds each argument as it is evaluated.
+    temps: Option<Slot>,
+}
+
+#[derive(Debug)]
+enum RArg {
+    In(RExpr),
+    InOut(RPlace),
+}
+
+/// A lowered function or action.
+#[derive(Debug)]
+struct RBody<'a> {
+    name: &'a str,
+    params: Box<[RParam<'a>]>,
+    ret: Coerce,
+    stmts: Box<[RStmt]>,
+}
+
+#[derive(Debug)]
+struct RParam<'a> {
+    name: &'a str,
+    slot: Slot,
+    direction: Direction,
+    ty: SecTy,
+    coerce: Coerce,
+    /// A directionless action parameter, bound by the control plane.
+    control_plane: bool,
+}
+
+/// A lowered table. Its keys are evaluated into `keys.len()` consecutive
+/// slots from `keys_at` and matched against its configuration where they
+/// lie.
+#[derive(Debug)]
+struct RTable<'a> {
+    keys: Box<[RExpr]>,
+    keys_at: Slot,
+    config: Option<&'a TableConfig>,
+    /// The calls of the declared actions, with their bound arguments.
+    actions: Box<[RCall]>,
+    /// What each installed entry runs, in installation order, or the error
+    /// a match on it raises.
+    entries: Box<[Result<Invoke, EvalError>]>,
+    /// What a miss runs: the configured default, else the declared one.
+    miss: Option<Result<Invoke, EvalError>>,
+}
+
+/// An action of a table with its checked control-plane arguments.
+#[derive(Debug)]
+struct Invoke {
+    action: usize,
+    args: Box<[Value]>,
+}
+
+// ----------------------------------------------------------------------
+// Lowering
+// ----------------------------------------------------------------------
+
+/// What a name is bound to while lowering: the environment ε with every
+/// location replaced by the slot or the code it stands for.
+#[derive(Debug, Clone, Copy)]
+enum Binding {
+    Slot(Slot),
+    /// An index into [`Lower::closures`].
+    Closure(usize),
+    /// An index into [`Lower::tables`].
+    Table(usize),
+}
+
+/// A scope: bindings in declaration order, the latest binding of a name
+/// shadowing earlier ones.
+type Scope<'a> = Vec<(&'a str, Binding)>;
+
+fn lookup(scope: &Scope<'_>, name: &str) -> Option<Binding> {
+    scope.iter().rev().find(|(n, _)| *n == name).map(|&(_, b)| b)
+}
+
+#[derive(Clone, Copy)]
+enum ClosureDecl<'a> {
+    Function(&'a FunctionDecl),
+    Action(&'a ActionDecl),
+}
+
+/// A declared function or action, lowered the first time a call reaches
+/// it. `captured` is the length of the control-level scope at its
+/// declaration: the environment it closes over.
+struct PendingClosure<'a> {
+    decl: ClosureDecl<'a>,
+    captured: usize,
+    lowered: Option<usize>,
+}
+
+/// A declared table, lowered the first time it is applied.
+struct PendingTable<'a> {
+    decl: &'a TableDecl,
+    captured: usize,
+    lowered: Option<usize>,
+}
+
+/// The lowering of one control.
+struct Lower<'a> {
     typed: &'a TypedProgram,
     cp: &'a ControlPlane,
-    store: Store,
-    fuel: u64,
+    /// Slots handed out so far.
+    slots: usize,
+    /// The control-level scope: globals, parameters and control
+    /// declarations. It only grows, so a prefix of it is the environment
+    /// a closure or table declared at that point captured.
+    scope: Scope<'a>,
+    closures: Vec<PendingClosure<'a>>,
+    tables: Vec<PendingTable<'a>>,
+    code: Code<'a>,
+    /// Zero values of the control-level `var`s without an initializer.
+    image: Vec<(Slot, Value)>,
 }
 
-impl Machine<'_> {
-    fn burn(&mut self) -> Result<(), EvalError> {
-        if self.fuel == 0 {
-            return Err(EvalError::FuelExhausted);
-        }
-        self.fuel -= 1;
-        Ok(())
+fn internal<T>(msg: impl Into<String>) -> Result<T, EvalError> {
+    Err(EvalError::Internal(msg.into()))
+}
+
+impl<'a> Lower<'a> {
+    fn slot(&mut self) -> Slot {
+        self.slots += 1;
+        self.slots - 1
     }
 
-    fn internal<T>(&self, msg: impl Into<String>) -> EResult<T> {
-        Err(Interrupt::Fail(EvalError::Internal(msg.into())))
+    /// `n` consecutive fresh slots; the first.
+    fn slot_run(&mut self, n: usize) -> Slot {
+        self.slots += n;
+        self.slots - n
     }
 
-    /// Probes the shared interner: the symbol of `name`, if the checker
-    /// ever saw it (a name it never saw cannot be bound).
-    fn sym(&self, name: &str) -> Option<Symbol> {
-        self.typed.sym(name)
+    fn declare_closure(&mut self, name: &'a str, decl: ClosureDecl<'a>) {
+        let captured = self.scope.len();
+        self.closures.push(PendingClosure { decl, captured, lowered: None });
+        self.scope.push((name, Binding::Closure(self.closures.len() - 1)));
     }
 
-    /// Interns `name` (declaration sites; idempotent).
-    fn intern(&self, name: &str) -> Symbol {
-        self.typed.intern(name)
-    }
-
-    /// Resolves a symbol to its name (diagnostics boundary).
-    fn sym_name(&self, sym: Symbol) -> String {
-        self.typed.sym_name(sym)
-    }
-
-    /// `init_Δ τ` through the shared pool.
-    fn init_value(&self, ty: SecTy) -> Value {
-        Value::init(&self.typed.ctx.borrow().types, ty)
-    }
-
-    /// Coerces a value to a resolved type through the shared pool.
-    fn coerce(&self, v: Value, ty: SecTy) -> Value {
-        v.coerce_to_type(&self.typed.ctx.borrow().types, ty)
-    }
-
-    /// Resolves a surface annotation through Δ. Infallible on typechecked
-    /// programs.
+    /// Resolves a surface annotation through Δ.
     fn resolve(&self, ann: &AnnType) -> Result<SecTy, EvalError> {
         let mut ctx = self.typed.ctx.borrow_mut();
         self.typed
@@ -508,249 +664,524 @@ impl Machine<'_> {
             .map_err(|d| EvalError::Internal(format!("type resolution at runtime: {d}")))
     }
 
-    fn resolve_fn_params(
-        &self,
-        params: &[Param],
-        is_action: bool,
-    ) -> Result<Rc<[FnParam]>, EvalError> {
-        params
-            .iter()
-            .map(|p| {
-                Ok(FnParam {
-                    name: self.intern(&p.name.node),
-                    direction: p.direction.unwrap_or(Direction::In),
-                    ty: self.resolve(&p.ty)?,
-                    control_plane: is_action && p.direction.is_none(),
-                })
-            })
-            .collect()
+    fn coerce(&self, ty: SecTy) -> Coerce {
+        Coerce::of(&self.typed.ctx.borrow().types, ty)
     }
 
-    // ------------------------------------------------------------------
-    // Declarations
-    // ------------------------------------------------------------------
+    /// `init_Δ τ`.
+    fn zero(&self, ty: SecTy) -> Value {
+        Value::init(&self.typed.ctx.borrow().types, ty)
+    }
 
-    fn action_decl(&self, a: &ActionDecl) -> Result<Decl<'static>, EvalError> {
-        let clos = Closure {
-            name: a.name.node.as_str().into(),
-            env: Env::new(),
-            params: self.resolve_fn_params(&a.params, true)?,
-            ret: SecTy::unit(&self.typed.lattice),
-            body: a.body.as_slice().into(),
-            is_action: true,
+    fn field(&self, name: &str) -> Result<Symbol, EvalError> {
+        match self.typed.sym(name) {
+            Some(sym) => Ok(sym),
+            None => internal(format!("missing field `{name}`")),
+        }
+    }
+
+    /// The lowered body of closure `ix`, lowering it on first use in the
+    /// environment it captured plus its parameters.
+    fn closure(&mut self, ix: usize) -> Result<usize, EvalError> {
+        if let Some(id) = self.closures[ix].lowered {
+            return Ok(id);
+        }
+        let (name, params, ret, body, is_action) = match self.closures[ix].decl {
+            ClosureDecl::Function(f) => (&f.name.node, &f.params, Some(&f.ret), &f.body, false),
+            ClosureDecl::Action(a) => (&a.name.node, &a.params, None, &a.body, true),
         };
-        Ok(Decl::Closure(self.intern(&a.name.node), clos))
-    }
-
-    fn function_decl(&self, f: &FunctionDecl) -> Result<Decl<'static>, EvalError> {
-        let clos = Closure {
-            name: f.name.node.as_str().into(),
-            env: Env::new(),
-            params: self.resolve_fn_params(&f.params, false)?,
-            ret: self.resolve(&f.ret)?,
-            body: f.body.as_slice().into(),
-            is_action: false,
+        let mut scope = self.scope[..self.closures[ix].captured].to_vec();
+        let mut rparams = Vec::with_capacity(params.len());
+        for p in params {
+            let ty = self.resolve(&p.ty)?;
+            let slot = self.slot();
+            rparams.push(RParam {
+                name: &p.name.node,
+                slot,
+                direction: p.direction.unwrap_or(Direction::In),
+                ty,
+                coerce: self.coerce(ty),
+                control_plane: is_action && p.direction.is_none(),
+            });
+            scope.push((&p.name.node, Binding::Slot(slot)));
+        }
+        let ret = match ret {
+            Some(ret) => self.coerce(self.resolve(ret)?),
+            None => Coerce::Keep,
         };
-        Ok(Decl::Closure(self.intern(&f.name.node), clos))
+        let stmts = self.stmts(&mut scope, body)?;
+        self.code.bodies.push(RBody { name, params: rparams.into(), ret, stmts });
+        let id = self.code.bodies.len() - 1;
+        self.closures[ix].lowered = Some(id);
+        Ok(id)
     }
 
-    fn table_decl(&self, t: &TableDecl) -> Decl<'static> {
-        let tv = TableValue {
-            name: t.name.node.as_str().into(),
-            env: Env::new(),
-            keys: t
-                .keys
-                .iter()
-                .map(|k| (k.expr.clone(), self.intern(&k.match_kind.node)))
-                .collect(),
-            actions: t
-                .actions
-                .iter()
-                .map(|a| TableAction {
-                    name: a.name.node.as_str().into(),
-                    sym: self.intern(&a.name.node),
-                    args: a.args.clone(),
-                })
-                .collect(),
-            default_action: t.default_action.as_ref().map(|d| self.intern(&d.node)),
-        };
-        Decl::Table(self.intern(&t.name.node), tv)
+    /// Statements in `scope`, whose declarations they extend.
+    fn stmts(
+        &mut self,
+        scope: &mut Scope<'a>,
+        stmts: &'a [Stmt],
+    ) -> Result<Box<[RStmt]>, EvalError> {
+        stmts.iter().map(|s| self.stmt(scope, s)).collect()
     }
 
-    /// Makes a declaration: evaluates a `var`'s initial value or captures
-    /// the current environment in a closure or table, allocates its
-    /// location and binds the name.
-    fn declare(&mut self, env: &mut Env, d: &Decl<'_>) -> Result<(), EvalError> {
-        let (sym, value) = match d {
-            Decl::Var { sym, ty, init } => {
-                let value = match init {
-                    None => self.init_value(*ty),
-                    Some(init) => match self.eval_expr(env, init) {
-                        Ok(v) => self.coerce(v, *ty),
-                        Err(Interrupt::Fail(e)) => return Err(e),
-                        Err(Interrupt::Exit) => {
-                            return Err(EvalError::Internal(
-                                "`exit` during variable initialization".into(),
-                            ));
-                        }
-                    },
+    /// A statement in a scope of its own (block, branch).
+    fn nested(&mut self, scope: &mut Scope<'a>, s: &'a Stmt) -> Result<RStmt, EvalError> {
+        let mark = scope.len();
+        let s = self.stmt(scope, s);
+        scope.truncate(mark);
+        s
+    }
+
+    fn stmt(&mut self, scope: &mut Scope<'a>, s: &'a Stmt) -> Result<RStmt, EvalError> {
+        Ok(match &s.kind {
+            StmtKind::VarDecl(v) => {
+                let ty = self.resolve(&v.ty)?;
+                let init = match &v.init {
+                    Some(e) => Init::Expr(self.expr(scope, e)?, self.coerce(ty)),
+                    None => Init::Zero(self.zero(ty)),
                 };
-                (*sym, value)
+                let slot = self.slot();
+                scope.push((&v.name.node, Binding::Slot(slot)));
+                RStmt::Var(slot, init)
             }
-            Decl::Closure(sym, template) => {
-                let clos = Closure { env: env.clone(), ..template.clone() };
-                (*sym, Value::Closure(Rc::new(clos)))
+            StmtKind::Block(stmts) => {
+                let mark = scope.len();
+                let block = self.stmts(scope, stmts);
+                scope.truncate(mark);
+                RStmt::Block(block?)
             }
-            Decl::Table(sym, template) => {
-                let tv = TableValue { env: env.clone(), ..template.clone() };
-                (*sym, Value::Table(Rc::new(tv)))
+            StmtKind::If(cond, then_branch, else_branch) => {
+                let cond = self.expr(scope, cond)?;
+                let then_branch = self.nested(scope, then_branch)?;
+                let else_branch = match else_branch {
+                    Some(els) => Some(Box::new(self.nested(scope, els)?)),
+                    None => None,
+                };
+                RStmt::If(cond, Box::new(then_branch), else_branch)
             }
+            StmtKind::Assign(lhs, rhs) => {
+                RStmt::Assign(self.place(scope, lhs)?, self.expr(scope, rhs)?)
+            }
+            StmtKind::Exit => RStmt::Exit,
+            StmtKind::Return(value) => {
+                RStmt::Return(value.as_ref().map(|e| self.expr(scope, e)).transpose()?)
+            }
+            StmtKind::Call(e) => {
+                let ExprKind::Call(callee, args) = &e.kind else {
+                    return internal("malformed call statement");
+                };
+                match self.callee(scope, callee)? {
+                    Binding::Table(ix) => RStmt::Apply(self.table(ix)?),
+                    Binding::Closure(ix) => {
+                        let body = self.closure(ix)?;
+                        RStmt::Call(self.call(scope, body, args, 0)?)
+                    }
+                    Binding::Slot(_) => unreachable!("callee returns code"),
+                }
+            }
+        })
+    }
+
+    /// The function, action or table a callee expression names.
+    fn callee(&self, scope: &Scope<'a>, callee: &Expr) -> Result<Binding, EvalError> {
+        match &callee.kind {
+            ExprKind::Var(name) => match lookup(scope, name) {
+                Some(b @ (Binding::Closure(_) | Binding::Table(_))) => Ok(b),
+                Some(Binding::Slot(_)) => internal(format!("`{name}` is not callable")),
+                None => internal(format!("unbound variable `{name}`")),
+            },
+            _ => internal("callee is not a name"),
+        }
+    }
+
+    /// A call of `body` with data-plane `args`, evaluated in `scope`;
+    /// `extra` control-plane arguments follow them.
+    fn call(
+        &mut self,
+        scope: &mut Scope<'a>,
+        body: usize,
+        args: &'a [Expr],
+        extra: usize,
+    ) -> Result<RCall, EvalError> {
+        let directions: Vec<Direction> =
+            self.code.bodies[body].params.iter().map(|p| p.direction).collect();
+        if args.len() + extra != directions.len() {
+            return internal(format!(
+                "call of `{}` with {} argument(s), expected {}",
+                self.code.bodies[body].name,
+                args.len() + extra,
+                directions.len()
+            ));
+        }
+        let args: Box<[RArg]> = args
+            .iter()
+            .zip(directions)
+            .map(|(arg, direction)| match direction {
+                Direction::In => self.expr(scope, arg).map(RArg::In),
+                Direction::InOut => self.place(scope, arg).map(RArg::InOut),
+            })
+            .collect::<Result<_, _>>()?;
+        let calls = args.iter().any(|a| match a {
+            RArg::In(e) => e.calls(),
+            RArg::InOut(p) => p.calls(),
+        });
+        let temps = calls.then(|| self.slot_run(args.len()));
+        Ok(RCall { body, args, temps })
+    }
+
+    fn expr(&mut self, scope: &mut Scope<'a>, e: &'a Expr) -> Result<RExpr, EvalError> {
+        Ok(match &e.kind {
+            ExprKind::Bool(b) => RExpr::Const(Value::Bool(*b)),
+            ExprKind::Int { value, width } => RExpr::Const(match width {
+                Some(w) => Value::bit(*w, *value),
+                None => Value::Int(*value as i128),
+            }),
+            ExprKind::Var(name) => match lookup(scope, name) {
+                Some(Binding::Slot(slot)) => RExpr::Var(slot),
+                Some(_) => return internal(format!("`{name}` is not a value")),
+                None => return internal(format!("unbound variable `{name}`")),
+            },
+            ExprKind::Field(recv, field) => {
+                RExpr::Field(Box::new(self.expr(scope, recv)?), self.field(&field.node)?)
+            }
+            ExprKind::Index(recv, index) => {
+                RExpr::Index(Box::new(self.expr(scope, recv)?), Box::new(self.expr(scope, index)?))
+            }
+            ExprKind::Binary(op, lhs, rhs) => RExpr::Binary(
+                *op,
+                Box::new(self.expr(scope, lhs)?),
+                Box::new(self.expr(scope, rhs)?),
+            ),
+            ExprKind::Unary(op, inner) => RExpr::Unary(*op, Box::new(self.expr(scope, inner)?)),
+            ExprKind::Record(fields) => RExpr::Record(
+                fields
+                    .iter()
+                    .map(|(name, value)| {
+                        Ok((self.typed.intern(&name.node), self.expr(scope, value)?))
+                    })
+                    .collect::<Result<_, EvalError>>()?,
+            ),
+            ExprKind::Call(callee, args) => match self.callee(scope, callee)? {
+                Binding::Closure(ix) => {
+                    let body = self.closure(ix)?;
+                    RExpr::Call(Box::new(self.call(scope, body, args, 0)?))
+                }
+                _ => return internal("a table is not callable in an expression"),
+            },
+        })
+    }
+
+    fn place(&mut self, scope: &mut Scope<'a>, e: &'a Expr) -> Result<RPlace, EvalError> {
+        let mut path = Vec::new();
+        let base = self.place_path(scope, e, &mut path)?;
+        Ok(RPlace { base, path: path.into() })
+    }
+
+    /// The base slot of an l-value, pushing its steps onto `path`.
+    fn place_path(
+        &mut self,
+        scope: &mut Scope<'a>,
+        e: &'a Expr,
+        path: &mut Vec<RStep>,
+    ) -> Result<Slot, EvalError> {
+        match &e.kind {
+            ExprKind::Var(name) => match lookup(scope, name) {
+                Some(Binding::Slot(slot)) => Ok(slot),
+                _ => internal(format!("unbound l-value `{name}`")),
+            },
+            ExprKind::Field(recv, field) => {
+                let base = self.place_path(scope, recv, path)?;
+                path.push(RStep::Field(self.field(&field.node)?));
+                Ok(base)
+            }
+            ExprKind::Index(recv, index) => {
+                let base = self.place_path(scope, recv, path)?;
+                let index = self.expr(scope, index)?;
+                path.push(RStep::Index(index, self.slot()));
+                Ok(base)
+            }
+            _ => internal("expression is not an l-value"),
+        }
+    }
+
+    /// The lowered table `ix`, lowering it on first use in the environment
+    /// it captured.
+    fn table(&mut self, ix: usize) -> Result<usize, EvalError> {
+        if let Some(id) = self.tables[ix].lowered {
+            return Ok(id);
+        }
+        let t = self.tables[ix].decl;
+        let mut scope = self.scope[..self.tables[ix].captured].to_vec();
+        let keys: Box<[RExpr]> =
+            t.keys.iter().map(|k| self.expr(&mut scope, &k.expr)).collect::<Result<_, _>>()?;
+        let keys_at = self.slot_run(keys.len());
+        let mut actions = Vec::with_capacity(t.actions.len());
+        for a in &t.actions {
+            let name = &a.name.node;
+            let body = match lookup(&scope, name) {
+                Some(Binding::Closure(c)) => self.closure(c)?,
+                Some(_) => return internal(format!("table action `{name}` is not a closure")),
+                None => return internal(format!("table action `{name}` not in scope")),
+            };
+            let extra = self.code.bodies[body].params.iter().filter(|p| p.control_plane).count();
+            actions.push(self.call(&mut scope, body, &a.args, extra)?);
+        }
+
+        let config = self.cp.table(&t.name.node);
+        let installed = config.map_or(&[][..], |c| &c.entries[..]);
+        let entries =
+            installed.iter().map(|e| self.invoke(t, &actions, &e.action, Some(&e.args))).collect();
+        let miss = match config.and_then(|c| c.default_action.as_ref()) {
+            Some((name, args)) => Some(self.invoke(t, &actions, name, Some(args))),
+            None => t.default_action.as_ref().map(|d| self.invoke(t, &actions, &d.node, None)),
         };
-        let loc = self.store.alloc(value);
-        env.bind(sym, loc);
+        self.code.tables.push(RTable {
+            keys,
+            keys_at,
+            config,
+            actions: actions.into(),
+            entries,
+            miss,
+        });
+        let id = self.code.tables.len() - 1;
+        self.tables[ix].lowered = Some(id);
+        Ok(id)
+    }
+
+    /// What running `action` from table `t` takes: the controller's
+    /// arguments `args`, validated and coerced against the action's
+    /// control-plane parameters, or (`None`, the declared default) their
+    /// zero values. Errors are those a run raises when it gets here.
+    fn invoke(
+        &self,
+        t: &TableDecl,
+        actions: &[RCall],
+        action: &str,
+        args: Option<&[Value]>,
+    ) -> Result<Invoke, EvalError> {
+        let table = || t.name.node.clone();
+        let Some(ix) = t.actions.iter().position(|a| a.name.node == action) else {
+            return Err(EvalError::UnknownEntryAction { table: table(), action: action.into() });
+        };
+        let params = &self.code.bodies[actions[ix].body].params;
+        let ctrl_params = || params.iter().filter(|p| p.control_plane);
+        let Some(args) = args else {
+            let zeros = ctrl_params().map(|p| self.zero(p.ty)).collect();
+            return Ok(Invoke { action: ix, args: zeros });
+        };
+        let mismatch =
+            |detail| EvalError::EntryArgMismatch { table: table(), action: action.into(), detail };
+        let expected = ctrl_params().count();
+        if args.len() != expected {
+            return Err(mismatch(format!(
+                "expected {expected} control-plane argument(s), got {}",
+                args.len()
+            )));
+        }
+        let ctx = self.typed.ctx.borrow();
+        let mut coerced = Vec::with_capacity(args.len());
+        for (param, value) in ctrl_params().zip(args) {
+            let v = value.clone().coerce_to_type(&ctx.types, param.ty);
+            if !value_fits_kind(&v, ctx.types.kind(param.ty.ty)) {
+                return Err(mismatch(format!(
+                    "argument `{}` does not fit parameter `{}`",
+                    v.display_with(&ctx.syms),
+                    param.name
+                )));
+            }
+            coerced.push(v);
+        }
+        Ok(Invoke { action: ix, args: coerced.into() })
+    }
+}
+
+impl RExpr {
+    /// Whether evaluating the expression can make a call.
+    fn calls(&self) -> bool {
+        match self {
+            RExpr::Const(_) | RExpr::Var(_) => false,
+            RExpr::Field(e, _) | RExpr::Unary(_, e) => e.calls(),
+            RExpr::Index(a, b) | RExpr::Binary(_, a, b) => a.calls() || b.calls(),
+            RExpr::Record(fields) => fields.iter().any(|(_, e)| e.calls()),
+            RExpr::Call(_) => true,
+        }
+    }
+}
+
+impl RPlace {
+    /// Whether locating the l-value can make a call.
+    fn calls(&self) -> bool {
+        self.path.iter().any(|step| matches!(step, RStep::Index(e, _) if e.calls()))
+    }
+}
+
+// ----------------------------------------------------------------------
+// Running
+// ----------------------------------------------------------------------
+
+/// Control-flow interrupts threaded through expression evaluation: an
+/// `exit` raised inside a callee aborts the whole control block.
+#[derive(Debug)]
+enum Interrupt {
+    Exit,
+    Fail(EvalError),
+}
+
+impl From<EvalError> for Interrupt {
+    fn from(e: EvalError) -> Self {
+        Interrupt::Fail(e)
+    }
+}
+
+type EResult<T> = Result<T, Interrupt>;
+
+fn fail<T>(msg: impl Into<String>) -> EResult<T> {
+    Err(Interrupt::Fail(EvalError::Internal(msg.into())))
+}
+
+/// One execution in progress: the frame and the remaining fuel.
+struct Machine<'p, 'a> {
+    code: &'p Code<'a>,
+    frame: Vec<Value>,
+    fuel: u64,
+}
+
+/// An evaluated index as a position (out-of-range values saturate, so they
+/// read as havoc and write nowhere).
+fn position(index: &Value) -> usize {
+    usize::try_from(index.as_u128().unwrap_or(u128::MAX)).unwrap_or(usize::MAX)
+}
+
+impl Machine<'_, '_> {
+    fn burn(&mut self) -> Result<(), EvalError> {
+        if self.fuel == 0 {
+            return Err(EvalError::FuelExhausted);
+        }
+        self.fuel -= 1;
         Ok(())
     }
 
-    // ------------------------------------------------------------------
-    // Statements
-    // ------------------------------------------------------------------
+    /// Evaluates a `var` initializer, where `exit` is an error.
+    fn initializer(&mut self, e: &RExpr) -> Result<Value, EvalError> {
+        match self.eval(e) {
+            Ok(v) => Ok(v),
+            Err(Interrupt::Fail(e)) => Err(e),
+            Err(Interrupt::Exit) => {
+                Err(EvalError::Internal("`exit` during variable initialization".into()))
+            }
+        }
+    }
 
-    fn eval_stmt(&mut self, env: &mut Env, s: &Stmt) -> EResult<Signal> {
+    fn exec(&mut self, s: &RStmt) -> EResult<Signal> {
         self.burn()?;
-        match &s.kind {
-            StmtKind::VarDecl(v) => {
-                let d = Decl::Var {
-                    sym: self.intern(&v.name.node),
-                    ty: self.resolve(&v.ty)?,
-                    init: v.init.as_ref(),
+        match s {
+            RStmt::Var(slot, init) => {
+                self.frame[*slot] = match init {
+                    Init::Expr(e, coerce) => coerce.apply(self.initializer(e)?),
+                    Init::Zero(zero) => zero.clone(),
                 };
-                self.declare(env, &d)?;
                 Ok(Signal::Cont)
             }
-            StmtKind::Block(stmts) => {
-                // Lexical scoping: declarations inside the block do not
-                // escape (ε is restored, only μ persists).
-                let mut inner = env.clone();
-                for st in stmts {
-                    match self.eval_stmt(&mut inner, st)? {
+            RStmt::Block(stmts) => {
+                for st in stmts.iter() {
+                    match self.exec(st)? {
                         Signal::Cont => {}
                         sig => return Ok(sig),
                     }
                 }
                 Ok(Signal::Cont)
             }
-            StmtKind::If(cond, then_branch, else_branch) => {
-                let c = self.eval_expr(env, cond)?;
-                let taken = match c {
-                    Value::Bool(b) => b,
-                    other => return self.internal(format!("non-bool guard `{other}`")),
-                };
-                let mut inner = env.clone();
-                if taken {
-                    self.eval_stmt(&mut inner, then_branch)
-                } else if let Some(els) = else_branch {
-                    self.eval_stmt(&mut inner, els)
-                } else {
-                    Ok(Signal::Cont)
-                }
-            }
-            StmtKind::Assign(lhs, rhs) => {
-                let lv = self.eval_lvalue(env, lhs)?;
-                let v = self.eval_expr(env, rhs)?;
-                self.write_lvalue(&lv, v);
+            RStmt::If(cond, then_branch, else_branch) => match self.eval(cond)? {
+                Value::Bool(true) => self.exec(then_branch),
+                Value::Bool(false) => match else_branch {
+                    Some(els) => self.exec(els),
+                    None => Ok(Signal::Cont),
+                },
+                other => fail(format!("non-bool guard `{other}`")),
+            },
+            RStmt::Assign(place, rhs) => {
+                self.locate(place)?;
+                let v = self.eval(rhs)?;
+                self.write(place, v);
                 Ok(Signal::Cont)
             }
-            StmtKind::Exit => Ok(Signal::Exit),
-            StmtKind::Return(value) => {
+            RStmt::Exit => Ok(Signal::Exit),
+            RStmt::Return(value) => {
                 let v = match value {
                     None => Value::Unit,
-                    Some(e) => self.eval_expr(env, e)?,
+                    Some(e) => self.eval(e)?,
                 };
                 Ok(Signal::Return(v))
             }
-            StmtKind::Call(e) => {
-                let ExprKind::Call(callee, args) = &e.kind else {
-                    return self.internal("malformed call statement");
-                };
-                let cv = self.eval_expr(env, callee)?;
-                match cv {
-                    Value::Table(tv) => {
-                        self.apply_table(&tv)?;
-                        Ok(Signal::Cont)
-                    }
-                    Value::Closure(clos) => {
-                        self.call_closure(&clos, env, args, Vec::new())?;
-                        Ok(Signal::Cont)
-                    }
-                    other => self.internal(format!("`{other}` is not callable")),
-                }
+            RStmt::Call(call) => {
+                self.burn()?;
+                self.call(call, &[])?;
+                Ok(Signal::Cont)
+            }
+            RStmt::Apply(table) => {
+                self.burn()?;
+                let code = self.code;
+                self.apply_table(&code.tables[*table])?;
+                Ok(Signal::Cont)
             }
         }
     }
 
-    // ------------------------------------------------------------------
-    // Expressions
-    // ------------------------------------------------------------------
-
-    fn eval_expr(&mut self, env: &Env, e: &Expr) -> EResult<Value> {
+    fn eval(&mut self, e: &RExpr) -> EResult<Value> {
         self.burn()?;
-        match &e.kind {
-            ExprKind::Bool(b) => Ok(Value::Bool(*b)),
-            ExprKind::Int { value, width } => Ok(match width {
-                Some(w) => Value::bit(*w, *value),
-                None => Value::Int(*value as i128),
-            }),
-            ExprKind::Var(name) => match self.sym(name).and_then(|s| env.lookup(s)) {
-                Some(loc) => Ok(self.store.read(loc).clone()),
-                None => self.internal(format!("unbound variable `{name}`")),
-            },
-            ExprKind::Field(recv, field) => {
-                let r = self.eval_expr(env, recv)?;
-                match self.sym(&field.node).and_then(|s| r.field(s).cloned()) {
+        match e {
+            RExpr::Const(v) => Ok(v.clone()),
+            RExpr::Var(slot) => Ok(self.frame[*slot].clone()),
+            RExpr::Field(recv, field) => {
+                // A variable's field is read in place rather than through a
+                // copy of the whole variable.
+                let found = match &**recv {
+                    RExpr::Var(slot) => {
+                        self.burn()?;
+                        self.frame[*slot].field(*field).cloned()
+                    }
+                    recv => self.eval(recv)?.field(*field).cloned(),
+                };
+                match found {
                     Some(v) => Ok(v),
-                    None => self.internal(format!("missing field `{}`", field.node)),
+                    None => fail(format!("missing field `{field}`")),
                 }
             }
-            ExprKind::Index(recv, index) => {
-                let r = self.eval_expr(env, recv)?;
-                let i = self.eval_expr(env, index)?;
+            RExpr::Index(recv, index) => {
+                let r = self.eval(recv)?;
+                let i = self.eval(index)?;
                 let Value::Stack(elems) = &r else {
-                    return self.internal("indexing a non-stack value");
+                    return fail("indexing a non-stack value");
                 };
-                let ix = i.as_u128().unwrap_or(u128::MAX);
-                match elems.get(usize::try_from(ix).unwrap_or(usize::MAX)) {
+                match elems.get(position(&i)) {
                     Some(v) => Ok(v.clone()),
                     // havoc(τ): deterministic zero of the element shape.
                     None => match elems.first() {
                         Some(proto) => Ok(zeroed(proto)),
-                        None => self.internal("indexing an empty stack"),
+                        None => fail("indexing an empty stack"),
                     },
                 }
             }
-            ExprKind::Binary(op, lhs, rhs) => {
-                let l = self.eval_expr(env, lhs)?;
-                let r = self.eval_expr(env, rhs)?;
-                eval_binop(*op, l, r)
-                    .map_err(|e| Interrupt::Fail(EvalError::Internal(e.to_string())))
+            RExpr::Binary(op, lhs, rhs) => {
+                let l = self.eval(lhs)?;
+                let r = self.eval(rhs)?;
+                eval_binop(*op, l, r).or_else(|e| fail(e.to_string()))
             }
-            ExprKind::Unary(op, inner) => {
-                let v = self.eval_expr(env, inner)?;
-                eval_unop(*op, v).map_err(|e| Interrupt::Fail(EvalError::Internal(e.to_string())))
+            RExpr::Unary(op, inner) => {
+                let v = self.eval(inner)?;
+                eval_unop(*op, v).or_else(|e| fail(e.to_string()))
             }
-            ExprKind::Record(fields) => {
+            RExpr::Record(fields) => {
                 let mut out = Vec::with_capacity(fields.len());
-                for (name, value) in fields {
-                    let sym = self.intern(&name.node);
-                    out.push((sym, self.eval_expr(env, value)?));
+                for (sym, value) in fields.iter() {
+                    out.push((*sym, self.eval(value)?));
                 }
                 Ok(Value::Record(out))
             }
-            ExprKind::Call(callee, args) => {
-                let cv = self.eval_expr(env, callee)?;
-                match cv {
-                    Value::Closure(clos) => self.call_closure(&clos, env, args, Vec::new()),
-                    other => self.internal(format!("`{other}` is not callable")),
-                }
+            RExpr::Call(call) => {
+                self.burn()?;
+                self.call(call, &[])
             }
         }
     }
@@ -759,130 +1190,74 @@ impl Machine<'_> {
     // L-values (Appendices F and G)
     // ------------------------------------------------------------------
 
-    fn eval_lvalue(&mut self, env: &Env, e: &Expr) -> EResult<LValueRef> {
-        match &e.kind {
-            ExprKind::Var(name) => match self.sym(name).and_then(|s| env.lookup(s)) {
-                Some(loc) => Ok(LValueRef { base: loc, path: Vec::new() }),
-                None => self.internal(format!("unbound l-value `{name}`")),
-            },
-            ExprKind::Field(recv, field) => {
-                let mut lv = self.eval_lvalue(env, recv)?;
-                let Some(sym) = self.sym(&field.node) else {
-                    return self.internal(format!("missing field `{}`", field.node));
-                };
-                lv.path.push(PathSeg::Field(sym));
-                Ok(lv)
+    /// Evaluates the index expressions of an l-value, base outwards, into
+    /// their slots (they may have side effects through calls).
+    fn locate(&mut self, place: &RPlace) -> EResult<()> {
+        for step in place.path.iter() {
+            if let RStep::Index(index, at) = step {
+                let i = self.eval(index)?;
+                self.frame[*at] = i;
             }
-            ExprKind::Index(recv, index) => {
-                let mut lv = self.eval_lvalue(env, recv)?;
-                // The index expression is evaluated eagerly (it may have
-                // side effects through calls).
-                let i = self.eval_expr(env, index)?;
-                let ix = usize::try_from(i.as_u128().unwrap_or(u128::MAX)).unwrap_or(usize::MAX);
-                lv.path.push(PathSeg::Index(ix));
-                Ok(lv)
-            }
-            _ => self.internal("expression is not an l-value"),
         }
+        Ok(())
     }
 
-    /// Reads through an l-value path; out-of-bounds indices read as the
+    /// Reads a located l-value; out-of-bounds indices read as the
     /// deterministic havoc value.
-    fn read_lvalue(&self, lv: &LValueRef) -> Value {
-        let mut cur = self.store.read(lv.base).clone();
-        for seg in &lv.path {
-            cur = match seg {
-                PathSeg::Field(f) => match cur.field(*f) {
-                    Some(v) => v.clone(),
-                    None => return Value::Unit,
-                },
-                PathSeg::Index(ix) => match &cur {
-                    Value::Stack(elems) => match elems.get(*ix) {
-                        Some(v) => v.clone(),
-                        None => match elems.first() {
-                            Some(proto) => zeroed(proto),
-                            None => Value::Unit,
-                        },
-                    },
-                    _ => return Value::Unit,
-                },
-            };
-        }
-        cur
+    fn read(&self, place: &RPlace) -> Value {
+        read_path(&self.frame, &self.frame[place.base], &place.path)
     }
 
-    /// Writes through an l-value path (`⇓write`, Appendix G): reads the
-    /// base value, updates the nested slot, and writes the base back.
-    /// Out-of-bounds indices make the whole write a no-op.
-    fn write_lvalue(&mut self, lv: &LValueRef, value: Value) {
-        let mut base = self.store.read(lv.base).clone();
-        if write_path(&mut base, &lv.path, value) {
-            self.store.write(lv.base, base);
-        }
+    /// Writes through a located l-value (`⇓write`, Appendix G), coercing
+    /// to the shape of the slot written. An out-of-bounds index makes the
+    /// whole write a no-op.
+    fn write(&mut self, place: &RPlace, value: Value) {
+        let mut base = std::mem::replace(&mut self.frame[place.base], Value::Unit);
+        write_path(&self.frame, &mut base, &place.path, value);
+        self.frame[place.base] = base;
     }
 
     // ------------------------------------------------------------------
     // Calls (Appendix H: copy-in / copy-out)
     // ------------------------------------------------------------------
 
-    /// Calls a closure. `args` are the data-plane argument expressions
-    /// (evaluated in `caller_env`); `extra_values` are pre-evaluated
-    /// values for the remaining parameters (the control-plane arguments a
-    /// table match supplies).
-    fn call_closure(
-        &mut self,
-        clos: &Closure,
-        caller_env: &Env,
-        args: &[Expr],
-        extra_values: Vec<Value>,
-    ) -> EResult<Value> {
+    /// Calls a body. The call's arguments are evaluated left to right;
+    /// `extra` are the pre-evaluated control-plane arguments that fill the
+    /// remaining parameters.
+    fn call(&mut self, call: &RCall, extra: &[Value]) -> EResult<Value> {
         self.burn()?;
-        let supplied = args.len() + extra_values.len();
-        if supplied != clos.params.len() {
-            return self.internal(format!(
-                "call of `{}` with {supplied} argument(s), expected {}",
-                clos.name,
-                clos.params.len()
-            ));
-        }
+        let code = self.code;
+        let body = &code.bodies[call.body];
 
-        // Copy-in: evaluate arguments left to right.
-        let mut preargs = Vec::with_capacity(clos.params.len());
-        for (param, arg) in clos.params.iter().zip(args) {
-            match param.direction {
-                Direction::In => {
-                    let v = self.eval_expr(caller_env, arg)?;
-                    preargs.push(PreArg::Val(v));
+        // Copy-in: evaluate the arguments left to right, into the
+        // temporaries if a later argument could overwrite a bound one.
+        for (i, (param, arg)) in body.params.iter().zip(call.args.iter()).enumerate() {
+            let v = match arg {
+                RArg::In(e) => self.eval(e)?,
+                RArg::InOut(place) => {
+                    self.locate(place)?;
+                    self.read(place)
                 }
-                Direction::InOut => {
-                    let lv = self.eval_lvalue(caller_env, arg)?;
-                    let v = self.read_lvalue(&lv);
-                    preargs.push(PreArg::Lv(lv, v));
-                }
-            }
-        }
-        preargs.extend(extra_values.into_iter().map(PreArg::Val));
-
-        // Bind parameters to fresh locations in the closure environment.
-        let mut callee_env = clos.env.clone();
-        let mut copy_outs: Vec<(LValueRef, Loc)> = Vec::new();
-        for (param, prearg) in clos.params.iter().zip(preargs) {
-            let (value, lv) = match prearg {
-                PreArg::Val(v) => (v, None),
-                PreArg::Lv(lv, v) => (v, Some(lv)),
             };
-            let coerced = self.coerce(value, param.ty);
-            let loc = self.store.alloc(coerced);
-            callee_env.bind(param.name, loc);
-            if let Some(lv) = lv {
-                copy_outs.push((lv, loc));
+            match call.temps {
+                Some(temps) => self.frame[temps + i] = v,
+                None => self.frame[param.slot] = param.coerce.apply(v),
             }
+        }
+        if let Some(temps) = call.temps {
+            for (i, param) in body.params.iter().take(call.args.len()).enumerate() {
+                let v = std::mem::replace(&mut self.frame[temps + i], Value::Unit);
+                self.frame[param.slot] = param.coerce.apply(v);
+            }
+        }
+        for (param, v) in body.params[call.args.len()..].iter().zip(extra) {
+            self.frame[param.slot] = param.coerce.apply(v.clone());
         }
 
         // Run the body.
         let mut signal = Signal::Cont;
-        for s in clos.body.iter() {
-            match self.eval_stmt(&mut callee_env, s) {
+        for s in body.stmts.iter() {
+            match self.exec(s) {
                 Ok(Signal::Cont) => {}
                 Ok(sig) => {
                     signal = sig;
@@ -898,13 +1273,15 @@ impl Machine<'_> {
 
         // Copy-out happens regardless of how the body finished (P4 spec
         // §6.8; exits still flush inout parameters).
-        for (lv, loc) in copy_outs {
-            let v = self.store.read(loc).clone();
-            self.write_lvalue(&lv, v);
+        for (param, arg) in body.params.iter().zip(call.args.iter()) {
+            if let RArg::InOut(place) = arg {
+                let v = self.frame[param.slot].clone();
+                self.write(place, v);
+            }
         }
 
         match signal {
-            Signal::Return(v) => Ok(self.coerce(v, clos.ret)),
+            Signal::Return(v) => Ok(body.ret.apply(v)),
             Signal::Cont => Ok(Value::Unit),
             Signal::Exit => Err(Interrupt::Exit),
         }
@@ -914,89 +1291,72 @@ impl Machine<'_> {
     // Table application
     // ------------------------------------------------------------------
 
-    fn apply_table(&mut self, tv: &TableValue) -> EResult<()> {
-        // Evaluate the keys in the table's captured environment.
-        let mut keys = Vec::with_capacity(tv.keys.len());
-        for (expr, _kind) in tv.keys.iter() {
-            keys.push(self.eval_expr(&tv.env, expr)?);
+    fn apply_table(&mut self, table: &RTable<'_>) -> EResult<()> {
+        // Evaluate the keys into their slots.
+        for (i, key) in table.keys.iter().enumerate() {
+            let v = self.eval(key)?;
+            self.frame[table.keys_at + i] = v;
         }
+        let keys = &self.frame[table.keys_at..table.keys_at + table.keys.len()];
 
-        // Ask the control plane; fall back to the declared default. The
-        // controller speaks strings, compared with the declared action
-        // names; the invoked action must be one the table declared.
-        let unknown = |action: String| {
-            Interrupt::Fail(EvalError::UnknownEntryAction { table: tv.name.to_string(), action })
-        };
-        let (action, cp_args, from_controller) = match self.cp.lookup(&tv.name, &keys) {
-            Some((name, args)) => match tv.actions.iter().find(|a| *a.name == *name) {
-                Some(action) => (action, args, true),
-                None => return Err(unknown(name.to_string())),
-            },
-            None => match tv.default_action {
-                Some(sym) => match tv.actions.iter().find(|a| a.sym == sym) {
-                    Some(action) => (action, &[][..], false),
-                    None => return Err(unknown(self.sym_name(sym))),
-                },
+        // Ask the control plane; fall back to the default on a miss.
+        let invoke = match table.config.and_then(|c| c.best_entry(keys)) {
+            Some(ix) => &table.entries[ix],
+            None => match &table.miss {
+                Some(miss) => miss,
                 None => return Ok(()), // no entry, no default: no-op
             },
         };
-
-        let clos = match tv.env.lookup(action.sym) {
-            Some(loc) => match self.store.read(loc) {
-                Value::Closure(c) => Rc::clone(c),
-                other => {
-                    let msg = format!("table action `{}` is `{other}`, not a closure", action.name);
-                    return self.internal(msg);
-                }
-            },
-            None => return self.internal(format!("table action `{}` not in scope", action.name)),
-        };
-
-        // Control-plane arguments fill the directionless parameter suffix;
-        // validate and coerce them (the paper assumes the controller
-        // installs well-typed arguments — we enforce it).
-        let ctrl_params = || clos.params.iter().filter(|p| p.control_plane);
-        let cp_args = if from_controller || !cp_args.is_empty() {
-            let expected = ctrl_params().count();
-            if cp_args.len() != expected {
-                return Err(Interrupt::Fail(EvalError::EntryArgMismatch {
-                    table: tv.name.to_string(),
-                    action: action.name.to_string(),
-                    detail: format!(
-                        "expected {expected} control-plane argument(s), got {}",
-                        cp_args.len()
-                    ),
-                }));
-            }
-            let mut coerced = Vec::with_capacity(cp_args.len());
-            for (param, value) in ctrl_params().zip(cp_args) {
-                let v = self.coerce(value.clone(), param.ty);
-                let fits = {
-                    let ctx = self.typed.ctx.borrow();
-                    value_fits_kind(&v, ctx.types.kind(param.ty.ty))
-                };
-                if !fits {
-                    return Err(Interrupt::Fail(EvalError::EntryArgMismatch {
-                        table: tv.name.to_string(),
-                        action: action.name.to_string(),
-                        detail: format!(
-                            "argument `{}` does not fit parameter `{}`",
-                            v.display_with(&self.typed.ctx.borrow().syms),
-                            self.sym_name(param.name)
-                        ),
-                    }));
-                }
-                coerced.push(v);
-            }
-            coerced
-        } else {
-            // Declared default action run with zero-initialized
-            // control-plane arguments.
-            ctrl_params().map(|p| self.init_value(p.ty)).collect()
-        };
-
-        self.call_closure(&clos, &tv.env, &action.args, cp_args)?;
+        let invoke = invoke.as_ref().map_err(|e| Interrupt::Fail(e.clone()))?;
+        self.call(&table.actions[invoke.action], &invoke.args)?;
         Ok(())
+    }
+}
+
+/// Reads `path` inside `cur`, taking index values from `frame`.
+fn read_path(frame: &[Value], cur: &Value, path: &[RStep]) -> Value {
+    let Some((step, rest)) = path.split_first() else {
+        return cur.clone();
+    };
+    match step {
+        RStep::Field(f) => match cur.field(*f) {
+            Some(v) => read_path(frame, v, rest),
+            None => Value::Unit,
+        },
+        RStep::Index(_, at) => match cur {
+            Value::Stack(elems) => match elems.get(position(&frame[*at])) {
+                Some(v) => read_path(frame, v, rest),
+                None => match elems.first() {
+                    Some(proto) => read_path(frame, &zeroed(proto), rest),
+                    None => Value::Unit,
+                },
+            },
+            _ => Value::Unit,
+        },
+    }
+}
+
+/// Writes `value` into the slot addressed by `path` inside `slot`, taking
+/// index values from `frame`. Returns `false` (no-op) when an index is
+/// out of bounds.
+fn write_path(frame: &[Value], slot: &mut Value, path: &[RStep], value: Value) -> bool {
+    match path.split_first() {
+        None => {
+            let coerced = value.coerce_to_shape(slot);
+            *slot = coerced;
+            true
+        }
+        Some((RStep::Field(f), rest)) => match slot.field_mut(*f) {
+            Some(inner) => write_path(frame, inner, rest, value),
+            None => false,
+        },
+        Some((RStep::Index(_, at), rest)) => match slot {
+            Value::Stack(elems) => match elems.get_mut(position(&frame[*at])) {
+                Some(inner) => write_path(frame, inner, rest, value),
+                None => false, // OOB write: no-op
+            },
+            _ => false,
+        },
     }
 }
 
@@ -1004,8 +1364,7 @@ impl Machine<'_> {
 /// control-plane argument shape check, without constructing a zero value.
 /// Mirrors the `Value::init` variant mapping (closure types zero to
 /// `Unit`).
-fn value_fits_kind(v: &Value, kind: &p4bid_ast::sectype::Ty) -> bool {
-    use p4bid_ast::sectype::Ty;
+fn value_fits_kind(v: &Value, kind: &Ty) -> bool {
     matches!(
         (kind, v),
         (Ty::Bool, Value::Bool(_))
@@ -1034,30 +1393,6 @@ fn zeroed(proto: &Value) -> Value {
         },
         Value::Stack(vs) => Value::Stack(vs.iter().map(zeroed).collect()),
         Value::MatchKind(k) => Value::MatchKind(*k),
-        Value::Closure(_) | Value::Table(_) => proto.clone(),
-    }
-}
-
-/// Writes `value` into the slot addressed by `path` inside `slot`.
-/// Returns `false` (no-op) when an index is out of bounds.
-fn write_path(slot: &mut Value, path: &[PathSeg], value: Value) -> bool {
-    match path.split_first() {
-        None => {
-            let coerced = value.coerce_to_shape(slot);
-            *slot = coerced;
-            true
-        }
-        Some((PathSeg::Field(f), rest)) => match slot.field_mut(*f) {
-            Some(inner) => write_path(inner, rest, value),
-            None => false,
-        },
-        Some((PathSeg::Index(ix), rest)) => match slot {
-            Value::Stack(elems) => match elems.get_mut(*ix) {
-                Some(inner) => write_path(inner, rest, value),
-                None => false, // OOB write: no-op
-            },
-            _ => false,
-        },
     }
 }
 
@@ -1077,17 +1412,20 @@ mod tests {
 
     #[test]
     fn write_path_oob_is_noop() {
+        // The index values live in the frame: slot 0 holds 5, slot 1 holds 1.
+        let frame = [Value::Int(5), Value::Int(1)];
+        let at = |slot| [RStep::Index(RExpr::Const(Value::Unit), slot)];
         let mut v = Value::Stack(vec![Value::bit(8, 1), Value::bit(8, 2)]);
-        assert!(!write_path(&mut v, &[PathSeg::Index(5)], Value::bit(8, 9)));
+        assert!(!write_path(&frame, &mut v, &at(0), Value::bit(8, 9)));
         assert_eq!(v, Value::Stack(vec![Value::bit(8, 1), Value::bit(8, 2)]));
-        assert!(write_path(&mut v, &[PathSeg::Index(1)], Value::bit(8, 9)));
+        assert!(write_path(&frame, &mut v, &at(1), Value::bit(8, 9)));
         assert_eq!(v, Value::Stack(vec![Value::bit(8, 1), Value::bit(8, 9)]));
     }
 
     #[test]
     fn write_path_coerces_at_leaf() {
         let mut v = Value::bit(8, 0);
-        assert!(write_path(&mut v, &[], Value::Int(300)));
+        assert!(write_path(&[], &mut v, &[], Value::Int(300)));
         assert_eq!(v, Value::bit(8, 44));
     }
 }

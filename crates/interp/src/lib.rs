@@ -60,12 +60,10 @@
 
 pub mod control_plane;
 pub mod eval;
-pub mod store;
 pub mod value;
 
 pub use control_plane::{ControlPlane, KeyPattern, TableConfig, TableEntry};
 pub use eval::{
     run_control, ControlOutcome, EvalError, Interp, PreparedControl, Signal, DEFAULT_FUEL,
 };
-pub use store::{Env, Loc, Store};
-pub use value::{Closure, TableAction, TableValue, Value};
+pub use value::Value;

@@ -1,10 +1,13 @@
 //! Runtime values for the Core P4 interpreter.
 //!
-//! Values mirror the resolved types of [`p4bid_ast::sectype`]: booleans,
-//! arbitrary-precision integers, fixed-width bit-vectors (stored masked),
-//! records, always-valid headers, stacks, and the two closure forms
-//! (functions/actions and tables). Value equality is structural, which is
-//! exactly what the non-interference definitions compare.
+//! Values mirror the resolved data types of [`p4bid_ast::sectype`]:
+//! booleans, arbitrary-precision integers, fixed-width bit-vectors (stored
+//! masked), records, always-valid headers, stacks and match kinds.
+//! Functions, actions and tables are not values: Core P4 only calls and
+//! applies them, and a prepared control resolves every call and
+//! application to its code (see [`crate::eval`]). Value equality is
+//! structural, which is exactly what the non-interference definitions
+//! compare.
 //!
 //! Record and header fields are keyed by interned [`Symbol`]s (the same
 //! interner the typechecker used), so field reads and writes on the
@@ -15,11 +18,8 @@
 use p4bid_ast::intern::{Interner, Symbol};
 use p4bid_ast::pool::TyPool;
 use p4bid_ast::sectype::{SecTy, Ty};
-use p4bid_ast::surface::{BinOp, Expr, UnOp};
+use p4bid_ast::surface::{BinOp, UnOp};
 use std::fmt;
-use std::rc::Rc;
-
-use crate::store::Env;
 
 /// A runtime value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,68 +52,6 @@ pub enum Value {
     Stack(Vec<Value>),
     /// A match-kind constant (interned kind name).
     MatchKind(Symbol),
-    /// A function or action closure.
-    Closure(Rc<Closure>),
-    /// A table closure.
-    Table(Rc<TableValue>),
-}
-
-/// A function/action closure: the captured environment, the resolved
-/// parameter signature, and the body.
-///
-/// Everything but the environment is shared by `Rc`, so a prepared
-/// control's declarations are built once and each run that re-declares one
-/// (see [`PreparedControl`](crate::PreparedControl)) only captures a fresh
-/// environment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Closure {
-    /// Name, for diagnostics.
-    pub name: Rc<str>,
-    /// Environment captured at declaration (Core P4 closures).
-    pub env: Env,
-    /// Resolved parameters (direction + type + control-plane flag).
-    pub params: Rc<[p4bid_ast::sectype::FnParam]>,
-    /// Resolved return type.
-    pub ret: SecTy,
-    /// Body statements.
-    pub body: Rc<[p4bid_ast::surface::Stmt]>,
-    /// Whether this is an action.
-    pub is_action: bool,
-}
-
-/// A table closure: captured environment, key expressions with their match
-/// kinds, and the candidate actions with their bound argument expressions.
-/// The parts other than the environment are shared by `Rc`, as for
-/// [`Closure`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TableValue {
-    /// Table name (the control-plane configuration key; the control plane
-    /// is a user-facing, string-keyed boundary).
-    pub name: Rc<str>,
-    /// Environment captured at declaration.
-    pub env: Env,
-    /// `(key expression, match kind)` pairs.
-    pub keys: Rc<[(Expr, Symbol)]>,
-    /// Candidate actions, in declaration order.
-    pub actions: Rc<[TableAction]>,
-    /// Default action name (must be one of `actions`); `NoAction`-like
-    /// no-op when `None` and no control-plane default is configured.
-    pub default_action: Option<Symbol>,
-}
-
-/// One candidate action of a table.
-///
-/// The name is kept in both forms: the control plane answers a lookup with
-/// a string, which is compared with `name` directly, and the interned
-/// `sym` finds the action's closure in the table's environment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TableAction {
-    /// The action name as declared (and as the control plane spells it).
-    pub name: Rc<str>,
-    /// The interned action name.
-    pub sym: Symbol,
-    /// Bound data-plane argument expressions.
-    pub args: Vec<Expr>,
 }
 
 impl Value {
@@ -154,9 +92,9 @@ impl Value {
             // never type variables). Symbol 0 is the `TyCtx` interner's
             // reserved empty-string sentinel.
             Ty::MatchKind => Value::MatchKind(Symbol::from_raw(0)),
-            // Closure types have no default; these cases are unreachable on
-            // typechecked programs (locations of closure type are always
-            // initialized by their declaration).
+            // Function and table types have no values; these cases are
+            // unreachable on typechecked programs (no variable has such a
+            // type).
             Ty::Table(_) | Ty::Function(_) => Value::Unit,
         }
     }
@@ -289,12 +227,6 @@ fn render(v: &Value, syms: Option<&Interner>, out: &mut String) {
             out.push_str("match_kind(");
             name(*k, out);
             out.push(')');
-        }
-        Value::Closure(c) => {
-            let _ = write!(out, "<closure {}>", c.name);
-        }
-        Value::Table(t) => {
-            let _ = write!(out, "<table {}>", t.name);
         }
     }
 }

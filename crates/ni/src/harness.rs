@@ -188,12 +188,17 @@ impl PairRun {
     pub(crate) fn into_leak(self, inputs: (Vec<Value>, Vec<Value>), run_index: usize) -> NiOutcome {
         NiOutcome::Leak(Box::new(LeakWitness {
             inputs,
-            outputs: (self.a.params, self.b.params),
+            outputs: (named(self.a.params), named(self.b.params)),
             differences: self.differences,
             exited: (self.a.exited, self.b.exited),
             run_index,
         }))
     }
+}
+
+/// A run's final parameter values with owned names.
+fn named(params: Vec<(std::rc::Rc<str>, Value)>) -> RunOutputs {
+    params.into_iter().map(|(name, v)| (name.to_string(), v)).collect()
 }
 
 /// Runs the prepared control on both inputs of a pair and collects the
@@ -212,7 +217,8 @@ pub(crate) fn run_both(
     let params = &prepared.control().params;
     for (param, ((name, va), (_, vb))) in params.iter().zip(a.params.iter().zip(&b.params)) {
         for mut d in observable_differences(&ctx, &typed.lattice, observe, param.ty, va, vb) {
-            d.path = if d.path.is_empty() { name.clone() } else { format!("{name}.{}", d.path) };
+            d.path =
+                if d.path.is_empty() { name.to_string() } else { format!("{name}.{}", d.path) };
             differences.push(d);
         }
     }
