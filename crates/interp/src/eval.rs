@@ -51,6 +51,7 @@ use p4bid_ast::pool::TyPool;
 use p4bid_ast::sectype::{SecTy, Ty};
 use p4bid_ast::surface::*;
 use p4bid_typeck::{TypedControl, TypedProgram};
+use std::cell::Cell;
 use std::error::Error;
 use std::fmt;
 use std::rc::Rc;
@@ -249,7 +250,7 @@ impl<'a> Interp<'a> {
             closures: Vec::new(),
             tables: Vec::new(),
             code: Code { bodies: Vec::new(), tables: Vec::new() },
-            image: Vec::new(),
+            zeros: Vec::new(),
         };
 
         // Global scope: prelude and top-level functions/actions.
@@ -269,9 +270,8 @@ impl<'a> Interp<'a> {
             params.push((Rc::from(param.name.as_str()), lower.coerce(param.ty)));
         }
 
-        // Control-body declarations, in order. A `var` without an
-        // initializer starts every run at its zero value in the frame
-        // image; one with an initializer is evaluated on each run.
+        // Control-body declarations, in order. A `var` starts every run at
+        // its zero value or its initializer's value.
         let mut inits = Vec::new();
         for d in &decl.decls {
             match d {
@@ -282,7 +282,7 @@ impl<'a> Interp<'a> {
                     let slot = lower.slot();
                     match init {
                         Some(expr) => inits.push((slot, expr, lower.coerce(ty))),
-                        None => lower.image.push((slot, lower.zero(ty))),
+                        None => lower.zeros.push((slot, lower.zero(ty))),
                     }
                     lower.scope.push((&v.name.node, Binding::Slot(slot)));
                 }
@@ -304,15 +304,13 @@ impl<'a> Interp<'a> {
         let mut scope = lower.scope.clone();
         let apply = lower.stmts(&mut scope, &decl.apply)?;
 
-        let mut frame = vec![Value::Unit; lower.slots];
-        for (slot, value) in lower.image {
-            frame[slot] = value;
-        }
         Ok(PreparedControl {
             ctrl,
             fuel: self.fuel,
             code: lower.code,
-            frame,
+            frame: Cell::new(Vec::new()),
+            slots: lower.slots,
+            zeros: lower.zeros.into(),
             params: params.into(),
             inits: inits.into(),
             apply,
@@ -333,21 +331,29 @@ impl<'a> Interp<'a> {
     }
 }
 
-/// A control block ready to run: its lowered code and the frame image
-/// every run starts from.
+/// A control block ready to run: its lowered code and the frame it runs
+/// in.
 ///
-/// [`run`](Self::run) clones the frame, writes the coerced arguments into
-/// the parameter slots, evaluates the control-level `var` initializers in
-/// declaration order and runs `apply`. Declarations burn no fuel, so each
-/// run has the full budget, and a run never writes to the image, so runs
-/// are independent of each other.
+/// [`run`](Self::run) resets the control-level `var`s without an
+/// initializer to their zero values, writes the coerced arguments into the
+/// parameter slots, evaluates the other control-level `var`s' initializers
+/// in declaration order and runs `apply`. Every other slot is written
+/// before it is read — a local at its declaration, a parameter at its
+/// call, a temporary or key where it is evaluated — so what a run leaves
+/// in the frame is never seen by the next, and the frame is kept from one
+/// run to the next rather than built anew. Declarations burn no fuel, so
+/// each run has the full budget.
 pub struct PreparedControl<'a> {
     ctrl: &'a TypedControl,
     fuel: u64,
     code: Code<'a>,
-    /// The frame before a run: zero values for the control-level `var`s
-    /// without an initializer, `Unit` in every other slot.
-    frame: Vec<Value>,
+    /// The frame, between runs; empty before the first and while a run
+    /// holds it.
+    frame: Cell<Vec<Value>>,
+    /// The frame's length.
+    slots: usize,
+    /// Zero values of the control-level `var`s without an initializer.
+    zeros: Box<[(Slot, Value)]>,
     /// Name and coercion of each parameter; parameter `i` is slot `i`.
     params: Box<[(Rc<str>, Coerce)]>,
     /// The control-level initializers: slot, initializer and coercion.
@@ -372,27 +378,36 @@ impl<'a> PreparedControl<'a> {
         if args.len() != self.params.len() {
             return Err(EvalError::ArgCount { expected: self.params.len(), got: args.len() });
         }
-        let mut m = Machine { code: &self.code, frame: self.frame.clone(), fuel: self.fuel };
+        let mut frame = self.frame.take();
+        frame.resize(self.slots, Value::Unit);
+        let mut m = Machine { code: &self.code, frame, fuel: self.fuel };
+        let outcome = self.execute(&mut m, args).map(|exited| {
+            let finals = m.frame.iter_mut().map(|v| std::mem::replace(v, Value::Unit));
+            let params = self.params.iter().map(|(name, _)| Rc::clone(name)).zip(finals).collect();
+            ControlOutcome { params, exited }
+        });
+        self.frame.set(m.frame);
+        outcome
+    }
 
+    /// Starts a run on `m` and runs `apply`; whether it exited.
+    fn execute(&self, m: &mut Machine<'_, '_>, args: &[Value]) -> Result<bool, EvalError> {
+        for (slot, zero) in self.zeros.iter() {
+            m.frame[*slot] = zero.clone();
+        }
         // Copy the packet into the parameter slots.
         for (slot, ((_, coerce), arg)) in self.params.iter().zip(args).enumerate() {
             m.frame[slot] = coerce.apply(arg.clone());
         }
-
         for (slot, init, coerce) in self.inits.iter() {
             let v = m.initializer(init)?;
             m.frame[*slot] = coerce.apply(v);
         }
 
-        // The apply block.
-        let mut exited = false;
         for s in self.apply.iter() {
             match m.exec(s) {
                 Ok(Signal::Cont) => {}
-                Ok(Signal::Exit) | Err(Interrupt::Exit) => {
-                    exited = true;
-                    break;
-                }
+                Ok(Signal::Exit) | Err(Interrupt::Exit) => return Ok(true),
                 Ok(Signal::Return(_)) => {
                     return Err(EvalError::Internal(
                         "`return` escaped to the control level".into(),
@@ -401,11 +416,7 @@ impl<'a> PreparedControl<'a> {
                 Err(Interrupt::Fail(e)) => return Err(e),
             }
         }
-
-        let mut frame = m.frame;
-        frame.truncate(self.params.len());
-        let params = self.params.iter().map(|(name, _)| Rc::clone(name)).zip(frame).collect();
-        Ok(ControlOutcome { params, exited })
+        Ok(false)
     }
 }
 
@@ -630,7 +641,7 @@ struct Lower<'a> {
     tables: Vec<PendingTable<'a>>,
     code: Code<'a>,
     /// Zero values of the control-level `var`s without an initializer.
-    image: Vec<(Slot, Value)>,
+    zeros: Vec<(Slot, Value)>,
 }
 
 fn internal<T>(msg: impl Into<String>) -> Result<T, EvalError> {
