@@ -30,14 +30,15 @@
 //! entry is resolved to its action and checked arguments, or to the error
 //! a match on it raises.
 //!
-//! [`PreparedControl::run`] is then: clone the frame, write the coerced
-//! packet into the parameter slots, evaluate the control-level
-//! initializers in order and run `apply` by indexing. No name is looked
-//! up, the type context is not touched and nothing is allocated beyond
-//! the frame, the outcome and the values the program itself builds.
-//! Fuel is burned at the same points as in the name-keyed semantics (each
-//! statement, each expression and each call), so a run's outcome, error
-//! and fuel use are those of the judgements above.
+//! [`PreparedControl::run`] is then: reset the control-level `var`s in
+//! the frame, write the coerced packet into the parameter slots, evaluate
+//! the control-level initializers in order and run `apply` by indexing.
+//! Every other slot is written before it is read, so the frame is kept
+//! from one run to the next. No name is looked up, the type context is
+//! not touched and nothing is allocated but the outcome and the values
+//! the program itself builds. Fuel is burned at the same points as in the
+//! judgements above (each statement, each expression and each call), so a
+//! run's outcome, error and fuel use are those of a fresh execution.
 //!
 //! Out-of-bounds stack reads produce the deterministic `havoc(τ)` (a
 //! zeroed value of the element shape) and out-of-bounds writes are no-ops,
@@ -362,7 +363,7 @@ pub struct PreparedControl<'a> {
 }
 
 impl<'a> PreparedControl<'a> {
-    /// The checked control this image runs.
+    /// The checked control this prepared control runs.
     #[must_use]
     pub fn control(&self) -> &'a TypedControl {
         self.ctrl
@@ -435,8 +436,9 @@ struct Code<'a> {
 }
 
 /// The only conversions a resolved type makes of a value at copy-in,
-/// initialization and return: P4's implicit `int` → `bit<n>` (masking)
-/// and `bit<n>` → `int` (as [`Value::coerce_to_type`]).
+/// initialization, return and control-plane argument checks: P4's
+/// implicit `int` → `bit<n>` (masking) and `bit<n>` → `int`; every other
+/// value must already fit and is kept as it is.
 #[derive(Debug, Clone, Copy)]
 enum Coerce {
     Keep,
@@ -526,10 +528,9 @@ struct RCall {
     body: usize,
     args: Box<[RArg]>,
     /// The first of `args.len()` slots the arguments are evaluated into
-    /// before they are bound, when an argument makes a call that could
-    /// overwrite the callee's parameter slots (`f(a, f(b, c))`); `None`
-    /// binds each argument as it is evaluated.
-    temps: Option<Slot>,
+    /// before they are bound: an argument may call the callee again
+    /// (`f(a, f(b, c))`), which overwrites its parameter slots.
+    temps: Slot,
 }
 
 #[derive(Debug)]
@@ -833,11 +834,7 @@ impl<'a> Lower<'a> {
                 Direction::InOut => self.place(scope, arg).map(RArg::InOut),
             })
             .collect::<Result<_, _>>()?;
-        let calls = args.iter().any(|a| match a {
-            RArg::In(e) => e.calls(),
-            RArg::InOut(p) => p.calls(),
-        });
-        let temps = calls.then(|| self.slot_run(args.len()));
+        let temps = self.slot_run(args.len());
         Ok(RCall { body, args, temps })
     }
 
@@ -993,7 +990,7 @@ impl<'a> Lower<'a> {
         let ctx = self.typed.ctx.borrow();
         let mut coerced = Vec::with_capacity(args.len());
         for (param, value) in ctrl_params().zip(args) {
-            let v = value.clone().coerce_to_type(&ctx.types, param.ty);
+            let v = param.coerce.apply(value.clone());
             if !value_fits_kind(&v, ctx.types.kind(param.ty.ty)) {
                 return Err(mismatch(format!(
                     "argument `{}` does not fit parameter `{}`",
@@ -1004,26 +1001,6 @@ impl<'a> Lower<'a> {
             coerced.push(v);
         }
         Ok(Invoke { action: ix, args: coerced.into() })
-    }
-}
-
-impl RExpr {
-    /// Whether evaluating the expression can make a call.
-    fn calls(&self) -> bool {
-        match self {
-            RExpr::Const(_) | RExpr::Var(_) => false,
-            RExpr::Field(e, _) | RExpr::Unary(_, e) => e.calls(),
-            RExpr::Index(a, b) | RExpr::Binary(_, a, b) => a.calls() || b.calls(),
-            RExpr::Record(fields) => fields.iter().any(|(_, e)| e.calls()),
-            RExpr::Call(_) => true,
-        }
-    }
-}
-
-impl RPlace {
-    /// Whether locating the l-value can make a call.
-    fn calls(&self) -> bool {
-        self.path.iter().any(|step| matches!(step, RStep::Index(e, _) if e.calls()))
     }
 }
 
@@ -1144,21 +1121,10 @@ impl Machine<'_, '_> {
         match e {
             RExpr::Const(v) => Ok(v.clone()),
             RExpr::Var(slot) => Ok(self.frame[*slot].clone()),
-            RExpr::Field(recv, field) => {
-                // A variable's field is read in place rather than through a
-                // copy of the whole variable.
-                let found = match &**recv {
-                    RExpr::Var(slot) => {
-                        self.burn()?;
-                        self.frame[*slot].field(*field).cloned()
-                    }
-                    recv => self.eval(recv)?.field(*field).cloned(),
-                };
-                match found {
-                    Some(v) => Ok(v),
-                    None => fail(format!("missing field `{field}`")),
-                }
-            }
+            RExpr::Field(recv, field) => match self.eval(recv)?.field(*field) {
+                Some(v) => Ok(v.clone()),
+                None => fail(format!("missing field `{field}`")),
+            },
             RExpr::Index(recv, index) => {
                 let r = self.eval(recv)?;
                 let i = self.eval(index)?;
@@ -1240,9 +1206,8 @@ impl Machine<'_, '_> {
         let code = self.code;
         let body = &code.bodies[call.body];
 
-        // Copy-in: evaluate the arguments left to right, into the
-        // temporaries if a later argument could overwrite a bound one.
-        for (i, (param, arg)) in body.params.iter().zip(call.args.iter()).enumerate() {
+        // Copy-in: evaluate the arguments left to right, then bind them.
+        for (i, arg) in call.args.iter().enumerate() {
             let v = match arg {
                 RArg::In(e) => self.eval(e)?,
                 RArg::InOut(place) => {
@@ -1250,16 +1215,11 @@ impl Machine<'_, '_> {
                     self.read(place)
                 }
             };
-            match call.temps {
-                Some(temps) => self.frame[temps + i] = v,
-                None => self.frame[param.slot] = param.coerce.apply(v),
-            }
+            self.frame[call.temps + i] = v;
         }
-        if let Some(temps) = call.temps {
-            for (i, param) in body.params.iter().take(call.args.len()).enumerate() {
-                let v = std::mem::replace(&mut self.frame[temps + i], Value::Unit);
-                self.frame[param.slot] = param.coerce.apply(v);
-            }
+        for (i, param) in body.params.iter().take(call.args.len()).enumerate() {
+            let v = std::mem::replace(&mut self.frame[call.temps + i], Value::Unit);
+            self.frame[param.slot] = param.coerce.apply(v);
         }
         for (param, v) in body.params[call.args.len()..].iter().zip(extra) {
             self.frame[param.slot] = param.coerce.apply(v.clone());

@@ -8,9 +8,8 @@
 //! `p4bid-ni` crate).
 //!
 //! * [`Value`] — runtime values (masked bit-vectors, records, valid
-//!   headers, stacks, closures, tables) with the deterministic evaluation
-//!   oracle for operators;
-//! * [`Store`]/[`Env`] — the memory store μ and environment ε;
+//!   headers, stacks) with the deterministic evaluation oracle for
+//!   operators;
 //! * [`ControlPlane`] — installed table entries (`C`), with `exact`,
 //!   `lpm`, and `ternary` matching;
 //! * [`Interp::prepare`] / [`PreparedControl::run`] — evaluate one
@@ -20,19 +19,25 @@
 //!
 //! # Prepare once, run many
 //!
-//! Preparing a control looks it up, declares the prelude and top-level
-//! functions and actions, allocates its parameter cells and declares its
-//! actions, functions and tables, all into one store-and-environment
-//! image. Each run clones that image (closures and tables are `Rc`
-//! bumps), writes the coerced packet into the parameter cells and
-//! evaluates `apply`. A control-level `var` with an initializer, and
-//! every declaration after it, is replayed on each run from pre-resolved
-//! parts, because evaluating the initializer depends on the packet and
-//! may allocate. Locations are therefore allocated in the same order as
-//! a from-scratch execution and declarations burn no fuel, so a run's
-//! outcome and fuel use are exactly those of a fresh [`run_control`].
-//! The non-interference harness prepares once per check and runs every
-//! pair on the one image.
+//! Preparing a control makes its declarations and lowers every body a run
+//! can reach — `apply`, the functions and actions it calls, control-level
+//! initializers, table keys and bound action arguments — into a private
+//! slot-indexed form. The environment ε exists only while preparing:
+//! each variable reference becomes a slot of one frame, each field a
+//! symbol, each type the coercion or zero value it stands for, and each
+//! call or table application a pointer to lowered code. Core P4 has no
+//! recursion, so every declaration site owns a fixed slot, and each
+//! table's control-plane entries are resolved to an action and checked
+//! arguments (or the error a match raises) once.
+//!
+//! A run resets the control-level `var`s, writes the coerced packet into
+//! the parameter slots, evaluates the control-level initializers and runs
+//! `apply` by indexing: no name lookup, no use of the type context, and
+//! no allocation but the outcome and the values the program builds. Fuel
+//! is burned at the points of the semantics (each statement, expression
+//! and call), so a run's outcome, error and fuel use are those of a fresh
+//! [`run_control`]. The non-interference harness prepares once per check
+//! and runs every pair on the one prepared control.
 //!
 //! # Examples
 //!

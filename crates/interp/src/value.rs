@@ -132,17 +132,6 @@ impl Value {
         }
     }
 
-    /// Coerces `self` to fit a resolved type (used at copy-in and
-    /// variable initialization).
-    #[must_use]
-    pub fn coerce_to_type(self, pool: &TyPool, ty: SecTy) -> Value {
-        match (&self, pool.kind(ty.ty)) {
-            (Value::Int(i), Ty::Bit(w)) => Value::bit(*w, *i as u128),
-            (Value::Bit { value, .. }, Ty::Int) => Value::Int(*value as i128),
-            _ => self,
-        }
-    }
-
     /// The numeric payload, for match-key comparison: bit-vectors as
     /// unsigned, ints sign-extended.
     #[must_use]

@@ -16,9 +16,9 @@
 //! finds a concrete [`LeakWitness`] demonstrating the interference.
 //!
 //! A check prepares the control once ([`Interp::prepare`]) and runs both
-//! packets of every pair on that one image, as the sequence check does for
-//! every round; only `apply` (and any control-level `var` initializer) is
-//! evaluated per execution. A prepared run gives exactly the outcome of a
+//! packets of every pair on that one prepared control, as the sequence
+//! check does for every round; only `apply` (and any control-level `var`
+//! initializer) is evaluated per execution. A prepared run gives exactly the outcome of a
 //! fresh [`run_control`](p4bid_interp::run_control) (see the module docs of
 //! `p4bid_interp`), so the witnesses are the ones an unprepared harness
 //! would find.

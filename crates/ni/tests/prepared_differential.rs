@@ -1,13 +1,15 @@
-//! Differential test of prepared controls: one prepared image, reused for
-//! many inputs, must give exactly what a fresh prepare gives on each input.
+//! Differential test of prepared controls: one prepared control, reused
+//! for many inputs, must give exactly what a fresh prepare gives on each
+//! input.
 //!
-//! `Interp::prepare` builds a control's store-and-environment image once
-//! and `PreparedControl::run` clones it per execution; the NI harness leans
-//! on that reuse for every pair and round. A run that leaked state into
-//! the image (a written cell, a consumed closure, a captured environment)
-//! would make a later run differ from a fresh one, so every case below
-//! runs each input twice: on the shared image and on a fresh prepare, and
-//! compares the `ControlOutcome` or `EvalError`.
+//! `Interp::prepare` lowers a control to slot-indexed code once, and
+//! `PreparedControl::run` keeps its frame from one run to the next; the NI
+//! harness leans on that reuse for every pair and round. A run that read a
+//! slot the previous run left behind (a local, a parameter, a temporary,
+//! a control-level `var`) would make a later run differ from a fresh one,
+//! so every case below runs each input twice: on the shared prepared
+//! control and on a fresh prepare, and compares the `ControlOutcome` or
+//! `EvalError`.
 
 use p4bid::corpus::{case_studies, demo_control_plane};
 use p4bid_interp::{ControlPlane, EvalError, Interp, KeyPattern, TableEntry, Value};
@@ -26,8 +28,8 @@ fn inputs(typed: &TypedProgram, control: &str, n: usize, seed: u64) -> Vec<Vec<V
         .collect()
 }
 
-/// Runs every input on one shared image and on a fresh prepare, asserts
-/// the results agree, and returns them.
+/// Runs every input on one shared prepared control and on a fresh
+/// prepare, asserts the results agree, and returns them.
 fn reuse_matches_fresh(
     interp: &Interp<'_>,
     control: &str,
@@ -94,9 +96,9 @@ fn case_study_controls_with_their_control_planes() {
 }
 
 /// A control-level `var` whose initializer calls a function that declares
-/// a local on one branch only: how many locations the initializer
-/// allocates depends on the input, so the action and table declared after
-/// it sit at input-dependent locations and must be re-declared per run.
+/// a local on one branch only, read by an action and a table declared
+/// after it: the initializer runs on every run, and what it computes must
+/// reach the code declared after it whichever branch it took.
 const BRANCHY_VAR: &str = r#"
     control C(inout bit<8> x, inout bit<8> y) {
         function bit<8> pick(in bit<8> v) {
