@@ -651,8 +651,7 @@ fn internal<T>(msg: impl Into<String>) -> Result<T, EvalError> {
 
 impl<'a> Lower<'a> {
     fn slot(&mut self) -> Slot {
-        self.slots += 1;
-        self.slots - 1
+        self.slot_run(1)
     }
 
     /// `n` consecutive fresh slots; the first.
